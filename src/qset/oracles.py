@@ -16,8 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .behavior import Behavior, BellFunctional, validate
-from .errors import InvalidBehaviorError
-from .realization import QubitRealization, born_vector, apply_relabeling, canonicalize
+from .errors import InvalidBehaviorError, QsetError
+from .realization import (QubitRealization, born_jacobian, born_vector, apply_relabeling,
+                          canonicalize)
 from .symmetry import inverse
 
 __all__ = [
@@ -220,24 +221,63 @@ def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
 
 
 def _grid_value(beta_vec: np.ndarray, res: int) -> tuple[float, np.ndarray]:
+    """Best grid point of the functional over (theta, a0, a1, b0, b1) in [0, pi)^5.
+
+    Evaluated one theta slice at a time; the strict comparison across slices
+    keeps the first maximum in C order, as one argmax over the full grid would.
+    """
     ax = np.linspace(0.0, math.pi, res, endpoint=False)
-    c2 = np.cos(2 * ax)[:, None, None, None, None]
-    s2 = np.sin(2 * ax)[:, None, None, None, None]
-    ca = [np.cos(ax)[None, :, None, None, None], np.cos(ax)[None, None, :, None, None]]
-    sa = [np.sin(ax)[None, :, None, None, None], np.sin(ax)[None, None, :, None, None]]
-    cb = [np.cos(ax)[None, None, None, :, None], np.cos(ax)[None, None, None, None, :]]
-    sb = [np.sin(ax)[None, None, None, :, None], np.sin(ax)[None, None, None, None, :]]
-    val = np.zeros((res,) * 5)
-    val += beta_vec[0] * (c2 * ca[0]) + beta_vec[1] * (c2 * ca[1])
-    val += beta_vec[2] * (c2 * cb[0]) + beta_vec[3] * (c2 * cb[1])
-    for x in range(2):
-        for y in range(2):
-            w = beta_vec[4 + 2 * x + y]
-            if w != 0.0:
-                val += w * (ca[x] * cb[y] + s2 * (sa[x] * sb[y]))
-    idx = np.unravel_index(int(np.argmax(val)), val.shape)
-    params = np.array([ax[i] for i in idx])
-    return float(val[idx]), params
+    c2s, s2s = np.cos(2 * ax), np.sin(2 * ax)
+    ca = [np.cos(ax)[:, None, None, None], np.cos(ax)[None, :, None, None]]
+    sa = [np.sin(ax)[:, None, None, None], np.sin(ax)[None, :, None, None]]
+    cb = [np.cos(ax)[None, None, :, None], np.cos(ax)[None, None, None, :]]
+    sb = [np.sin(ax)[None, None, :, None], np.sin(ax)[None, None, None, :]]
+    best_val, best_idx = -math.inf, (0,) * 5
+    for t in range(res):
+        c2, s2 = c2s[t], s2s[t]
+        val = np.zeros((res,) * 4)
+        val += beta_vec[0] * (c2 * ca[0]) + beta_vec[1] * (c2 * ca[1])
+        val += beta_vec[2] * (c2 * cb[0]) + beta_vec[3] * (c2 * cb[1])
+        for x in range(2):
+            for y in range(2):
+                w = beta_vec[4 + 2 * x + y]
+                if w != 0.0:
+                    val += w * (ca[x] * cb[y] + s2 * (sa[x] * sb[y]))
+        j = int(np.argmax(val))
+        if val.flat[j] > best_val:
+            best_val, best_idx = float(val.flat[j]), (t, *np.unravel_index(j, val.shape))
+    params = np.array([ax[i] for i in best_idx])
+    return best_val, params
+
+
+#: Frequency of each coordinate (theta, a0, a1, b0, b1) in the Born rule.
+_FREQ = (2, 1, 1, 1, 1)
+
+
+def _coordinate_form(coeffs: list[float], trig: list[tuple[float, float]], k: int
+                     ) -> tuple[float, float, float]:
+    """(C, S, K) such that moving coordinate k to t gives the functional the
+    value C cos(m t) + S sin(m t) + K, with m = _FREQ[k].
+
+    ``trig`` holds (cos, sin) of m times each current coordinate.  The value
+    is c2 (mA . ca + mB . cb) + ca^T E cb + s2 sa^T E sb, with E the
+    correlator block, so it is a sinusoid in 2 theta and in each angle."""
+    (c2, s2), (ca0, sa0), (ca1, sa1), (cb0, sb0), (cb1, sb1) = trig
+    ca, sa, cb, sb = (ca0, ca1), (sa0, sa1), (cb0, cb1), (sb0, sb1)
+    m_a, m_b = coeffs[0:2], coeffs[2:4]
+    e = (coeffs[4:6], coeffs[6:8])  # e[x][y]
+    if k >= 3:  # one of Bob's angles: exchange the parties' roles
+        ca, sa, cb, sb, m_a, m_b, e = cb, sb, ca, sa, m_b, m_a, tuple(zip(*e))
+    ecb = (e[0][0] * cb[0] + e[0][1] * cb[1], e[1][0] * cb[0] + e[1][1] * cb[1])
+    esb = (e[0][0] * sb[0] + e[0][1] * sb[1], e[1][0] * sb[0] + e[1][1] * sb[1])
+    if k == 0:
+        marg = m_a[0] * ca[0] + m_a[1] * ca[1] + m_b[0] * cb[0] + m_b[1] * cb[1]
+        return marg, sa[0] * esb[0] + sa[1] * esb[1], ca[0] * ecb[0] + ca[1] * ecb[1]
+    i = (k - 1) % 2  # the moving angle; o is the same party's other angle
+    o = 1 - i
+    rest = (c2 * (m_a[o] * ca[o] + m_b[0] * cb[0] + m_b[1] * cb[1])
+            + ca[o] * ecb[o] + s2 * sa[o] * esb[o])
+    return c2 * m_a[i] + ecb[i], s2 * esb[i], rest
 
 
 def bell_max_q2(beta: BellFunctional, resolution: int = 16, refinements: int = 60
@@ -245,28 +285,33 @@ def bell_max_q2(beta: BellFunctional, resolution: int = 16, refinements: int = 6
     """Maximize a Bell functional over the pure two-qubit family.
 
     Coarse grid over (theta, a0, a1, b0, b1) in [0, pi)^5 followed by
-    coordinate descent with shrinking step; the tracked value is monotone
-    nondecreasing across refinement rounds.
+    coordinate descent with shrinking step, scoring each coordinate's
+    candidates in closed form; the tracked value is monotone nondecreasing
+    across refinement rounds.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16 per axis")
     bv = beta.vector
     best_val, params = _grid_value(bv, resolution)
-
-    def value_at(q: np.ndarray) -> float:
-        return float(bv @ born_vector(*q))
-
+    coeffs = bv.tolist()
+    trig = [(math.cos(m * v), math.sin(m * v)) for m, v in zip(_FREQ, params)]
     step = math.pi / resolution
     scan = np.linspace(-1.0, 1.0, 13)
     for _ in range(refinements):
-        for k in range(5):
-            cand = params[None, :].repeat(13, axis=0)
-            cand[:, k] += scan * step
-            vals = born_vector(cand[:, 0], cand[:, 1], cand[:, 2], cand[:, 3], cand[:, 4]) @ bv
-            j = int(np.argmax(vals))
+        offsets = scan * step
+        # cos/sin of m * offset; each candidate's value follows by angle
+        # addition from the current coordinate's (cos, sin)
+        rot = {m: (np.cos(m * offsets), np.sin(m * offsets)) for m in (1, 2)}
+        for k, m in enumerate(_FREQ):
+            c, s, rest = _coordinate_form(coeffs, trig, k)
+            ct, st = trig[k]
+            cd, sd = rot[m]
+            vals = (c * ct + s * st) * cd + (s * ct - c * st) * sd + rest
+            j = int(vals.argmax())
             if vals[j] > best_val:
                 best_val = float(vals[j])
-                params = cand[j]
+                params[k] += offsets[j]
+                trig[k] = (math.cos(m * params[k]), math.sin(m * params[k]))
         step *= 0.65
     realization = QubitRealization(
         theta=float(params[0]),
@@ -317,6 +362,43 @@ def _decomp_objective(x: np.ndarray, target: np.ndarray) -> np.ndarray:
     return res2 + 25.0 * hinge ** 2
 
 
+def _residual(q: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Polish residual: the 8 mixture deviations from ``target`` plus a guard
+    that grows as the parts come closer than 0.01 in max norm."""
+    p1, p2 = _parts_from_params(q)
+    sep = np.max(np.abs(p1 - p2))
+    guard = 5.0 * max(0.0, 0.01 - sep)
+    return np.append(0.5 * (p1 + p2) - target, guard)
+
+
+def _residual_jac(q: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Closed-form Jacobian (9, 22) of ``_residual``.
+
+    The guard row is a subgradient: the derivative of -|p1_i - p2_i| at the
+    component i of largest separation while the guard is active, else zero."""
+    reals = q[:20].reshape(4, 5)
+    comps = born_vector(*reals.T)
+    dcomps = born_jacobian(*reals.T)
+    w = 1.0 / (1.0 + np.exp(-q[20:22]))
+    dw = w * (1.0 - w)
+    # d p1 / dq and d p2 / dq, each (8, 22)
+    j1 = np.zeros((8, 22))
+    j1[:, 0:5] = w[0] * dcomps[0]
+    j1[:, 5:10] = (1 - w[0]) * dcomps[1]
+    j1[:, 20] = dw[0] * (comps[0] - comps[1])
+    j2 = np.zeros((8, 22))
+    j2[:, 10:15] = w[1] * dcomps[2]
+    j2[:, 15:20] = (1 - w[1]) * dcomps[3]
+    j2[:, 21] = dw[1] * (comps[2] - comps[3])
+    jac = np.zeros((9, 22))
+    jac[:8] = 0.5 * (j1 + j2)
+    diff = (w[0] * comps[0] + (1 - w[0]) * comps[1]) - (w[1] * comps[2] + (1 - w[1]) * comps[3])
+    i = int(np.argmax(np.abs(diff)))
+    if abs(diff[i]) < 0.01:
+        jac[8] = -5.0 * np.sign(diff[i]) * (j1[i] - j2[i])
+    return jac
+
+
 def _structured_seeds(hint: QubitRealization) -> list[np.ndarray]:
     """Start vectors along the flat-direction companions of ``hint``.
 
@@ -329,14 +411,14 @@ def _structured_seeds(hint: QubitRealization) -> list[np.ndarray]:
     seeds: list[np.ndarray] = []
     try:
         canon, g = canonicalize(hint, sector=True)
-    except Exception:
+    except QsetError:
         return seeds
     ginv = inverse(g)
     r_self = apply_relabeling(ginv, canon).params()
     for sector in SECTOR_ORDER:
         try:
             _, alphas, _ = solve_sector(canon, sector)
-        except Exception:
+        except QsetError:
             continue
         if np.max(np.abs(alphas)) > 1.0 + 1e-8:
             continue
@@ -383,20 +465,14 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
 
     from scipy.optimize import least_squares
 
-    def residual_vec(q: np.ndarray) -> np.ndarray:
-        p1, p2 = _parts_from_params(q)
-        sep = np.max(np.abs(p1 - p2))
-        guard = 5.0 * max(0.0, 0.01 - sep)
-        return np.append(0.5 * (p1 + p2) - target, guard)
-
     best = None
 
     def polish(start: np.ndarray, retries: int) -> None:
         nonlocal best
         q = start
         for _ in range(retries):
-            res = least_squares(residual_vec, q, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                                max_nfev=1200)
+            res = least_squares(_residual, q, jac=_residual_jac, args=(target,),
+                                xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=1200)
             p1v, p2v = _parts_from_params(res.x)
             mixres = float(np.max(np.abs(0.5 * (p1v + p2v) - target)))
             sep = float(np.max(np.abs(p1v - p2v)))

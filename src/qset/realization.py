@@ -34,6 +34,7 @@ __all__ = [
     "born_point",
     "born_point_matrix",
     "born_vector",
+    "born_jacobian",
     "canonicalize",
     "apply_relabeling",
     "sample_realization",
@@ -96,14 +97,53 @@ def born_vector(theta, a0, a1, b0, b1):
         np.asarray(b0, float), np.asarray(b1, float))
     c2 = np.cos(2 * theta)
     s2 = np.sin(2 * theta)
+    ca0, ca1, cb0, cb1 = np.cos(a0), np.cos(a1), np.cos(b0), np.cos(b1)
+    sa0, sa1, sb0, sb1 = np.sin(a0), np.sin(a1), np.sin(b0), np.sin(b1)
     comps = [
-        c2 * np.cos(a0), c2 * np.cos(a1), c2 * np.cos(b0), c2 * np.cos(b1),
-        np.cos(a0) * np.cos(b0) + s2 * np.sin(a0) * np.sin(b0),
-        np.cos(a0) * np.cos(b1) + s2 * np.sin(a0) * np.sin(b1),
-        np.cos(a1) * np.cos(b0) + s2 * np.sin(a1) * np.sin(b0),
-        np.cos(a1) * np.cos(b1) + s2 * np.sin(a1) * np.sin(b1),
+        c2 * ca0, c2 * ca1, c2 * cb0, c2 * cb1,
+        ca0 * cb0 + s2 * sa0 * sb0,
+        ca0 * cb1 + s2 * sa0 * sb1,
+        ca1 * cb0 + s2 * sa1 * sb0,
+        ca1 * cb1 + s2 * sa1 * sb1,
     ]
     return np.stack(comps, axis=-1)
+
+
+#: Angle multipliers of (theta, a0, a1, b0, b1) inside the trig terms.
+_JAC_FREQ = np.array([2.0, 1.0, 1.0, 1.0, 1.0])
+_EYE4 = np.eye(4)
+
+
+def born_jacobian(theta, a0, a1, b0, b1):
+    """Partial derivatives of ``born_vector``; broadcasts like it.
+
+    Returns an array of shape (..., 8, 5): behavior component along the
+    second-to-last axis, parameter (theta, a0, a1, b0, b1) along the last.
+    """
+    params = (theta, a0, a1, b0, b1)
+    shape = np.broadcast(*params).shape
+    q = np.empty(shape + (5,))
+    for k, v in enumerate(params):
+        q[..., k] = v
+    q *= _JAC_FREQ
+    c, s = np.cos(q), np.sin(q)
+    # 2x2 correlator blocks: Alice's angle x along rows, Bob's angle y along columns
+    c2, s2 = c[..., :1, None], s[..., :1, None]
+    ca, sa = c[..., 1:3, None], s[..., 1:3, None]
+    cb, sb = c[..., None, 3:], s[..., None, 3:]
+    jac = np.zeros(shape + (8, 5))
+    # marginals c2 cos(angle): each depends on theta and on its own angle
+    jac[..., :4, 0] = -2 * s[..., :1] * c[..., 1:]
+    jac[..., :4, 1:] = -c2 * s[..., None, 1:] * _EYE4
+    # correlators ca_x cb_y + s2 sa_x sb_y
+    jac[..., 4:, 0] = (2 * c2 * sa * sb).reshape(shape + (4,))
+    d_a = s2 * ca * sb - sa * cb
+    jac[..., 4:6, 1] = d_a[..., 0, :]
+    jac[..., 6:8, 2] = d_a[..., 1, :]
+    d_b = s2 * sa * cb - ca * sb
+    jac[..., 4::2, 3] = d_b[..., :, 0]
+    jac[..., 5::2, 4] = d_b[..., :, 1]
+    return jac
 
 
 def born_point(r: QubitRealization) -> Behavior:

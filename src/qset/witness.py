@@ -30,7 +30,7 @@ import numpy as np
 
 from .behavior import Behavior, validate, is_local
 from .errors import DegenerateDenominatorError, DegenerateThetaError, ExcludedSectorError
-from .realization import QubitRealization, born_point, measurement_operator
+from .realization import QubitRealization, born_jacobian, born_point, measurement_operator
 from .steering import modified_angles
 from .tolerances import TOL_EQ
 
@@ -67,30 +67,7 @@ def _require_sector_range(r: QubitRealization) -> None:
 def behavior_jacobian(r: QubitRealization) -> np.ndarray:
     """All five partial derivative rows of the behavior, ordered
     (d/dtheta, d/da0, d/da1, d/db0, d/db1)."""
-    th = r.theta
-    a = np.asarray(r.a)
-    b = np.asarray(r.b)
-    c2, s2 = math.cos(2 * th), math.sin(2 * th)
-    ca, sa = np.cos(a), np.sin(a)
-    cb, sb = np.cos(b), np.sin(b)
-    d_theta = np.array([
-        -2 * s2 * ca[0], -2 * s2 * ca[1], -2 * s2 * cb[0], -2 * s2 * cb[1],
-        2 * c2 * sa[0] * sb[0], 2 * c2 * sa[0] * sb[1],
-        2 * c2 * sa[1] * sb[0], 2 * c2 * sa[1] * sb[1],
-    ])
-    def d_ax(x):
-        row = np.zeros(8)
-        row[x] = -c2 * sa[x]
-        row[4 + 2 * x] = -sa[x] * cb[0] + s2 * ca[x] * sb[0]
-        row[5 + 2 * x] = -sa[x] * cb[1] + s2 * ca[x] * sb[1]
-        return row
-    def d_by(y):
-        row = np.zeros(8)
-        row[2 + y] = -c2 * sb[y]
-        row[4 + y] = -ca[0] * sb[y] + s2 * sa[0] * cb[y]
-        row[6 + y] = -ca[1] * sb[y] + s2 * sa[1] * cb[y]
-        return row
-    return np.vstack([d_theta, d_ax(0), d_ax(1), d_by(0), d_by(1)])
+    return born_jacobian(*r.params()).T
 
 
 def _state_rows(r: QubitRealization) -> np.ndarray:

@@ -22,6 +22,17 @@ from qset import (
     validate,
 )
 
+from qset.oracles import (
+    FOUND_RESIDUAL,
+    FOUND_SEPARATION,
+    _coordinate_form,
+    _grid_value,
+    _residual,
+    _residual_jac,
+    _structured_seeds,
+)
+from qset.realization import born_vector
+
 from conftest import NONALT, PI8_EDGE, TSIRELSON, random_valid_behavior
 
 PI = math.pi
@@ -106,6 +117,91 @@ def test_bell_max_monotone_under_refinement():
     assert all(v2 >= v1 - 1e-15 for v1, v2 in zip(values, values[1:]))
 
 
+def full_grid_value(beta_vec: np.ndarray, res: int = 16) -> tuple[float, np.ndarray]:
+    """Reference: the whole res^5 grid as one array and one argmax."""
+    ax = np.linspace(0.0, PI, res, endpoint=False)
+    c2 = np.cos(2 * ax)[:, None, None, None, None]
+    s2 = np.sin(2 * ax)[:, None, None, None, None]
+    ca = [np.cos(ax)[None, :, None, None, None], np.cos(ax)[None, None, :, None, None]]
+    sa = [np.sin(ax)[None, :, None, None, None], np.sin(ax)[None, None, :, None, None]]
+    cb = [np.cos(ax)[None, None, None, :, None], np.cos(ax)[None, None, None, None, :]]
+    sb = [np.sin(ax)[None, None, None, :, None], np.sin(ax)[None, None, None, None, :]]
+    val = np.zeros((res,) * 5)
+    val += beta_vec[0] * (c2 * ca[0]) + beta_vec[1] * (c2 * ca[1])
+    val += beta_vec[2] * (c2 * cb[0]) + beta_vec[3] * (c2 * cb[1])
+    for x in range(2):
+        for y in range(2):
+            w = beta_vec[4 + 2 * x + y]
+            if w != 0.0:
+                val += w * (ca[x] * cb[y] + s2 * (sa[x] * sb[y]))
+    idx = np.unravel_index(int(np.argmax(val)), val.shape)
+    return float(val[idx]), np.array([ax[i] for i in idx])
+
+
+def test_grid_value_matches_full_grid_argmax():
+    rng = np.random.default_rng(70)
+    functionals = [CHSH.vector, np.array([0, 0, 0, 0, 1, 0, 0, 0], float)]
+    # integer coefficients tie within and across theta slices
+    functionals += [rng.integers(-2, 3, 8).astype(float) for _ in range(8)]
+    functionals += [np.concatenate([np.zeros(4), rng.integers(-2, 3, 4)]) for _ in range(4)]
+    functionals += [rng.normal(size=8) for _ in range(4)]
+    for beta_vec in functionals:
+        value, params = _grid_value(beta_vec, 16)
+        ref_value, ref_params = full_grid_value(beta_vec)
+        assert value == ref_value
+        assert np.array_equal(params, ref_params)
+
+
+def test_coordinate_form_traces_the_functional():
+    rng = np.random.default_rng(71)
+    ts = np.linspace(-PI, PI, 9)
+    for _ in range(20):
+        beta_vec = rng.normal(size=8)
+        q = rng.uniform(0.0, PI, 5)
+        freq = np.array([2, 1, 1, 1, 1])
+        trig = list(zip(np.cos(freq * q), np.sin(freq * q)))
+        for k, m in enumerate(freq):
+            c, s, rest = _coordinate_form(beta_vec.tolist(), trig, k)
+            moved = np.repeat(q[None, :], ts.size, axis=0)
+            moved[:, k] = ts
+            direct = born_vector(*moved.T) @ beta_vec
+            assert np.max(np.abs(c * np.cos(m * ts) + s * np.sin(m * ts) + rest - direct)) < 1e-12
+
+
+def residual_central_differences(q: np.ndarray, target: np.ndarray, h: float = 1e-7):
+    cols = [(_residual(q + h * e, target) - _residual(q - h * e, target)) / (2 * h)
+            for e in np.eye(q.size)]
+    return np.stack(cols, axis=-1)
+
+
+def test_residual_jacobian_matches_central_differences():
+    rng = np.random.default_rng(72)
+    for _ in range(10):
+        q = np.concatenate([rng.uniform(0.0, PI, 20), rng.normal(0.0, 1.0, 2)])
+        target = born_point(TSIRELSON).vector
+        assert _residual(q, target)[8] == 0.0  # parts far apart: guard inactive
+        jac = _residual_jac(q, target)
+        assert jac.shape == (9, 22)
+        assert not np.any(jac[8])
+        assert np.max(np.abs(jac - residual_central_differences(q, target))) < 1e-7
+
+
+def test_residual_jacobian_with_active_separation_guard():
+    rng = np.random.default_rng(73)
+    checked = 0
+    while checked < 10:
+        q = np.concatenate([rng.uniform(0.0, PI, 20), rng.normal(0.0, 1.0, 2)])
+        q[10:20] = q[0:10] + rng.normal(0.0, 1e-3, 10)  # part 2 just off part 1
+        q[21] = q[20]
+        target = born_point(NONALT).vector
+        if _residual(q, target)[8] <= 0.0:
+            continue
+        checked += 1
+        jac = _residual_jac(q, target)
+        assert np.any(jac[8])
+        assert np.max(np.abs(jac - residual_central_differences(q, target))) < 1e-7
+
+
 def test_decomposition_uniform():
     res = decomposition_search(Behavior.from_vector(np.zeros(8)), trials=300, seed=1)
     assert res.found
@@ -129,6 +225,30 @@ def test_decomposition_not_found_on_extremal():
     for r in (TSIRELSON, PI8_EDGE):
         res = decomposition_search(born_point(r), trials=300, seed=1, hint=r)
         assert not res.found
+
+
+def test_decomposition_found_at_near_degenerate_non_alternating_point():
+    # a1, b0 and b1 lie within 0.1 of each other near pi; the polish needs an
+    # exact Jacobian to reach the found threshold here
+    r = QubitRealization(0.671953533568655, (0.41641406478734183, 3.0459034798488647),
+                         (2.9833928229489652, 3.034202363464429))
+    p = born_point(r)
+    res = decomposition_search(p, trials=200, seed=6, hint=r)
+    assert res.found
+    assert res.residual <= FOUND_RESIDUAL
+    assert res.separation >= FOUND_SEPARATION
+    assert np.max(np.abs(0.5 * (res.p1.vector + res.p2.vector) - p.vector)) <= FOUND_RESIDUAL
+    assert validate(res.p1) == [] and validate(res.p2) == []
+
+
+def test_structured_seeds_raise_programming_errors(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("bug")
+
+    assert _structured_seeds(NONALT)
+    monkeypatch.setattr("qset.witness.solve_sector", broken)
+    with pytest.raises(RuntimeError):
+        _structured_seeds(NONALT)
 
 
 def test_decomposition_rejects_invalid():

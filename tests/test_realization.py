@@ -14,7 +14,7 @@ from qset import (
     full_alternation_check,
     sample_realization,
 )
-from qset.realization import apply_relabeling
+from qset.realization import apply_relabeling, born_jacobian, born_vector
 from qset.symmetry import group_elements
 
 from conftest import PI8_EDGE
@@ -67,6 +67,56 @@ def test_born_closed_form_matches_matrix_oracle():
         diff = np.max(np.abs(born_point(r).vector - born_point_matrix(r).vector))
         worst = max(worst, diff)
     assert worst < 1e-12
+
+
+def test_born_vector_bit_identical_to_expanded_form():
+    # each sine and cosine is computed once; every product keeps its order
+    rng = np.random.default_rng(11)
+    theta, a0, a1, b0, b1 = rng.uniform(-2 * PI, 2 * PI, (1000, 5)).T
+    c2 = np.cos(2 * theta)
+    s2 = np.sin(2 * theta)
+    expected = np.stack([
+        c2 * np.cos(a0), c2 * np.cos(a1), c2 * np.cos(b0), c2 * np.cos(b1),
+        np.cos(a0) * np.cos(b0) + s2 * np.sin(a0) * np.sin(b0),
+        np.cos(a0) * np.cos(b1) + s2 * np.sin(a0) * np.sin(b1),
+        np.cos(a1) * np.cos(b0) + s2 * np.sin(a1) * np.sin(b0),
+        np.cos(a1) * np.cos(b1) + s2 * np.sin(a1) * np.sin(b1),
+    ], axis=-1)
+    assert np.array_equal(born_vector(theta, a0, a1, b0, b1), expected)
+
+
+def born_jacobian_central_differences(params: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """(..., 8, 5) central differences of born_vector over the last axis of params."""
+    cols = []
+    for k in range(5):
+        step = np.zeros(5)
+        step[k] = h
+        hi = born_vector(*np.moveaxis(params + step, -1, 0))
+        lo = born_vector(*np.moveaxis(params - step, -1, 0))
+        cols.append((hi - lo) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def test_born_jacobian_matches_central_differences_scalar():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        params = rng.uniform(-PI, PI, 5)
+        jac = born_jacobian(*params)
+        assert jac.shape == (8, 5)
+        assert np.max(np.abs(jac - born_jacobian_central_differences(params))) < 1e-7
+
+
+def test_born_jacobian_matches_central_differences_batched():
+    rng = np.random.default_rng(13)
+    params = rng.uniform(-PI, PI, (200, 5))
+    jac = born_jacobian(*params.T)
+    assert jac.shape == (200, 8, 5)
+    assert np.max(np.abs(jac - born_jacobian_central_differences(params))) < 1e-7
+    # broadcasting a scalar against a batch agrees with the full batch
+    mixed = born_jacobian(0.4, params[:, 1], params[:, 2], 1.1, params[:, 4])
+    full = params.copy()
+    full[:, 0], full[:, 3] = 0.4, 1.1
+    assert np.array_equal(mixed, born_jacobian(*full.T))
 
 
 def test_born_periodicity():
