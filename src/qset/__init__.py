@@ -32,10 +32,13 @@ from .errors import (
     SamplingError,
 )
 from .extremality import (
+    BatchClassification,
     Classification,
+    Failure,
     SignPattern,
     Verdict,
     classify,
+    classify_many,
     full_alternation_check,
     selftest_conditions_check,
     masanes_check,

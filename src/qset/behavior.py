@@ -31,6 +31,8 @@ __all__ = [
     "validate",
     "bell_value",
     "chsh_all",
+    "chsh_values",
+    "invalid_rows",
     "is_local",
 ]
 
@@ -116,36 +118,47 @@ class BellFunctional:
 CHSH = BellFunctional(coeffs=(0, 0, 0, 0, 1, 1, 1, -1))
 
 
+#: Outcome signs a (axis -4) and b (axis -3) of the probability table, and their products.
+_A = np.array([1.0, -1.0])[:, None, None, None]
+_B = np.array([1.0, -1.0])[None, :, None, None]
+_AB = _A * _B
+
+
+def _probability_table(v: np.ndarray) -> np.ndarray:
+    """Outcome tables of behavior vectors: shape (..., 8) -> (..., 2, 2, 2, 2)."""
+    ma = v[..., None, None, :2, None]
+    mb = v[..., None, None, None, 2:4]
+    c = v[..., None, None, 4:].reshape(v.shape[:-1] + (1, 1, 2, 2))
+    return (1.0 + _A * ma + _B * mb + _AB * c) / 4.0
+
+
 def probabilities(p: Behavior) -> np.ndarray:
     """Full outcome table p(ab|xy) as an array indexed [ai, bi, x, y].
 
     Index 0 means outcome +1 and index 1 means outcome -1, so
     ``probabilities(p)[0, 1, x, y]`` is p(+1, -1 | x, y).
     """
-    v = p.vector
-    ma = v[:2]
-    mb = v[2:4]
-    c = v[4:].reshape(2, 2)
-    out = np.empty((2, 2, 2, 2))
-    for ai, a in enumerate((1.0, -1.0)):
-        for bi, b in enumerate((1.0, -1.0)):
-            out[ai, bi] = (1.0 + a * ma[:, None] + b * mb[None, :] + a * b * c) / 4.0
-    return out
+    return _probability_table(p.vector)
+
+
+def _out_of_range(v: np.ndarray) -> np.ndarray:
+    """Components that are not finite or leave [-1, 1] by more than TOL_EQ."""
+    return ~(np.abs(v) <= 1.0 + TOL_EQ)
+
+
+_COMPONENT_NAMES = ("<A0>", "<A1>", "<B0>", "<B1>", "<A0B0>", "<A0B1>", "<A1B0>", "<A1B1>")
 
 
 def validate(p: Behavior) -> list[str]:
     """Return all contract violations (empty list means the behavior is valid)."""
-    violations: list[str] = []
     v = p.vector
-    names = ("<A0>", "<A1>", "<B0>", "<B1>", "<A0B0>", "<A0B1>", "<A1B0>", "<A1B1>")
-    for name, x in zip(names, v):
-        if not math.isfinite(x):
-            violations.append(f"component {name} is not finite")
-        elif abs(x) > 1.0 + TOL_EQ:
-            violations.append(f"component {name} = {x!r} out of range [-1, 1]")
+    violations = [
+        f"component {name} is not finite" if not math.isfinite(x)
+        else f"component {name} = {x!r} out of range [-1, 1]"
+        for name, x, bad in zip(_COMPONENT_NAMES, v, _out_of_range(v)) if bad]
     if violations:
         return violations
-    probs = probabilities(p)
+    probs = _probability_table(v)
     if probs.min() < -TOL_EQ:
         idx = np.unravel_index(np.argmin(probs), probs.shape)
         ai, bi, x, y = idx
@@ -153,6 +166,13 @@ def validate(p: Behavior) -> list[str]:
             f"probability p({'+-'[ai]}1,{'+-'[bi]}1|{x},{y}) = {probs[idx]!r} negative"
         )
     return violations
+
+
+def invalid_rows(v: np.ndarray) -> np.ndarray:
+    """Rows of an (N, 8) array of behavior vectors that ``validate`` rejects."""
+    with np.errstate(invalid="ignore"):
+        lowest = _probability_table(v).reshape(len(v), 16).min(axis=1)
+    return _out_of_range(v).any(axis=1) | (lowest < -TOL_EQ)
 
 
 def bell_value(beta: BellFunctional, p: Behavior) -> float:
@@ -171,10 +191,19 @@ def _chsh_patterns() -> list[tuple[int, int, int, int]]:
 SIGN_PATTERNS: tuple[tuple[int, int, int, int], ...] = tuple(_chsh_patterns())
 
 
+_SIGNS = np.array(SIGN_PATTERNS, dtype=float)
+
+
+def chsh_values(v: np.ndarray) -> np.ndarray:
+    """The 8 CHSH sign-variant values of behavior vectors: (..., 8) -> (..., 8)."""
+    c = v[..., 4:, None]
+    return _SIGNS[:, 0] * c[..., 0, :] + _SIGNS[:, 1] * c[..., 1, :] \
+        + _SIGNS[:, 2] * c[..., 2, :] + _SIGNS[:, 3] * c[..., 3, :]
+
+
 def chsh_all(p: Behavior) -> np.ndarray:
     """The 8 CHSH sign-variant values sum_xy e_xy <A_x B_y>, product(e) = -1."""
-    c = p.vector[4:]
-    return np.array([e @ c for e in np.array(SIGN_PATTERNS, dtype=float)])
+    return chsh_values(p.vector)
 
 
 def is_local(p: Behavior) -> bool:
@@ -182,7 +211,7 @@ def is_local(p: Behavior) -> bool:
     violations = validate(p)
     if violations:
         raise InvalidBehaviorError(violations)
-    return bool(np.max(chsh_all(p)) <= 2.0 + TOL_EQ)
+    return bool(np.max(chsh_values(p.vector)) <= 2.0 + TOL_EQ)
 
 
 def mix(behaviors: Iterable[Behavior], weights: Iterable[float]) -> Behavior:

@@ -15,18 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .behavior import Behavior, BellFunctional, CHSH
 from .errors import InvalidBehaviorError, QsetError
-from .extremality import classify, full_alternation_check, selftest_conditions_check
+from .extremality import alternation_margins, classify, classify_many
 from .oracles import bell_max_q2, decomposition_search, local_membership_lp
-from .realization import QubitRealization, born_point, canonicalize
+from .realization import QubitRealization, born_point, born_vector, canonicalize
 from .selftest import selftest_certificate
 from .steering import steered_table
 from .witness import find_witness
@@ -182,8 +180,9 @@ class ScanSpec:
             if bad:
                 raise ValueError(f"unknown output columns: {sorted(bad)}")
 
-    def grid_points(self) -> list[tuple[float, float, float, float, float]]:
-        """Grid in lexicographic order of the indices, parameter order fixed."""
+    def grid_points(self) -> np.ndarray:
+        """Grid rows (theta, a0, a1, b0, b1), shape (N, 5), in lexicographic
+        order of the indices."""
         axes = []
         for name in SCAN_PARAMS:
             if name in self.ranges:
@@ -192,48 +191,38 @@ class ScanSpec:
             else:
                 axes.append(np.array([self.fixed[name]]))
         grids = np.meshgrid(*axes, indexing="ij")
-        return [tuple(float(g[idx]) for g in grids)
-                for idx in np.ndindex(grids[0].shape)]
+        return np.stack([g.ravel() for g in grids], axis=1)
 
     def header(self) -> tuple[str, ...]:
         return tuple(self.columns) if self.columns else CSV_COLUMNS
 
 
-def _scan_row(point: tuple[float, float, float, float, float]) -> dict:
-    r = QubitRealization(theta=point[0], a=(point[1], point[2]), b=(point[3], point[4]))
-    p = born_point(r)
-    try:
-        verdict = classify(p).verdict.value
-    except QsetError as exc:
-        verdict = f"Error:{type(exc).__name__}"
-    try:
-        _, margins = full_alternation_check(r, strict=False)
-    except (QsetError, ValueError):
-        margins = [math.nan] * 8
-    try:
-        _, residuals = selftest_conditions_check(p)
-    except QsetError:
-        residuals = [math.nan] * 4
-    cells = dict(zip(SCAN_PARAMS, (_fmt(x) for x in point)))
-    cells["verdict"] = verdict
-    for k in range(8):
-        cells[f"m{k}"] = _fmt(float(margins[k]))
-    for k in range(4):
-        cells[f"r{k}"] = _fmt(float(residuals[k]))
-    return cells
+#: Grid rows classified per ``classify_many`` call.
+SCAN_BLOCK = 4096
 
 
-def run_scan(spec: ScanSpec, workers: int = 1) -> str:
-    """Execute the scan; row order is deterministic regardless of pool size."""
-    points = spec.grid_points()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_row, points, chunksize=64))
-    else:
-        rows = [_scan_row(pt) for pt in points]
+def _cells(values: np.ndarray) -> list[str]:
+    """``_fmt`` of each value, formatting each distinct bit pattern once: grid
+    columns repeat a few values many times."""
+    bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
+    text = [_fmt(x) for x in bits.view(np.float64).tolist()]
+    return [text[k] for k in inverse.tolist()]
+
+
+def run_scan(spec: ScanSpec) -> str:
+    """Execute the scan: each block of grid rows goes through ``classify_many``
+    once, and the CSV cells are formatted straight from its arrays."""
     header = spec.header()
     lines = [",".join(header)]
-    lines += [",".join(row[c] for c in header) for row in rows]
+    points = spec.grid_points()
+    for lo in range(0, len(points), SCAN_BLOCK):
+        block = points[lo:lo + SCAN_BLOCK]
+        batch = classify_many(born_vector(*block.T))
+        margins, _ = alternation_margins(block)
+        columns = dict(zip(CSV_COLUMNS, [*block.T, None, *margins.T, *batch.residuals.T]))
+        cells = [batch.labels() if name == "verdict" else _cells(columns[name])
+                 for name in header]
+        lines += [",".join(row) for row in zip(*cells)]
     return "\n".join(lines) + "\n"
 
 
@@ -269,8 +258,7 @@ def cmd_scan(args) -> int:
         spec = ScanSpec(ranges=ranges, fixed=fixed, columns=columns)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    workers = int(os.environ.get("QSET_THREADS", "1"))
-    _emit(run_scan(spec, workers=workers), args.output)
+    _emit(run_scan(spec), args.output)
     return 0
 
 

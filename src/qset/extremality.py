@@ -9,39 +9,43 @@ and treat larger excursions as invalid data.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .behavior import Behavior, validate, is_local
+from .behavior import SIGN_PATTERNS, Behavior, chsh_values, invalid_rows, validate
 from .errors import (
     CorrelatorRangeError,
+    DegenerateThetaError,
+    InconsistentGaugeError,
     InvalidBehaviorError,
     LocalInputError,
     NonzeroMarginalsError,
+    NoThetaBranchError,
+    NotSelfTestingError,
+    QsetError,
 )
-from .realization import QubitRealization
-from .steering import (
-    modified_angles,
-    pi_interval,
-    steered_correlators,
-    bob_steered_correlators,
-)
-from .symmetry import SymmetryElement, apply_symmetry
+from .realization import QubitRealization, canonical_rows
+from .steering import modified_angles_raw, pi_interval, steered_many
+from .symmetry import SymmetryElement, matrix
 from .tolerances import TOL_CLAMP, TOL_EQ
 
 __all__ = [
     "SignPattern",
     "Verdict",
+    "Failure",
     "Classification",
+    "BatchClassification",
     "necessary_conditions_check",
     "masanes_check",
     "selftest_conditions_check",
     "extremality_criterion_check",
     "full_alternation_check",
+    "alternation_margins",
     "classify",
+    "classify_many",
     "pattern_to_reference_relabeling",
 ]
 
@@ -49,6 +53,18 @@ SECTOR_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 #: Sign rows of the necessary-condition block: one minus per position.
 _SIGN_ROWS = ((-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1))
+_SIGN_ROW_ARRAY = np.array(_SIGN_ROWS, dtype=float)
+
+#: Steered-correlator index alpha (0: +1, 1: -1) of Alice's input 0 (s) and
+#: input 1 (t) in each sector of SECTOR_PAIRS.
+_S_IDX = np.array([0 if s == 1 else 1 for s, _ in SECTOR_PAIRS])
+_T_IDX = np.array([0 if t == 1 else 1 for _, t in SECTOR_PAIRS])
+
+#: Criterion sign patterns (e00, e01, e10, e11), in the order they are tried.
+_PATTERNS = np.array(SIGN_PATTERNS, dtype=float)[:, :, None]
+
+#: Behavior-vector permutation that exchanges Alice and Bob.
+_PARTY_SWAP = np.array([2, 3, 0, 1, 4, 6, 5, 7])
 
 
 def asin_clamped(x) -> np.ndarray:
@@ -82,6 +98,93 @@ class SignPattern:
 REFERENCE_PATTERN = SignPattern(eps=((1, -1), (1, 1)))
 
 
+def _pattern(k: int) -> SignPattern:
+    e00, e01, e10, e11 = SIGN_PATTERNS[k]
+    return SignPattern(eps=((e00, e01), (e10, e11)))
+
+
+# --- array stages ------------------------------------------------------------
+#
+# Each stage maps (N, ...) arrays to (N, ...) arrays with the arithmetic of the
+# scalar definitions, term for term, so a row's values do not depend on the
+# batch it is in.
+
+
+def _sector_terms(asin: np.ndarray) -> tuple[np.ndarray, ...]:
+    """asin c[s,0,0], asin c[s,0,1], asin c[t,1,0], asin c[t,1,1] of each sector
+    (s, t) in SECTOR_PAIRS: four (N, 4) arrays from an (N, 2, 2, 2) asin table."""
+    return (asin[:, _S_IDX, 0, 0], asin[:, _S_IDX, 0, 1],
+            asin[:, _T_IDX, 1, 0], asin[:, _T_IDX, 1, 1])
+
+
+def _necessary_slacks(terms) -> np.ndarray:
+    """(N, 16, 2) slacks (pi - value, value + pi) of the 32 necessary inequalities,
+    16 values in sector-major, sign-row-minor order."""
+    a00, a01, a10, a11 = (t[:, :, None] for t in terms)
+    r = _SIGN_ROW_ARRAY
+    val = (r[:, 0] * a00 + r[:, 1] * a10 + r[:, 2] * a01 + r[:, 3] * a11).reshape(-1, 16)
+    return np.stack([math.pi - val, val + math.pi], axis=-1)
+
+
+def _selftest_residuals(terms) -> np.ndarray:
+    """(N, 4) residuals of the reference self-test equalities, per sector."""
+    a00, a01, a10, a11 = terms
+    return a00 + a10 - a01 + a11 - math.pi
+
+
+def _criterion_holds(terms) -> np.ndarray:
+    """(N, 8): the criterion equality holds in all four sectors, per sign pattern."""
+    a00, a01, a10, a11 = (t[:, None, :] for t in terms)
+    e = _PATTERNS
+    val = e[:, 0] * a00 + e[:, 1] * a01 + e[:, 2] * a10 + e[:, 3] * a11
+    return ~(np.abs(val - math.pi) > TOL_EQ).any(axis=2)
+
+
+def _alternating(margins: np.ndarray, strict: bool) -> np.ndarray:
+    if strict:
+        return (margins[:, :6].min(axis=1) > TOL_EQ) & (margins[:, 6:].min(axis=1) >= -TOL_EQ)
+    return margins.min(axis=1) >= -TOL_EQ
+
+
+def _front(v: np.ndarray):
+    """Validation, Fine's criterion and steering over behavior vectors (N, 8).
+
+    Returns the max CHSH value and the Local mask per row; the rows that are
+    valid, nonlocal and steerable, with their steered correlators
+    (M, 2, 2, 2) and the asin of those; and the error ``classify`` raises for
+    every other row that is not Local.
+    """
+    invalid = invalid_rows(v)
+    with np.errstate(invalid="ignore"):
+        chsh_max = chsh_values(v).max(axis=1)
+    local = ~invalid & (chsh_max <= 2.0 + TOL_EQ)
+    errors: dict[int, QsetError] = {
+        i: InvalidBehaviorError(validate(Behavior.from_vector(v[i])))
+        for i in np.flatnonzero(invalid).tolist()}
+    rows = np.flatnonzero(~invalid & ~local)
+    c = np.empty((0, 2, 2, 2))
+    if rows.size:
+        c, failures = steered_many(v[rows])
+        if failures:
+            for k, exc in failures.items():
+                errors[int(rows[k])] = exc
+            keep = np.ones(len(rows), bool)
+            keep[list(failures)] = False
+            rows, c = rows[keep], c[keep]
+    return chsh_max, local, rows, c, np.arcsin(c), errors
+
+
+def _nonlocal_steered(p: Behavior, local_message: str) -> tuple[np.ndarray, np.ndarray]:
+    """Steered correlators (1, 2, 2, 2) of one behavior and their asin; raises
+    InvalidBehaviorError, LocalInputError or the steering error."""
+    _, local, _, c, asin, errors = _front(p.vector[None])
+    if errors:
+        raise errors[0]
+    if local[0]:
+        raise LocalInputError(local_message)
+    return c, asin
+
+
 def necessary_conditions_check(p: Behavior, side: str = "alice") -> tuple[bool, np.ndarray]:
     """Necessary condition for pure projective two-qubit realizations.
 
@@ -92,17 +195,11 @@ def necessary_conditions_check(p: Behavior, side: str = "alice") -> tuple[bool, 
     """
     if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
-    sc = steered_correlators(p) if side == "alice" else bob_steered_correlators(p)
-    asin = asin_clamped(sc.c)  # [alpha][x][y]
-    residuals = np.empty((16, 2))
-    i = 0
-    for s, t in SECTOR_PAIRS:
-        si, ti = (0 if s == 1 else 1), (0 if t == 1 else 1)
-        terms = np.array([asin[si, 0, 0], asin[ti, 1, 0], asin[si, 0, 1], asin[ti, 1, 1]])
-        for row in _SIGN_ROWS:
-            val = float(np.dot(row, terms))
-            residuals[i] = (math.pi - val, val + math.pi)
-            i += 1
+    v = p.vector if side == "alice" else p.vector[_PARTY_SWAP]
+    c, failures = steered_many(v[None])
+    if failures:
+        raise failures[0]
+    residuals = _necessary_slacks(_sector_terms(np.arcsin(c)))[0]
     return bool(residuals.min() >= -TOL_EQ), residuals
 
 
@@ -127,13 +224,8 @@ def selftest_conditions_check(p: Behavior) -> tuple[bool, np.ndarray]:
     (value - pi) in (s,t) order (+,+), (+,-), (-,+), (-,-).
     Raises LocalInputError for local behaviors.
     """
-    if is_local(p):
-        raise LocalInputError("self-test conditions require a nonlocal behavior")
-    asin = asin_clamped(steered_correlators(p).c)
-    res = np.empty(4)
-    for i, (s, t) in enumerate(SECTOR_PAIRS):
-        si, ti = (0 if s == 1 else 1), (0 if t == 1 else 1)
-        res[i] = asin[si, 0, 0] + asin[ti, 1, 0] - asin[si, 0, 1] + asin[ti, 1, 1] - math.pi
+    _, asin = _nonlocal_steered(p, "self-test conditions require a nonlocal behavior")
+    res = _selftest_residuals(_sector_terms(asin))[0]
     return bool(np.max(np.abs(res)) <= TOL_EQ), res
 
 
@@ -142,24 +234,39 @@ def extremality_criterion_check(p: Behavior) -> tuple[bool, SignPattern | None]:
 
     True iff a single sign pattern eps with prod(eps) = -1 satisfies
     sum_xy eps_xy asin c[u_x, x, y] = pi for all four u in {+-1}^2.
-    The +pi target suffices: the flipped pattern covers -pi.
+    The +pi target suffices: the flipped pattern covers -pi.  The first such
+    pattern in SIGN_PATTERNS order is returned.
     """
-    if is_local(p):
-        raise LocalInputError("extremality criterion applies to nonlocal behaviors")
-    asin = asin_clamped(steered_correlators(p).c)
-    for e00, e01, e10 in itertools.product((1, -1), repeat=3):
-        e11 = -e00 * e01 * e10
-        ok = True
-        for s, t in SECTOR_PAIRS:
-            si, ti = (0 if s == 1 else 1), (0 if t == 1 else 1)
-            val = (e00 * asin[si, 0, 0] + e01 * asin[si, 0, 1]
-                   + e10 * asin[ti, 1, 0] + e11 * asin[ti, 1, 1])
-            if abs(val - math.pi) > TOL_EQ:
-                ok = False
-                break
-        if ok:
-            return True, SignPattern(eps=((e00, e01), (e10, e11)))
-    return False, None
+    _, asin = _nonlocal_steered(p, "extremality criterion applies to nonlocal behaviors")
+    holds = _criterion_holds(_sector_terms(asin))[0]
+    if not holds.any():
+        return False, None
+    return True, _pattern(int(np.argmax(holds)))
+
+
+def alternation_margins(params) -> tuple[np.ndarray, dict[int, Exception]]:
+    """``full_alternation_check`` margins of realizations given as rows
+    (theta, a0, a1, b0, b1) of an (N, 5) array.
+
+    Returns the (N, 8) margins and the error ``full_alternation_check``
+    raises for each row it rejects (ValueError for a non-canonical row,
+    DegenerateThetaError for theta = 0 mod pi/2); those rows' margins are NaN.
+    """
+    params = np.asarray(params, dtype=float)
+    b0, b1 = params[:, 3:4], params[:, 4:5]
+    at = pi_interval(modified_angles_raw(params[:, :1], params[:, 1:3]))  # [alpha, row, x]
+    margins = np.concatenate(
+        [b0 - at[:, :, 0].T, at[:, :, 1].T - b0, b1 - at[:, :, 1].T, b0, math.pi - b1], axis=1)
+    errors: dict[int, Exception] = {}
+    canonical = canonical_rows(params)
+    for i, theta in enumerate(params[:, 0].tolist()):
+        if not canonical[i]:
+            errors[i] = ValueError("full_alternation_check requires a canonical realization")
+        elif abs(math.sin(2 * theta)) < 1e-12:
+            errors[i] = DegenerateThetaError(f"theta={theta!r} is 0 mod pi/2")
+    if errors:
+        margins[list(errors)] = np.nan
+    return margins, errors
 
 
 def full_alternation_check(r: QubitRealization, strict: bool) -> tuple[bool, np.ndarray]:
@@ -178,21 +285,10 @@ def full_alternation_check(r: QubitRealization, strict: bool) -> tuple[bool, np.
     into the theta <= pi/4 sector first (the extremality statement is about
     the existence of an alternating image, not about every representative).
     """
-    if not r.is_canonical():
-        raise ValueError("full_alternation_check requires a canonical realization")
-    at = pi_interval(modified_angles(r))
-    b0, b1 = r.b
-    margins = np.array([
-        b0 - at[0, 0], b0 - at[1, 0],
-        at[0, 1] - b0, at[1, 1] - b0,
-        b1 - at[0, 1], b1 - at[1, 1],
-        b0, math.pi - b1,
-    ])
-    if strict:
-        ok = bool(np.min(margins[:6]) > TOL_EQ and np.min(margins[6:]) >= -TOL_EQ)
-    else:
-        ok = bool(np.min(margins) >= -TOL_EQ)
-    return ok, margins
+    margins, errors = alternation_margins(np.array([r.params()]))
+    if errors:
+        raise errors[0]
+    return bool(_alternating(margins, strict)[0]), margins[0]
 
 
 class Verdict(enum.Enum):
@@ -202,6 +298,39 @@ class Verdict(enum.Enum):
     NON_EXTREMAL_IN_Q = "NonExtremalInQ"
     FAILS_NECESSARY_Q2_PURE = "FailsNecessaryQ2Pure"
     INDETERMINATE = "Indeterminate"
+
+
+#: Verdict of each code in ``BatchClassification.verdict``.
+VERDICTS = tuple(Verdict)
+_CODE = {v: k for k, v in enumerate(VERDICTS)}
+
+
+class Failure(enum.IntEnum):
+    """Why a behavior whose criterion holds ends Indeterminate: the
+    reconstruction of its relabeled image stopped, or its result does not
+    alternate.  These are the only sources of Indeterminate."""
+
+    NONE = 0
+    NOT_SELF_TESTING = 1
+    INCONSISTENT_GAUGE = 2
+    NO_THETA_BRANCH = 3
+    DEGENERATE_THETA = 4
+    NON_CANONICAL = 5
+    NOT_ALTERNATING = 6
+
+
+#: Failure of each error that stops a reconstruction; ValueError is the
+#: alternation check's rejection of a non-canonical realization.
+_FAILURE_OF = {
+    NotSelfTestingError: Failure.NOT_SELF_TESTING,
+    InconsistentGaugeError: Failure.INCONSISTENT_GAUGE,
+    NoThetaBranchError: Failure.NO_THETA_BRANCH,
+    DegenerateThetaError: Failure.DEGENERATE_THETA,
+    ValueError: Failure.NON_CANONICAL,
+}
+
+#: Caveat of the verdicts that do not certify membership in Q.
+CAVEAT = "membership in Q not certified"
 
 
 @dataclass(frozen=True)
@@ -230,56 +359,186 @@ def pattern_to_reference_relabeling(pattern: SignPattern) -> SymmetryElement:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _reference_relabelings() -> tuple[tuple[SymmetryElement, ...], np.ndarray, np.ndarray]:
+    """Per sign pattern: its reference relabeling, and that relabeling as a
+    signed permutation of behavior vectors (image = sign * v[perm])."""
+    elems = tuple(pattern_to_reference_relabeling(_pattern(k))
+                  for k in range(len(SIGN_PATTERNS)))
+    mats = np.array([matrix(g) for g in elems])
+    perms = np.argmax(np.abs(mats), axis=2)
+    signs = np.take_along_axis(mats, perms[:, :, None], axis=2)[:, :, 0]
+    return elems, perms, signs
+
+
+@dataclass
+class BatchClassification:
+    """Per-row outcome of ``classify_many``.
+
+    ``verdict`` indexes VERDICTS, or is -1 where ``classify`` raises for the
+    row; ``errors`` maps each such row to its exception, and each
+    Indeterminate row to the error that stopped its reconstruction.
+    ``failure`` is the Failure code of Indeterminate rows (0 elsewhere).
+    ``residuals`` are the self-test residuals of the input rows, NaN where a
+    row is invalid, local or not steerable.  The other arrays hold the
+    details of ``classification(i)``; they are NaN (-1 for ``pattern``) where
+    a row has none.
+    """
+
+    verdict: np.ndarray              # (N,) int8
+    failure: np.ndarray              # (N,) int8
+    errors: dict                     # row -> exception
+    residuals: np.ndarray            # (N, 4)
+    chsh_max: np.ndarray             # (N,)
+    pattern: np.ndarray              # (N,) int8 index into SIGN_PATTERNS
+    necessary: np.ndarray            # (N, 2) bool: Alice's and Bob's conditions
+    necessary_min_slack: np.ndarray  # (N,)
+    realization: np.ndarray          # (N, 5) canonical reconstruction
+    alternation_margins: np.ndarray  # (N, 8) of the reconstruction
+    ref_residuals: np.ndarray        # (N, 4) self-test residuals of the relabeled row
+    roundtrip_error: np.ndarray      # (N,)
+
+    @classmethod
+    def _blank(cls, n: int) -> "BatchClassification":
+        nan = lambda *shape: np.full((n, *shape), np.nan)
+        return cls(verdict=np.full(n, -1, np.int8), failure=np.zeros(n, np.int8), errors={},
+                   residuals=nan(4), chsh_max=nan(), pattern=np.full(n, -1, np.int8),
+                   necessary=np.zeros((n, 2), bool), necessary_min_slack=nan(),
+                   realization=nan(5), alternation_margins=nan(8), ref_residuals=nan(4),
+                   roundtrip_error=nan())
+
+    def labels(self) -> list[str]:
+        """Verdict names per row; ``Error:<exception class>`` where ``classify`` raises."""
+        names = [v.value for v in VERDICTS]
+        return [names[code] if code >= 0 else f"Error:{type(self.errors[i]).__name__}"
+                for i, code in enumerate(self.verdict.tolist())]
+
+    def classification(self, i: int) -> Classification:
+        """What ``classify`` returns for row ``i``; raises what it raises."""
+        code = int(self.verdict[i])
+        if code < 0:
+            raise self.errors[i]
+        verdict = VERDICTS[code]
+        if verdict is Verdict.LOCAL:
+            return Classification(verdict, {"chsh_max": float(self.chsh_max[i])})
+        if verdict in (Verdict.NON_EXTREMAL_IN_Q, Verdict.FAILS_NECESSARY_Q2_PURE):
+            return Classification(verdict, {
+                "necessary_alice": bool(self.necessary[i, 0]),
+                "necessary_bob": bool(self.necessary[i, 1]),
+                "necessary_min_slack": float(self.necessary_min_slack[i]),
+                "caveat": CAVEAT,
+            })
+        k = int(self.pattern[i])
+        details: dict = {"pattern": SIGN_PATTERNS[k], "relabeling": _reference_relabelings()[0][k]}
+        failure = Failure(self.failure[i])
+        if failure not in (Failure.NONE, Failure.NOT_ALTERNATING):
+            details["error"] = repr(self.errors[i])
+            return Classification(verdict, details)
+        theta, a0, a1, b0, b1 = self.realization[i].tolist()
+        details.update({
+            "realization": QubitRealization(theta=theta, a=(a0, a1), b=(b0, b1)),
+            "alternation_margins": self.alternation_margins[i].copy(),
+            "asin_residuals": self.ref_residuals[i].copy(),
+            "roundtrip_error": float(self.roundtrip_error[i]),
+        })
+        if failure is Failure.NOT_ALTERNATING:
+            details["error"] = "criterion holds but reconstruction is not alternating"
+        return Classification(verdict, details)
+
+
+def _classify_non_extremal(out: BatchClassification, v: np.ndarray, rows: np.ndarray,
+                           terms) -> None:
+    """Necessary conditions on both sides for valid nonlocal rows whose
+    criterion fails: NonExtremalInQ, or FailsNecessaryQ2Pure when both fail."""
+    slack_a = _necessary_slacks(terms).min(axis=(1, 2))
+    c_bob, failures = steered_many(v[rows][:, _PARTY_SWAP])
+    slack_b = _necessary_slacks(_sector_terms(np.arcsin(c_bob))).min(axis=(1, 2))
+    keep = np.ones(len(rows), bool)
+    for k, exc in failures.items():
+        out.errors[int(rows[k])] = exc
+        keep[k] = False
+    ok_a, ok_b = slack_a >= -TOL_EQ, slack_b >= -TOL_EQ
+    done = rows[keep]
+    out.necessary[done] = np.column_stack([ok_a, ok_b])[keep]
+    out.necessary_min_slack[done] = np.minimum(slack_a, slack_b)[keep]
+    out.verdict[done] = np.where(ok_a | ok_b, _CODE[Verdict.NON_EXTREMAL_IN_Q],
+                                 _CODE[Verdict.FAILS_NECESSARY_Q2_PURE])[keep]
+
+
+def _classify_extremal(out: BatchClassification, v: np.ndarray, rows: np.ndarray) -> None:
+    """Rows whose criterion holds: relabel onto the reference placement,
+    reconstruct, and decide by the alternation margins of the result."""
+    from .selftest import reconstruct_rows
+
+    _, perms, signs = _reference_relabelings()
+    pats = out.pattern[rows]
+    v_ref = v[rows[:, None], perms[pats]] * signs[pats]
+    # These relabelings keep Alice's outputs and only permute the steered
+    # correlators and flip their signs, so they exist since the row's do.
+    c_ref, _ = steered_many(v_ref)
+    rebuilt = reconstruct_rows(v_ref, c_ref, np.arcsin(c_ref))
+    out.ref_residuals[rows] = rebuilt.residuals
+    out.realization[rows] = rebuilt.canonical
+    out.roundtrip_error[rows] = rebuilt.roundtrip
+    stopped = dict(rebuilt.errors)
+    reached = np.ones(len(rows), bool)
+    reached[list(stopped)] = False
+    done = np.flatnonzero(reached)
+    margins, rejected = alternation_margins(rebuilt.canonical[done])
+    out.alternation_margins[rows[done]] = margins
+    verdict = np.where(_alternating(margins, strict=True), _CODE[Verdict.EXTREMAL_EXPOSED],
+                       np.where(_alternating(margins, strict=False),
+                                _CODE[Verdict.EXTREMAL_NON_EXPOSED],
+                                _CODE[Verdict.INDETERMINATE]))
+    out.verdict[rows[done]] = verdict
+    out.failure[rows[done[verdict == _CODE[Verdict.INDETERMINATE]]]] = Failure.NOT_ALTERNATING
+    stopped.update((int(done[k]), exc) for k, exc in rejected.items())
+    for k, exc in stopped.items():
+        i = int(rows[k])
+        out.verdict[i] = _CODE[Verdict.INDETERMINATE]
+        out.failure[i] = _FAILURE_OF[type(exc)]
+        out.errors[i] = exc
+
+
+def classify_many(v) -> BatchClassification:
+    """Classify the behaviors given as the rows of an (N, 8) array.
+
+    Each stage runs once, as array operations over the rows that reach it:
+    validation and Fine's criterion; the steered correlators and their asin;
+    the criterion over 8 sign patterns x 4 sectors; both sides' necessary
+    conditions where it fails; and where it holds, reconstruction of the
+    relabeled behavior, canonicalization and the alternation margins.
+    Row i gives what ``classify(Behavior.from_vector(v[i]))`` gives, through
+    ``classification(i)``.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 8:
+        raise ValueError(f"behavior vectors must have shape (N, 8), got {v.shape}")
+    chsh_max, local, rows, _, asin, errors = _front(v)
+    out = BatchClassification._blank(len(v))
+    out.chsh_max, out.errors = chsh_max, errors
+    out.verdict[local] = _CODE[Verdict.LOCAL]
+    if rows.size:
+        terms = _sector_terms(asin)
+        out.residuals[rows] = _selftest_residuals(terms)
+        holds = _criterion_holds(terms)
+        extremal = holds.any(axis=1)
+        out.pattern[rows] = np.where(extremal, np.argmax(holds, axis=1), -1)
+        if not extremal.all():
+            _classify_non_extremal(out, v, rows[~extremal],
+                                   tuple(t[~extremal] for t in terms))
+        if extremal.any():
+            _classify_extremal(out, v, rows[extremal])
+    return out
+
+
 def classify(p: Behavior) -> Classification:
-    """Compose the certification pipeline into a verdict.
+    """Compose the certification pipeline into a verdict: ``classify_many``
+    on a batch of one.
 
     Local / ExtremalExposed / ExtremalNonExposed / NonExtremalInQ /
-    FailsNecessaryQ2Pure, with Indeterminate reserved for numerical dead ends.
-    NonExtremalInQ never asserts Q-membership; the caveat flag records that.
+    FailsNecessaryQ2Pure, with Indeterminate reserved for the reconstruction
+    dead ends listed in Failure.  NonExtremalInQ and FailsNecessaryQ2Pure
+    never assert Q-membership; their caveat records that.
     """
-    violations = validate(p)
-    if violations:
-        raise InvalidBehaviorError(violations)
-    if is_local(p):
-        from .behavior import chsh_all
-
-        return Classification(Verdict.LOCAL, {"chsh_max": float(np.max(chsh_all(p)))})
-    extremal, pattern = extremality_criterion_check(p)
-    if not extremal:
-        ok_a, res_a = necessary_conditions_check(p, "alice")
-        ok_b, res_b = necessary_conditions_check(p, "bob")
-        details = {
-            "necessary_alice": ok_a,
-            "necessary_bob": ok_b,
-            "necessary_min_slack": float(min(res_a.min(), res_b.min())),
-        }
-        if not ok_a and not ok_b:
-            return Classification(Verdict.FAILS_NECESSARY_Q2_PURE, details)
-        details["caveat"] = "membership in Q not certified"
-        return Classification(Verdict.NON_EXTREMAL_IN_Q, details)
-
-    relabel = pattern_to_reference_relabeling(pattern)
-    p_ref = apply_symmetry(relabel, p)
-    details: dict = {"pattern": pattern.flat, "relabeling": relabel}
-    try:
-        from .selftest import reconstruct_realization
-
-        rec, trace = reconstruct_realization(p_ref)
-        strict_ok, margins = full_alternation_check(rec, strict=True)
-        nonstrict_ok, _ = full_alternation_check(rec, strict=False)
-        _, res = selftest_conditions_check(p_ref)
-        details.update({
-            "realization": rec,
-            "alternation_margins": margins,
-            "asin_residuals": res,
-            "roundtrip_error": trace.roundtrip_error,
-        })
-    except Exception as exc:  # numerical dead end; never silently misclassify
-        details["error"] = repr(exc)
-        return Classification(Verdict.INDETERMINATE, details)
-    if strict_ok:
-        return Classification(Verdict.EXTREMAL_EXPOSED, details)
-    if nonstrict_ok:
-        return Classification(Verdict.EXTREMAL_NON_EXPOSED, details)
-    details["error"] = "criterion holds but reconstruction is not alternating"
-    return Classification(Verdict.INDETERMINATE, details)
+    return classify_many(p.vector[None]).classification(0)

@@ -36,6 +36,9 @@ __all__ = [
     "born_vector",
     "born_jacobian",
     "canonicalize",
+    "canonicalize_many",
+    "canonical_rows",
+    "canonical_witness",
     "apply_relabeling",
     "sample_realization",
 ]
@@ -62,15 +65,7 @@ class QubitRealization:
     def is_canonical(self, tol: float = TOL_EQ) -> bool:
         """True when the parameters lie in the reduced range
         theta in [0, pi), 0 <= a0 <= b0 <= b1 < pi, a0 <= a1 < pi."""
-        th, (a0, a1), (b0, b1) = self.theta, self.a, self.b
-        return (
-            -tol <= th < PI + tol
-            and -tol <= a0 <= b0 + tol
-            and b0 <= b1 + tol
-            and b1 < PI + tol
-            and a0 <= a1 + tol
-            and a1 < PI + tol
-        )
+        return bool(_in_canonical_range(*self.params(), tol))
 
     def params(self) -> tuple[float, float, float, float, float]:
         return (self.theta, self.a[0], self.a[1], self.b[0], self.b[1])
@@ -85,6 +80,22 @@ class QubitRealization:
             a=(float(d["a"][0]), float(d["a"][1])),
             b=(float(d["b"][0]), float(d["b"][1])),
         )
+
+
+def _in_canonical_range(th, a0, a1, b0, b1, tol):
+    """The canonical-range test on floats or, elementwise, on arrays."""
+    return ((-tol <= th) & (th < PI + tol)
+            & (-tol <= a0) & (a0 <= b0 + tol)
+            & (b0 <= b1 + tol)
+            & (b1 < PI + tol)
+            & (a0 <= a1 + tol)
+            & (a1 < PI + tol))
+
+
+def canonical_rows(params: np.ndarray, tol: float = TOL_EQ) -> np.ndarray:
+    """``QubitRealization.is_canonical`` over the rows of an (N, 5) array of
+    (theta, a0, a1, b0, b1)."""
+    return _in_canonical_range(*params.T, tol)
 
 
 def born_vector(theta, a0, a1, b0, b1):
@@ -226,14 +237,16 @@ def _gauge_moves() -> tuple[tuple, ...]:
 def _candidate_tables():
     """Precompute the combined gauge x relabeling transform tables.
 
-    Row layout per candidate: theta' = ET*theta + KT*pi/2 (mod pi);
-    slot angle' = SGN[slot] * angles[SRC[slot]] + OFF[slot]*pi (mod 2pi),
-    slots ordered (a0, a1, b0, b1).
+    Candidate j maps theta to TSGN[k]*theta + TOFF[k]*pi/2 (mod pi) with
+    k = TI[j], and slot s of (a0, a1, b0, b1) to
+    ASGN[k]*angles[ASRC[k]] + AOFF[k]*pi (mod 2pi) with k = AI[j, s].  The
+    1024 candidates share a few dozen distinct images, so each is reduced
+    once.  RIDX[j] is the candidate's relabeling in ``group_elements()``.
     """
     moves = _gauge_moves()
     elems = group_elements()
-    et, kt, src, sgn, off, ridx, midx = [], [], [], [], [], [], []
-    for mi, m in enumerate(moves):
+    et, kt, src, sgn, off, ridx = [], [], [], [], [], []
+    for m in moves:
         emt, kmt, ea, ka, eb, kb = m
         for ri, g in enumerate(elems):
             perm = [0, 1, 2, 3]
@@ -251,9 +264,69 @@ def _candidate_tables():
             sgn.append([e_src[perm[s]] for s in range(4)])
             off.append([k_src[perm[s]] + (1 if g.output_flip[s] else 0) for s in range(4)])
             ridx.append(ri)
-            midx.append(mi)
-    return (np.array(et, float), np.array(kt, float), np.array(src, int),
-            np.array(sgn, float), np.array(off, float), tuple(ridx))
+    theta_maps, ti = np.unique(np.column_stack([et, kt]), axis=0, return_inverse=True)
+    angle_maps, ai = np.unique(np.stack([src, sgn, off], axis=-1).reshape(-1, 3), axis=0,
+                               return_inverse=True)
+    return (theta_maps[:, 0].astype(float), theta_maps[:, 1].astype(float), ti.ravel(),
+            angle_maps[:, 0], angle_maps[:, 1].astype(float), angle_maps[:, 2].astype(float),
+            ai.reshape(-1, 4), tuple(ridx))
+
+
+#: Rows per ``canonicalize_many`` chunk: each row expands to 1024 candidates.
+CANONICALIZE_CHUNK = 8
+
+
+def canonicalize_many(params: np.ndarray, sector: bool = False
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``canonicalize`` over the rows of an (N, 5) array of (theta, a0, a1, b0, b1).
+
+    Returns the canonical parameters (N, 5), the index of the winning
+    gauge x relabeling candidate per row (-1 where no image satisfies the
+    constraints; that row's parameters are NaN) and its (N, 4) fold flags,
+    from which ``canonical_witness`` builds the witness element.
+    """
+    tsgn, toff, ti, asrc, asgn, aoff, ai, _ = _candidate_tables()
+    n = len(params)
+    out = np.full((n, 5), np.nan)
+    win = np.full(n, -1)
+    folds = np.zeros((n, 4), bool)
+    for lo in range(0, n, CANONICALIZE_CHUNK):
+        chunk = params[lo:lo + CANONICALIZE_CHUNK]
+        thetas = np.mod(tsgn * chunk[:, :1] + toff * (PI / 2), PI)[:, ti]
+        images = np.mod(asgn * chunk[:, 1 + asrc] + aoff * PI, 2 * PI)
+        fold = images >= PI
+        images -= fold * PI
+        a0, a1, b0, b1 = (images[:, ai[:, s]] for s in range(4))
+        ok = (a0 <= a1 + TOL_EQ) & (a0 <= b0 + TOL_EQ) & (b0 <= b1 + TOL_EQ)
+        if sector:
+            ok &= (thetas > TOL_EQ) & (thetas <= PI / 4 + TOL_EQ)
+        # per row, the lexicographic minimum of (theta, a0, a1, b0, b1) over the
+        # admissible candidates; lexsort is stable, so ties go to the first one
+        r_idx, c_idx = np.nonzero(ok)
+        if r_idx.size == 0:
+            continue
+        keys = [key[r_idx, c_idx] for key in (thetas, a0, a1, b0, b1)]
+        order = np.lexsort(keys[::-1] + [r_idx])
+        r_sorted = r_idx[order]
+        first = order[np.concatenate(([True], r_sorted[1:] != r_sorted[:-1]))]
+        rows = lo + r_idx[first]
+        out[rows] = np.column_stack([key[first] for key in keys])
+        win[rows] = c_idx[first]
+        folds[rows] = fold[r_idx[first, None], ai[c_idx[first]]]
+    return out, win, folds
+
+
+def canonical_witness(win: int, fold) -> SymmetryElement:
+    """Witness element of a ``canonicalize_many`` row from its candidate index
+    and fold flags."""
+    base = group_elements()[_candidate_tables()[7][win]]
+    extra = tuple(bool(fold[s]) != bool(base.output_flip[s]) for s in range(4))
+    return SymmetryElement(
+        party_swap=base.party_swap,
+        input_swap_a=base.input_swap_a,
+        input_swap_b=base.input_swap_b,
+        output_flip=extra,
+    )
 
 
 def canonicalize(r: QubitRealization, sector: bool = False) -> tuple[QubitRealization, SymmetryElement]:
@@ -268,40 +341,13 @@ def canonicalize(r: QubitRealization, sector: bool = False) -> tuple[QubitRealiz
     With sector=True the result is additionally required to have
     theta in (0, pi/4]; a product-state input then raises DegenerateThetaError.
     """
-    et, kt, src, sgn, off, ridx = _candidate_tables()
-    angles = np.array([r.a[0], r.a[1], r.b[0], r.b[1]])
-    thetas = np.mod(et * r.theta + kt * (PI / 2), PI)
-    cand = sgn * angles[src] + off * PI
-    cand = np.mod(cand, 2 * PI)
-    fold = cand >= PI
-    cand = cand - fold * PI
-    ok = (
-        (cand[:, 0] <= cand[:, 1] + TOL_EQ)
-        & (cand[:, 0] <= cand[:, 2] + TOL_EQ)
-        & (cand[:, 2] <= cand[:, 3] + TOL_EQ)
-    )
-    if sector:
-        ok &= (thetas > TOL_EQ) & (thetas <= PI / 4 + TOL_EQ)
-    idx = np.nonzero(ok)[0]
-    if idx.size == 0:
+    out, win, folds = canonicalize_many(np.array([r.params()]), sector)
+    if win[0] < 0:
         raise DegenerateThetaError(
             f"no image of theta={r.theta!r} lies in the requested sector")
-    order = np.lexsort((cand[idx, 3], cand[idx, 2], cand[idx, 1], cand[idx, 0], thetas[idx]))
-    win = idx[order[0]]
-    out = QubitRealization(
-        theta=float(thetas[win]),
-        a=(float(cand[win, 0]), float(cand[win, 1])),
-        b=(float(cand[win, 2]), float(cand[win, 3])),
-    )
-    base = group_elements()[ridx[win]]
-    extra = tuple(bool(fold[win, s]) != bool(base.output_flip[s]) for s in range(4))
-    witness = SymmetryElement(
-        party_swap=base.party_swap,
-        input_swap_a=base.input_swap_a,
-        input_swap_b=base.input_swap_b,
-        output_flip=extra,
-    )
-    return out, witness
+    theta, a0, a1, b0, b1 = out[0].tolist()
+    return (QubitRealization(theta=theta, a=(a0, a1), b=(b0, b1)),
+            canonical_witness(win[0], folds[0]))
 
 
 _CONSTRAINTS = {"canonical", "fully-alternating", "strictly-alternating", "non-alternating"}

@@ -23,13 +23,14 @@ import numpy as np
 
 from .behavior import Behavior
 from .errors import (
+    DegenerateThetaError,
     InconsistentGaugeError,
     NoThetaBranchError,
     NotSelfTestingError,
+    QsetError,
 )
-from .extremality import selftest_conditions_check
-from .realization import QubitRealization, born_point, canonicalize
-from .steering import steered_correlators
+from .extremality import _nonlocal_steered, _sector_terms, _selftest_residuals
+from .realization import QubitRealization, born_vector, canonical_witness, canonicalize_many
 from .symmetry import SymmetryElement
 from .tolerances import TOL_EQ, TOL_RECON
 
@@ -83,33 +84,33 @@ class SelfTestCertificate:
         }
 
 
-def _gauge_placement(c: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _gauge_placement(c) -> tuple[list[list[float]], float, float]:
     """Place the steered configuration on the circle: B1 at 0, B0 at bgauge.
 
-    c is the steered correlator table [alpha][x][y].  Returns (w, bgauge,
-    residual) where w[alpha][x] solves cos(w) = c[.,.,1] and
-    cos(w - bgauge) = c[.,.,0] simultaneously; the residual is the worst
+    c is the steered correlator table [alpha][x][y] as nested lists.  Returns
+    (w, bgauge, residual) where w[alpha][x] solves cos(w) = c[.][.][1] and
+    cos(w - bgauge) = c[.][.][0] simultaneously; the residual is the worst
     deviation of (sin w, cos w) from the unit circle across the four
     projectors, which measures placement consistency.
     """
-    m1 = math.acos(max(-1.0, min(1.0, c[0, 0, 1])))
-    m0 = math.acos(max(-1.0, min(1.0, c[0, 0, 0])))
+    m1 = math.acos(max(-1.0, min(1.0, c[0][0][1])))
+    m0 = math.acos(max(-1.0, min(1.0, c[0][0][0])))
     cands = set()
     for u in (m1 + m0, m1 - m0):
         v = abs((u + math.pi) % (2 * math.pi) - math.pi)
         cands.add(round(v, 15))
-    best: tuple[float, float, np.ndarray] | None = None
+    best: tuple[float, float, list[list[float]]] | None = None
     for bg in sorted(cands):
         sb = math.sin(bg)
         if sb < 1e-9:
             continue
-        w = np.empty((2, 2))
+        w = [[0.0, 0.0], [0.0, 0.0]]
         resid = 0.0
         for ai in range(2):
             for x in range(2):
-                sw = (c[ai, x, 0] - c[ai, x, 1] * math.cos(bg)) / sb
-                w[ai, x] = math.atan2(sw, c[ai, x, 1])
-                resid = max(resid, abs(math.hypot(sw, c[ai, x, 1]) - 1.0))
+                sw = (c[ai][x][0] - c[ai][x][1] * math.cos(bg)) / sb
+                w[ai][x] = math.atan2(sw, c[ai][x][1])
+                resid = max(resid, abs(math.hypot(sw, c[ai][x][1]) - 1.0))
         if best is None or resid < best[0]:
             best = (resid, bg, w)
     if best is None:
@@ -121,28 +122,19 @@ def _gauge_placement(c: np.ndarray) -> tuple[np.ndarray, float, float]:
     return w, bg, resid
 
 
-def reconstruct_realization(p: Behavior) -> tuple[QubitRealization, ReconstructionTrace]:
-    """Recover the canonical qubit realization self-tested by ``p``.
-
-    Requires ``p`` nonlocal and satisfying the four reference equalities;
-    the returned realization is canonical and reproduces ``p`` up to the
-    relabeling element recorded in the trace, componentwise to TOL_RECON.
-    """
-    ok, residuals = selftest_conditions_check(p)  # raises LocalInputError on local input
-    if not ok:
-        raise NotSelfTestingError(
-            f"self-test equalities violated (max residual {np.max(np.abs(residuals))!r})",
-            residuals=residuals)
-    c = steered_correlators(p).c
+def _solve_gauge(c) -> tuple[tuple[float, ...], tuple]:
+    """Unreduced realization parameters (theta, a0, a1, b0, b1) behind one
+    steered table (nested lists), and the gauge data
+    (w, bgauge, gauge_residual, theta, delta) of the trace."""
     w, bgauge, gauge_residual = _gauge_placement(c)
-
-    s_mid = (w[0] + w[1]) / 2.0   # (w_+x + w_-x)/2 per input x
-    d_half = (w[1] - w[0]) / 2.0  # (w_-x - w_+x)/2 per input x
+    # (w_+x + w_-x)/2 and (w_-x - w_+x)/2 per input x
+    s_mid = ((w[0][0] + w[1][0]) / 2.0, (w[0][1] + w[1][1]) / 2.0)
+    d_half = ((w[1][0] - w[0][0]) / 2.0, (w[1][1] - w[0][1]) / 2.0)
     det = math.sin(s_mid[1] - s_mid[0])
     if abs(det) < 1e-11:
         # both Alice inputs steer to the same mid-angle: consistent only for
         # the maximally entangled state, where the pair collapse d_half = 0
-        if np.max(np.abs(d_half)) > TOL_EQ:
+        if max(abs(d_half[0]), abs(d_half[1])) > TOL_EQ:
             raise InconsistentGaugeError(
                 "degenerate gauge mid-angles with a non-maximally-entangled signature")
         u = v = 0.0
@@ -160,45 +152,126 @@ def reconstruct_realization(p: Behavior) -> tuple[QubitRealization, Reconstructi
     else:
         theta = math.acos(h) / 2.0
         delta = math.atan2(v, u)
-    branches = (theta, math.pi - theta)
     if not (0.0 < theta <= math.pi / 4 + 1e-12):
         raise NoThetaBranchError(f"theta branch {theta!r} outside (0, pi/4]")
 
-    atilde = w - delta  # steered-frame angles; rows: alpha = +1, -1
+    # steered-frame angles of alpha = +1: atilde = w - delta
     sin_t, cos_t = math.sin(theta), math.cos(theta)
-    a_rec = tuple(
-        2 * math.atan2(math.sin(atilde[0, x] / 2) * cos_t,
-                       math.cos(atilde[0, x] / 2) * sin_t)
-        for x in range(2))
-    b_rec = (bgauge - delta, -delta)
-    raw = QubitRealization(theta=theta, a=a_rec, b=b_rec)
-    roundtrip = float(np.max(np.abs(born_point(raw).vector - p.vector)))
-    if roundtrip > TOL_RECON:
-        raise InconsistentGaugeError(
-            f"reconstructed realization misses the behavior by {roundtrip!r}")
+    a_rec = [2 * math.atan2(math.sin((w[0][x] - delta) / 2) * cos_t,
+                            math.cos((w[0][x] - delta) / 2) * sin_t)
+             for x in range(2)]
+    params = (theta, a_rec[0], a_rec[1], bgauge - delta, -delta)
+    return params, (w, bgauge, gauge_residual, theta, delta)
 
-    canonical, witness = canonicalize(raw, sector=True)
-    gamma = delta / 2.0
-    trace = ReconstructionTrace(
-        w=w,
-        bgauge=bgauge,
-        gamma=gamma,
-        gamma_x=(gamma - (w[0, 0] + w[1, 0]) / 4.0, gamma - (w[0, 1] + w[1, 1]) / 4.0),
-        theta=theta,
-        theta_branches=branches,
-        gauge_residual=gauge_residual,
-        roundtrip_error=roundtrip,
-        relabeling=witness,
-    )
-    return canonical, trace
+
+@dataclass(frozen=True)
+class Reconstructions:
+    """Reconstruction of a batch of behaviors, row by row.
+
+    ``canonical`` holds the canonical parameters (K, 5), NaN where the row
+    stopped; ``errors`` maps each such row to its error (NotSelfTestingError,
+    InconsistentGaugeError, NoThetaBranchError or DegenerateThetaError).
+    """
+
+    residuals: np.ndarray   # (K, 4) self-test residuals
+    canonical: np.ndarray   # (K, 5)
+    roundtrip: np.ndarray   # (K,), NaN where not reached
+    win: np.ndarray         # (K,) canonicalize_many candidate
+    folds: np.ndarray       # (K, 4)
+    gauge: dict             # row -> gauge data of _solve_gauge
+    errors: dict            # row -> QsetError
+
+    def realization(self, k: int) -> QubitRealization:
+        theta, a0, a1, b0, b1 = self.canonical[k].tolist()
+        return QubitRealization(theta=theta, a=(a0, a1), b=(b0, b1))
+
+    def trace(self, k: int) -> ReconstructionTrace:
+        w, bgauge, gauge_residual, theta, delta = self.gauge[k]
+        w = np.array(w)
+        gamma = delta / 2.0
+        return ReconstructionTrace(
+            w=w,
+            bgauge=bgauge,
+            gamma=gamma,
+            gamma_x=(gamma - (w[0, 0] + w[1, 0]) / 4.0, gamma - (w[0, 1] + w[1, 1]) / 4.0),
+            theta=theta,
+            theta_branches=(theta, math.pi - theta),
+            gauge_residual=gauge_residual,
+            roundtrip_error=float(self.roundtrip[k]),
+            relabeling=canonical_witness(self.win[k], self.folds[k]),
+        )
+
+
+def reconstruct_rows(v: np.ndarray, c: np.ndarray, asin: np.ndarray) -> Reconstructions:
+    """Reconstruct the realizations behind nonlocal behavior vectors v (K, 8),
+    given their steered correlators c (K, 2, 2, 2) and the asin of those.
+
+    Rows must satisfy the reference self-test equalities; the gauge solve runs
+    per row in double-precision ``math``, then the round trip and
+    ``canonicalize`` run over the rows that reached them.
+    """
+    k = len(v)
+    residuals = _selftest_residuals(_sector_terms(asin))
+    errors: dict[int, QsetError] = {}
+    for i in np.flatnonzero(~(np.max(np.abs(residuals), axis=1) <= TOL_EQ)).tolist():
+        errors[i] = NotSelfTestingError(
+            f"self-test equalities violated (max residual {np.max(np.abs(residuals[i]))!r})",
+            residuals=residuals[i].copy())
+    raw = np.full((k, 5), np.nan)
+    gauge = {}
+    tables = c.tolist()
+    for i in range(k):
+        if i in errors:
+            continue
+        try:
+            raw[i], gauge[i] = _solve_gauge(tables[i])
+        except (InconsistentGaugeError, NoThetaBranchError) as exc:
+            errors[i] = exc
+
+    solved = np.array(sorted(gauge), dtype=int)
+    roundtrip = np.full(k, np.nan)
+    roundtrip[solved] = np.max(np.abs(born_vector(*raw[solved].T) - v[solved]), axis=1)
+    for i in solved[roundtrip[solved] > TOL_RECON].tolist():
+        errors[i] = InconsistentGaugeError(
+            f"reconstructed realization misses the behavior by {float(roundtrip[i])!r}")
+
+    canonical = np.full((k, 5), np.nan)
+    win = np.full(k, -1)
+    folds = np.zeros((k, 4), bool)
+    fit = np.array([i for i in solved.tolist() if i not in errors], dtype=int)
+    canonical[fit], win[fit], folds[fit] = canonicalize_many(raw[fit], sector=True)
+    for i in fit[win[fit] < 0].tolist():
+        errors[i] = DegenerateThetaError(
+            f"no image of theta={float(raw[i, 0])!r} lies in the requested sector")
+    return Reconstructions(residuals, canonical, roundtrip, win, folds, gauge, errors)
+
+
+def _reconstruct_one(p: Behavior) -> Reconstructions:
+    c, asin = _nonlocal_steered(p, "self-test conditions require a nonlocal behavior")
+    rec = reconstruct_rows(p.vector[None], c, asin)
+    if rec.errors:
+        raise rec.errors[0]
+    return rec
+
+
+def reconstruct_realization(p: Behavior) -> tuple[QubitRealization, ReconstructionTrace]:
+    """Recover the canonical qubit realization self-tested by ``p``.
+
+    Requires ``p`` nonlocal and satisfying the four reference equalities;
+    the returned realization is canonical and reproduces ``p`` up to the
+    relabeling element recorded in the trace, componentwise to TOL_RECON.
+    """
+    rec = _reconstruct_one(p)
+    return rec.realization(0), rec.trace(0)
 
 
 def selftest_certificate(p: Behavior) -> SelfTestCertificate:
     """Bundle the reconstruction with the equality residuals and roundtrip error."""
-    realization, trace = reconstruct_realization(p)
-    _, residuals = selftest_conditions_check(p)
+    rec = _reconstruct_one(p)
+    residuals = rec.residuals[0]
+    trace = rec.trace(0)
     return SelfTestCertificate(
-        realization=realization,
+        realization=rec.realization(0),
         trace=trace,
         condition_residuals=residuals,
         max_residual=float(np.max(np.abs(residuals))),

@@ -28,6 +28,7 @@ from .errors import (
     DegenerateThetaError,
     MarginalUnitError,
     NullImageError,
+    QsetError,
 )
 from .realization import QubitRealization, born_point
 from .tolerances import TOL_CLAMP
@@ -38,6 +39,7 @@ __all__ = [
     "modified_angles",
     "modified_angles_raw",
     "steered_correlators",
+    "steered_many",
     "steered_table",
     "pi_interval",
     "swap_parties",
@@ -79,8 +81,10 @@ def modified_angles_raw(theta, a):
     """
     theta = np.asarray(theta, float)
     a = np.asarray(a, float)
-    plus = 2 * np.arctan2(np.sin(a / 2) * np.sin(theta), np.cos(a / 2) * np.cos(theta))
-    minus = 2 * np.arctan2(np.sin(a / 2) * np.cos(theta), np.cos(a / 2) * np.sin(theta))
+    sh, ch = np.sin(a / 2), np.cos(a / 2)
+    st, ct = np.sin(theta), np.cos(theta)
+    plus = 2 * np.arctan2(sh * st, ch * ct)
+    minus = 2 * np.arctan2(sh * ct, ch * st)
     return np.stack([plus, minus])
 
 
@@ -103,21 +107,38 @@ class SteeredCorrelators:
     atilde: np.ndarray | None = None
 
 
+#: Outcome signs alpha = +1, -1 along the steered-correlator axis.
+_ALPHA = np.array([1.0, -1.0])[:, None, None]
+
+
+def steered_many(v: np.ndarray) -> tuple[np.ndarray, dict[int, QsetError]]:
+    """Steered correlators of behavior vectors, (N, 8) -> (N, 2, 2, 2), clipped
+    to [-1, 1], and the error ``steered_correlators`` raises for each row it
+    rejects (row index -> exception; those rows' correlators are meaningless)."""
+    ma = v[:, None, :2, None]
+    mb = v[:, None, None, 2:4]
+    corr = v[:, None, 4:].reshape(-1, 1, 2, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (corr + _ALPHA * mb) / (1.0 + _ALPHA * ma)
+        over = np.max(np.abs(out), axis=(1, 2, 3)) - 1.0
+    unit = np.max(np.abs(v[:, :2]), axis=1)
+    failures: dict[int, QsetError] = {}
+    bad = (unit >= 1.0) | (over > TOL_CLAMP)
+    for i in np.flatnonzero(bad).tolist() if bad.any() else ():
+        if unit[i] >= 1.0:
+            failures[i] = MarginalUnitError(
+                f"|<A_x>| = {unit[i]!r} >= 1; steered correlators undefined (behavior is local)")
+        else:
+            failures[i] = CorrelatorRangeError(
+                f"steered correlator exceeds [-1,1] by {over[i]!r}; input behavior invalid")
+    return np.clip(out, -1.0, 1.0), failures
+
+
 def _steered_c(vec: np.ndarray) -> np.ndarray:
-    ma = vec[:2]
-    mb = vec[2:4]
-    corr = vec[4:].reshape(2, 2)
-    if np.max(np.abs(ma)) >= 1.0:
-        raise MarginalUnitError(
-            f"|<A_x>| = {np.max(np.abs(ma))!r} >= 1; steered correlators undefined (behavior is local)")
-    out = np.empty((2, 2, 2))
-    for ai, alpha in enumerate((1.0, -1.0)):
-        out[ai] = (corr + alpha * mb[None, :]) / (1.0 + alpha * ma[:, None])
-    over = np.abs(out) - 1.0
-    if np.max(over) > TOL_CLAMP:
-        raise CorrelatorRangeError(
-            f"steered correlator exceeds [-1,1] by {np.max(over)!r}; input behavior invalid")
-    return np.clip(out, -1.0, 1.0)
+    c, failures = steered_many(vec[None])
+    if failures:
+        raise failures[0]
+    return c[0]
 
 
 def steered_correlators(p: Behavior) -> SteeredCorrelators:

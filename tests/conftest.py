@@ -19,6 +19,20 @@ TSIRELSON = QubitRealization(PI / 4, (0.0, PI / 2), (PI / 4, 3 * PI / 4))
 NONALT = QubitRealization(0.3, (0.0, PI / 2), (PI / 4, 3 * PI / 4))
 
 
+#: Weight and realizations of a mixture of two qubit behaviors (so a point of
+#: Q) that fails both sides' pure-qubit necessary conditions.
+MIX_LAMBDA = 0.30832986332825785
+MIX_R1 = QubitRealization(1.89233952000138, (0.21815744894943617, 2.3932810664956445),
+                          (2.4133677203233024, 2.7453125956657063))
+MIX_R2 = QubitRealization(2.6763253042801587, (0.30143517266040626, 1.669074124569635),
+                          (1.7969009809597003, 3.085037014339876))
+
+
+def fails_necessary_mixture() -> Behavior:
+    return Behavior.from_vector(MIX_LAMBDA * born_point(MIX_R1).vector
+                                + (1 - MIX_LAMBDA) * born_point(MIX_R2).vector)
+
+
 def random_valid_behavior(rng: np.random.Generator) -> Behavior:
     """Rejection-sample a valid behavior from the cube, mixing in structured draws."""
     kind = rng.integers(0, 3)

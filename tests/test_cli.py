@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -10,7 +9,7 @@ import pytest
 from qset import Behavior, born_point
 from qset.cli import main
 
-from conftest import NONALT, PI8_EDGE, TSIRELSON
+from conftest import NONALT, PI8_EDGE, TSIRELSON, fails_necessary_mixture
 
 PI = math.pi
 
@@ -84,6 +83,15 @@ def test_classify_json_details(tmp_path, capsys):
     assert doc["caveat"] == "membership in Q not certified"
 
 
+def test_classify_json_fails_necessary_caveat(tmp_path, capsys):
+    path = write_behavior(tmp_path, fails_necessary_mixture())
+    code, out, _ = run_cli(["classify", "--input", path, "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "FailsNecessaryQ2Pure"
+    assert doc["caveat"] == "membership in Q not certified"
+
+
 def test_classify_invalid_behavior_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"margA": [0, 0], "margB": [0, 0],
@@ -139,24 +147,14 @@ def test_scan_single_point_matches_classify(tmp_path, capsys):
     assert lines[1].split(",")[5] == "ExtremalNonExposed"
 
 
-def test_scan_byte_stable_and_worker_pool(tmp_path, capsys):
+def test_scan_byte_stable(tmp_path, capsys):
     args = ["scan", "--range", "theta=0.1:0.7:9", "--a0", "0",
             "--a1", repr(PI / 2), "--b0", repr(PI / 4), "--b1", repr(3 * PI / 4)]
     code, out1, _ = run_cli(args, capsys)
     assert code == 0
     code, out2, _ = run_cli(args, capsys)
+    assert code == 0
     assert out1 == out2
-    old = os.environ.get("QSET_THREADS")
-    os.environ["QSET_THREADS"] = "2"
-    try:
-        code, out3, _ = run_cli(args, capsys)
-        assert code == 0
-        assert out3 == out1
-    finally:
-        if old is None:
-            os.environ.pop("QSET_THREADS")
-        else:
-            os.environ["QSET_THREADS"] = old
 
 
 def test_scan_row_order_lexicographic(capsys):

@@ -25,7 +25,7 @@ from qset import (
 from qset.extremality import SignPattern, pattern_to_reference_relabeling
 from qset.symmetry import group_elements
 
-from conftest import NONALT, PI8_EDGE, TSIRELSON
+from conftest import NONALT, PI8_EDGE, TSIRELSON, fails_necessary_mixture
 
 PI = math.pi
 SQ2 = math.sqrt(2.0)
@@ -234,6 +234,15 @@ def test_classify_local_cases():
 
 def test_classify_pr_box_fails_necessary():
     assert classify(PR_BOX).verdict is Verdict.FAILS_NECESSARY_Q2_PURE
+
+
+def test_classify_fails_necessary_mixture_has_caveat():
+    # a point of Q (mixture of two qubit behaviors) outside the pure-qubit
+    # necessary conditions: the verdict must not read as non-membership
+    res = classify(fails_necessary_mixture())
+    assert res.verdict is Verdict.FAILS_NECESSARY_Q2_PURE
+    assert not res.details["necessary_alice"] and not res.details["necessary_bob"]
+    assert res.details["caveat"] == "membership in Q not certified"
 
 
 def test_classify_rejects_invalid():
