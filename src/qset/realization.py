@@ -243,12 +243,11 @@ def _candidate_tables():
     1024 candidates share a few dozen distinct images, so each is reduced
     once.  RIDX[j] is the candidate's relabeling in ``group_elements()``.
     """
-    moves = _gauge_moves()
-    elems = group_elements()
-    et, kt, src, sgn, off, ridx = [], [], [], [], [], []
-    for m in moves:
-        emt, kmt, ea, ka, eb, kb = m
-        for ri, g in enumerate(elems):
+    theta_maps: dict[tuple, int] = {}
+    angle_maps: dict[tuple, int] = {}
+    ti, ai, ridx = [], [], []
+    for emt, kmt, ea, ka, eb, kb in _gauge_moves():
+        for ri, g in enumerate(group_elements()):
             perm = [0, 1, 2, 3]
             if g.party_swap:
                 perm = [2, 3, 0, 1]
@@ -258,18 +257,15 @@ def _candidate_tables():
                 perm[2], perm[3] = perm[3], perm[2]
             e_src = [ea, ea, eb, eb]
             k_src = [ka, ka, kb, kb]
-            et.append(emt)
-            kt.append(kmt)
-            src.append([perm[s] for s in range(4)])
-            sgn.append([e_src[perm[s]] for s in range(4)])
-            off.append([k_src[perm[s]] + (1 if g.output_flip[s] else 0) for s in range(4)])
+            ti.append(theta_maps.setdefault((emt, kmt), len(theta_maps)))
+            ai.append([angle_maps.setdefault(
+                (perm[s], e_src[perm[s]], k_src[perm[s]] + (1 if g.output_flip[s] else 0)),
+                len(angle_maps)) for s in range(4)])
             ridx.append(ri)
-    theta_maps, ti = np.unique(np.column_stack([et, kt]), axis=0, return_inverse=True)
-    angle_maps, ai = np.unique(np.stack([src, sgn, off], axis=-1).reshape(-1, 3), axis=0,
-                               return_inverse=True)
-    return (theta_maps[:, 0].astype(float), theta_maps[:, 1].astype(float), ti.ravel(),
-            angle_maps[:, 0], angle_maps[:, 1].astype(float), angle_maps[:, 2].astype(float),
-            ai.reshape(-1, 4), tuple(ridx))
+    tmap = np.array(list(theta_maps), dtype=float)
+    amap = np.array(list(angle_maps))
+    return (tmap[:, 0], tmap[:, 1], np.array(ti), amap[:, 0], amap[:, 1].astype(float),
+            amap[:, 2].astype(float), np.array(ai), tuple(ridx))
 
 
 #: Rows per ``canonicalize_many`` chunk: each row expands to 1024 candidates.

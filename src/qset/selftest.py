@@ -206,9 +206,12 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, asin: np.ndarray) -> Reconstr
     """Reconstruct the realizations behind nonlocal behavior vectors v (K, 8),
     given their steered correlators c (K, 2, 2, 2) and the asin of those.
 
-    Rows must satisfy the reference self-test equalities; the gauge solve runs
-    per row in double-precision ``math``, then the round trip and
-    ``canonicalize`` run over the rows that reached them.
+    Rows that violate the reference self-test equalities stop with
+    NotSelfTestingError.  The gauge solve runs per row in ``math`` (libm):
+    numpy's vectorized acos/atan2 round differently in the last bit, and on
+    the a0 = b0 face that bit decides between the extremal verdicts and
+    Indeterminate.  The round trip and ``canonicalize`` then run over the
+    rows that reached them.
     """
     k = len(v)
     residuals = _selftest_residuals(_sector_terms(asin))
