@@ -27,7 +27,7 @@ from .errors import (
     NotSelfTestingError,
     QsetError,
 )
-from .realization import QubitRealization, canonical_rows
+from .realization import QubitRealization, in_canonical_range
 from .steering import modified_angles_raw, pi_interval, steered_many
 from .symmetry import SymmetryElement, matrix
 from .tolerances import TOL_CLAMP, TOL_EQ
@@ -258,12 +258,11 @@ def alternation_margins(params) -> tuple[np.ndarray, dict[int, Exception]]:
     margins = np.concatenate(
         [b0 - at[:, :, 0].T, at[:, :, 1].T - b0, b1 - at[:, :, 1].T, b0, math.pi - b1], axis=1)
     errors: dict[int, Exception] = {}
-    canonical = canonical_rows(params)
-    for i, theta in enumerate(params[:, 0].tolist()):
-        if not canonical[i]:
+    for i, row in enumerate(params.tolist()):
+        if not in_canonical_range(*row):
             errors[i] = ValueError("full_alternation_check requires a canonical realization")
-        elif abs(math.sin(2 * theta)) < 1e-12:
-            errors[i] = DegenerateThetaError(f"theta={theta!r} is 0 mod pi/2")
+        elif abs(math.sin(2 * row[0])) < 1e-12:
+            errors[i] = DegenerateThetaError(f"theta={row[0]!r} is 0 mod pi/2")
     if errors:
         margins[list(errors)] = np.nan
     return margins, errors

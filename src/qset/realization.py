@@ -37,7 +37,7 @@ __all__ = [
     "born_jacobian",
     "canonicalize",
     "canonicalize_many",
-    "canonical_rows",
+    "in_canonical_range",
     "canonical_witness",
     "apply_relabeling",
     "sample_realization",
@@ -65,7 +65,7 @@ class QubitRealization:
     def is_canonical(self, tol: float = TOL_EQ) -> bool:
         """True when the parameters lie in the reduced range
         theta in [0, pi), 0 <= a0 <= b0 <= b1 < pi, a0 <= a1 < pi."""
-        return bool(_in_canonical_range(*self.params(), tol))
+        return in_canonical_range(*self.params(), tol)
 
     def params(self) -> tuple[float, float, float, float, float]:
         return (self.theta, self.a[0], self.a[1], self.b[0], self.b[1])
@@ -82,20 +82,17 @@ class QubitRealization:
         )
 
 
-def _in_canonical_range(th, a0, a1, b0, b1, tol):
-    """The canonical-range test on floats or, elementwise, on arrays."""
-    return ((-tol <= th) & (th < PI + tol)
-            & (-tol <= a0) & (a0 <= b0 + tol)
-            & (b0 <= b1 + tol)
-            & (b1 < PI + tol)
-            & (a0 <= a1 + tol)
-            & (a1 < PI + tol))
-
-
-def canonical_rows(params: np.ndarray, tol: float = TOL_EQ) -> np.ndarray:
-    """``QubitRealization.is_canonical`` over the rows of an (N, 5) array of
-    (theta, a0, a1, b0, b1)."""
-    return _in_canonical_range(*params.T, tol)
+def in_canonical_range(theta, a0, a1, b0, b1, tol: float = TOL_EQ) -> bool:
+    """True when theta in [0, pi), 0 <= a0 <= b0 <= b1 < pi and a0 <= a1 < pi,
+    each bound widened by ``tol``."""
+    return (
+        -tol <= theta < PI + tol
+        and -tol <= a0 <= b0 + tol
+        and b0 <= b1 + tol
+        and b1 < PI + tol
+        and a0 <= a1 + tol
+        and a1 < PI + tol
+    )
 
 
 def born_vector(theta, a0, a1, b0, b1):
@@ -239,7 +236,7 @@ def _candidate_tables():
 
     Candidate j maps theta to TSGN[k]*theta + TOFF[k]*pi/2 (mod pi) with
     k = TI[j], and slot s of (a0, a1, b0, b1) to
-    ASGN[k]*angles[ASRC[k]] + AOFF[k]*pi (mod 2pi) with k = AI[j, s].  The
+    ASGN[k]*angles[ASRC[k]] + AOFF[k]*pi (mod 2pi) with k = AI[s, j].  The
     1024 candidates share a few dozen distinct images, so each is reduced
     once.  RIDX[j] is the candidate's relabeling in ``group_elements()``.
     """
@@ -265,7 +262,7 @@ def _candidate_tables():
     tmap = np.array(list(theta_maps), dtype=float)
     amap = np.array(list(angle_maps))
     return (tmap[:, 0], tmap[:, 1], np.array(ti), amap[:, 0], amap[:, 1].astype(float),
-            amap[:, 2].astype(float), np.array(ai), tuple(ridx))
+            amap[:, 2].astype(float), np.array(ai).T.copy(), tuple(ridx))
 
 
 #: Rows per ``canonicalize_many`` chunk: each row expands to 1024 candidates.
@@ -288,27 +285,28 @@ def canonicalize_many(params: np.ndarray, sector: bool = False
     folds = np.zeros((n, 4), bool)
     for lo in range(0, n, CANONICALIZE_CHUNK):
         chunk = params[lo:lo + CANONICALIZE_CHUNK]
-        thetas = np.mod(tsgn * chunk[:, :1] + toff * (PI / 2), PI)[:, ti]
+        thetas = np.mod(tsgn * chunk[:, :1] + toff * (PI / 2), PI).take(ti, axis=1)
         images = np.mod(asgn * chunk[:, 1 + asrc] + aoff * PI, 2 * PI)
         fold = images >= PI
         images -= fold * PI
-        a0, a1, b0, b1 = (images[:, ai[:, s]] for s in range(4))
+        a0, a1, b0, b1 = (images.take(slot, axis=1) for slot in ai)
         ok = (a0 <= a1 + TOL_EQ) & (a0 <= b0 + TOL_EQ) & (b0 <= b1 + TOL_EQ)
         if sector:
             ok &= (thetas > TOL_EQ) & (thetas <= PI / 4 + TOL_EQ)
         # per row, the lexicographic minimum of (theta, a0, a1, b0, b1) over the
         # admissible candidates; lexsort is stable, so ties go to the first one
-        r_idx, c_idx = np.nonzero(ok)
-        if r_idx.size == 0:
+        hits = np.flatnonzero(ok)
+        if hits.size == 0:
             continue
-        keys = [key[r_idx, c_idx] for key in (thetas, a0, a1, b0, b1)]
+        r_idx, c_idx = np.divmod(hits, ok.shape[1])
+        keys = [key.take(hits) for key in (thetas, a0, a1, b0, b1)]
         order = np.lexsort(keys[::-1] + [r_idx])
         r_sorted = r_idx[order]
         first = order[np.concatenate(([True], r_sorted[1:] != r_sorted[:-1]))]
         rows = lo + r_idx[first]
         out[rows] = np.column_stack([key[first] for key in keys])
         win[rows] = c_idx[first]
-        folds[rows] = fold[r_idx[first, None], ai[c_idx[first]]]
+        folds[rows] = fold[r_idx[first, None], ai[:, c_idx[first]].T]
     return out, win, folds
 
 

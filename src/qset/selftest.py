@@ -104,11 +104,12 @@ def _gauge_placement(c) -> tuple[list[list[float]], float, float]:
         sb = math.sin(bg)
         if sb < 1e-9:
             continue
+        cb = math.cos(bg)
         w = [[0.0, 0.0], [0.0, 0.0]]
         resid = 0.0
         for ai in range(2):
             for x in range(2):
-                sw = (c[ai][x][0] - c[ai][x][1] * math.cos(bg)) / sb
+                sw = (c[ai][x][0] - c[ai][x][1] * cb) / sb
                 w[ai][x] = math.atan2(sw, c[ai][x][1])
                 resid = max(resid, abs(math.hypot(sw, c[ai][x][1]) - 1.0))
         if best is None or resid < best[0]:
