@@ -123,8 +123,7 @@ def steered_many(v: np.ndarray) -> tuple[np.ndarray, dict[int, QsetError]]:
         over = np.max(np.abs(out), axis=(1, 2, 3)) - 1.0
     unit = np.max(np.abs(v[:, :2]), axis=1)
     failures: dict[int, QsetError] = {}
-    bad = (unit >= 1.0) | (over > TOL_CLAMP)
-    for i in np.flatnonzero(bad).tolist() if bad.any() else ():
+    for i in np.flatnonzero((unit >= 1.0) | (over > TOL_CLAMP)).tolist():
         if unit[i] >= 1.0:
             failures[i] = MarginalUnitError(
                 f"|<A_x>| = {unit[i]!r} >= 1; steered correlators undefined (behavior is local)")
