@@ -370,7 +370,6 @@ def _reference_relabelings() -> tuple[tuple[SymmetryElement, ...], np.ndarray, n
     return elems, perms, signs
 
 
-@dataclass
 class BatchClassification:
     """Per-row outcome of ``classify_many``.
 
@@ -384,27 +383,20 @@ class BatchClassification:
     a row has none.
     """
 
-    verdict: np.ndarray              # (N,) int8
-    failure: np.ndarray              # (N,) int8
-    errors: dict                     # row -> exception
-    residuals: np.ndarray            # (N, 4)
-    chsh_max: np.ndarray             # (N,)
-    pattern: np.ndarray              # (N,) int8 index into SIGN_PATTERNS
-    necessary: np.ndarray            # (N, 2) bool: Alice's and Bob's conditions
-    necessary_min_slack: np.ndarray  # (N,)
-    realization: np.ndarray          # (N, 5) canonical reconstruction
-    alternation_margins: np.ndarray  # (N, 8) of the reconstruction
-    ref_residuals: np.ndarray        # (N, 4) self-test residuals of the relabeled row
-    roundtrip_error: np.ndarray      # (N,)
-
-    @classmethod
-    def _blank(cls, n: int) -> "BatchClassification":
+    def __init__(self, n: int):
         nan = lambda *shape: np.full((n, *shape), np.nan)
-        return cls(verdict=np.full(n, -1, np.int8), failure=np.zeros(n, np.int8), errors={},
-                   residuals=nan(4), chsh_max=nan(), pattern=np.full(n, -1, np.int8),
-                   necessary=np.zeros((n, 2), bool), necessary_min_slack=nan(),
-                   realization=nan(5), alternation_margins=nan(8), ref_residuals=nan(4),
-                   roundtrip_error=nan())
+        self.verdict = np.full(n, -1, np.int8)
+        self.failure = np.zeros(n, np.int8)
+        self.errors: dict[int, Exception] = {}
+        self.residuals = nan(4)
+        self.chsh_max = nan()
+        self.pattern = np.full(n, -1, np.int8)         # index into SIGN_PATTERNS
+        self.necessary = np.zeros((n, 2), bool)         # Alice's and Bob's conditions
+        self.necessary_min_slack = nan()
+        self.realization = nan(5)                       # canonical reconstruction
+        self.alternation_margins = nan(8)               # of the reconstruction
+        self.ref_residuals = nan(4)                     # self-test residuals, relabeled row
+        self.roundtrip_error = nan()
 
     def labels(self) -> list[str]:
         """Verdict names per row; ``Error:<exception class>`` where ``classify`` raises."""
@@ -513,9 +505,8 @@ def classify_many(v) -> BatchClassification:
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != 8:
         raise ValueError(f"behavior vectors must have shape (N, 8), got {v.shape}")
-    chsh_max, local, rows, _, asin, errors = _front(v)
-    out = BatchClassification._blank(len(v))
-    out.chsh_max, out.errors = chsh_max, errors
+    out = BatchClassification(len(v))
+    out.chsh_max, local, rows, _, asin, out.errors = _front(v)
     out.verdict[local] = _CODE[Verdict.LOCAL]
     if rows.size:
         terms = _sector_terms(asin)

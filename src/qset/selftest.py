@@ -165,22 +165,23 @@ def _solve_gauge(c) -> tuple[tuple[float, ...], tuple]:
     return params, (w, bgauge, gauge_residual, theta, delta)
 
 
-@dataclass(frozen=True)
 class Reconstructions:
-    """Reconstruction of a batch of behaviors, row by row.
+    """Reconstruction of a batch of k behaviors, row by row.
 
-    ``canonical`` holds the canonical parameters (K, 5), NaN where the row
+    ``canonical`` holds the canonical parameters (k, 5), NaN where the row
     stopped; ``errors`` maps each such row to its error (NotSelfTestingError,
     InconsistentGaugeError, NoThetaBranchError or DegenerateThetaError).
     """
 
-    residuals: np.ndarray   # (K, 4) self-test residuals
-    canonical: np.ndarray   # (K, 5)
-    roundtrip: np.ndarray   # (K,), NaN where not reached
-    win: np.ndarray         # (K,) canonicalize_many candidate
-    folds: np.ndarray       # (K, 4)
-    gauge: dict             # row -> gauge data of _solve_gauge
-    errors: dict            # row -> QsetError
+    def __init__(self, residuals: np.ndarray):
+        k = len(residuals)
+        self.residuals = residuals                # (k, 4) self-test residuals
+        self.canonical = np.full((k, 5), np.nan)
+        self.roundtrip = np.full(k, np.nan)       # NaN where not reached
+        self.win = np.full(k, -1)                 # canonicalize_many candidate
+        self.folds = np.zeros((k, 4), bool)
+        self.gauge: dict[int, tuple] = {}         # row -> gauge data of _solve_gauge
+        self.errors: dict[int, QsetError] = {}
 
     def realization(self, k: int) -> QubitRealization:
         theta, a0, a1, b0, b1 = self.canonical[k].tolist()
@@ -214,40 +215,33 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, asin: np.ndarray) -> Reconstr
     Indeterminate.  The round trip and ``canonicalize`` then run over the
     rows that reached them.
     """
-    k = len(v)
-    residuals = _selftest_residuals(_sector_terms(asin))
-    errors: dict[int, QsetError] = {}
-    for i in np.flatnonzero(~(np.max(np.abs(residuals), axis=1) <= TOL_EQ)).tolist():
+    rec = Reconstructions(_selftest_residuals(_sector_terms(asin)))
+    errors = rec.errors
+    for i in np.flatnonzero(~(np.max(np.abs(rec.residuals), axis=1) <= TOL_EQ)).tolist():
         errors[i] = NotSelfTestingError(
-            f"self-test equalities violated (max residual {np.max(np.abs(residuals[i]))!r})",
-            residuals=residuals[i].copy())
-    raw = np.full((k, 5), np.nan)
-    gauge = {}
-    tables = c.tolist()
-    for i in range(k):
+            f"self-test equalities violated (max residual {np.max(np.abs(rec.residuals[i]))!r})",
+            residuals=rec.residuals[i].copy())
+    raw = np.full((len(v), 5), np.nan)
+    for i, table in enumerate(c.tolist()):
         if i in errors:
             continue
         try:
-            raw[i], gauge[i] = _solve_gauge(tables[i])
+            raw[i], rec.gauge[i] = _solve_gauge(table)
         except (InconsistentGaugeError, NoThetaBranchError) as exc:
             errors[i] = exc
 
-    solved = np.array(sorted(gauge), dtype=int)
-    roundtrip = np.full(k, np.nan)
-    roundtrip[solved] = np.max(np.abs(born_vector(*raw[solved].T) - v[solved]), axis=1)
-    for i in solved[roundtrip[solved] > TOL_RECON].tolist():
+    solved = np.array(sorted(rec.gauge), dtype=int)
+    rec.roundtrip[solved] = np.max(np.abs(born_vector(*raw[solved].T) - v[solved]), axis=1)
+    for i in solved[rec.roundtrip[solved] > TOL_RECON].tolist():
         errors[i] = InconsistentGaugeError(
-            f"reconstructed realization misses the behavior by {float(roundtrip[i])!r}")
+            f"reconstructed realization misses the behavior by {float(rec.roundtrip[i])!r}")
 
-    canonical = np.full((k, 5), np.nan)
-    win = np.full(k, -1)
-    folds = np.zeros((k, 4), bool)
     fit = np.array([i for i in solved.tolist() if i not in errors], dtype=int)
-    canonical[fit], win[fit], folds[fit] = canonicalize_many(raw[fit], sector=True)
-    for i in fit[win[fit] < 0].tolist():
+    rec.canonical[fit], rec.win[fit], rec.folds[fit] = canonicalize_many(raw[fit], sector=True)
+    for i in fit[rec.win[fit] < 0].tolist():
         errors[i] = DegenerateThetaError(
             f"no image of theta={float(raw[i, 0])!r} lies in the requested sector")
-    return Reconstructions(residuals, canonical, roundtrip, win, folds, gauge, errors)
+    return rec
 
 
 def _reconstruct_one(p: Behavior) -> Reconstructions:
