@@ -27,7 +27,7 @@ from .errors import (
     NotSelfTestingError,
     QsetError,
 )
-from .realization import QubitRealization, in_canonical_range
+from .realization import QubitRealization, _in_canonical_range
 from .steering import modified_angles_raw, pi_interval, steered_many
 from .symmetry import SymmetryElement, matrix
 from .tolerances import TOL_CLAMP, TOL_EQ
@@ -259,7 +259,7 @@ def alternation_margins(params) -> tuple[np.ndarray, dict[int, Exception]]:
         [b0 - at[:, :, 0].T, at[:, :, 1].T - b0, b1 - at[:, :, 1].T, b0, math.pi - b1], axis=1)
     errors: dict[int, Exception] = {}
     for i, row in enumerate(params.tolist()):
-        if not in_canonical_range(*row):
+        if not _in_canonical_range(*row):
             errors[i] = ValueError("full_alternation_check requires a canonical realization")
         elif abs(math.sin(2 * row[0])) < 1e-12:
             errors[i] = DegenerateThetaError(f"theta={row[0]!r} is 0 mod pi/2")
@@ -523,12 +523,15 @@ def classify_many(v) -> BatchClassification:
 
 
 def classify(p: Behavior) -> Classification:
-    """Compose the certification pipeline into a verdict: ``classify_many``
-    on a batch of one.
+    """Compose the certification pipeline into a verdict: ``validate``, then
+    ``classify_many`` on a batch of one.
 
     Local / ExtremalExposed / ExtremalNonExposed / NonExtremalInQ /
     FailsNecessaryQ2Pure, with Indeterminate reserved for the reconstruction
     dead ends listed in Failure.  NonExtremalInQ and FailsNecessaryQ2Pure
     never assert Q-membership; their caveat records that.
     """
+    violations = validate(p)
+    if violations:
+        raise InvalidBehaviorError(violations)
     return classify_many(p.vector[None]).classification(0)

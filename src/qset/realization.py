@@ -36,9 +36,6 @@ __all__ = [
     "born_vector",
     "born_jacobian",
     "canonicalize",
-    "canonicalize_many",
-    "in_canonical_range",
-    "canonical_witness",
     "apply_relabeling",
     "sample_realization",
 ]
@@ -65,7 +62,7 @@ class QubitRealization:
     def is_canonical(self, tol: float = TOL_EQ) -> bool:
         """True when the parameters lie in the reduced range
         theta in [0, pi), 0 <= a0 <= b0 <= b1 < pi, a0 <= a1 < pi."""
-        return in_canonical_range(*self.params(), tol)
+        return _in_canonical_range(*self.params(), tol)
 
     def params(self) -> tuple[float, float, float, float, float]:
         return (self.theta, self.a[0], self.a[1], self.b[0], self.b[1])
@@ -82,7 +79,7 @@ class QubitRealization:
         )
 
 
-def in_canonical_range(theta, a0, a1, b0, b1, tol: float = TOL_EQ) -> bool:
+def _in_canonical_range(theta, a0, a1, b0, b1, tol: float = TOL_EQ) -> bool:
     """True when theta in [0, pi), 0 <= a0 <= b0 <= b1 < pi and a0 <= a1 < pi,
     each bound widened by ``tol``."""
     return (
@@ -265,18 +262,18 @@ def _candidate_tables():
             amap[:, 2].astype(float), np.array(ai).T.copy(), tuple(ridx))
 
 
-#: Rows per ``canonicalize_many`` chunk: each row expands to 1024 candidates.
+#: Rows per ``_canonicalize_many`` chunk: each row expands to 1024 candidates.
 CANONICALIZE_CHUNK = 8
 
 
-def canonicalize_many(params: np.ndarray, sector: bool = False
+def _canonicalize_many(params: np.ndarray, sector: bool = False
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``canonicalize`` over the rows of an (N, 5) array of (theta, a0, a1, b0, b1).
 
     Returns the canonical parameters (N, 5), the index of the winning
     gauge x relabeling candidate per row (-1 where no image satisfies the
     constraints; that row's parameters are NaN) and its (N, 4) fold flags,
-    from which ``canonical_witness`` builds the witness element.
+    from which ``_canonical_witness`` builds the witness element.
     """
     tsgn, toff, ti, asrc, asgn, aoff, ai, _ = _candidate_tables()
     n = len(params)
@@ -310,8 +307,8 @@ def canonicalize_many(params: np.ndarray, sector: bool = False
     return out, win, folds
 
 
-def canonical_witness(win: int, fold) -> SymmetryElement:
-    """Witness element of a ``canonicalize_many`` row from its candidate index
+def _canonical_witness(win: int, fold) -> SymmetryElement:
+    """Witness element of a ``_canonicalize_many`` row from its candidate index
     and fold flags."""
     base = group_elements()[_candidate_tables()[7][win]]
     extra = tuple(bool(fold[s]) != bool(base.output_flip[s]) for s in range(4))
@@ -335,13 +332,13 @@ def canonicalize(r: QubitRealization, sector: bool = False) -> tuple[QubitRealiz
     With sector=True the result is additionally required to have
     theta in (0, pi/4]; a product-state input then raises DegenerateThetaError.
     """
-    out, win, folds = canonicalize_many(np.array([r.params()]), sector)
+    out, win, folds = _canonicalize_many(np.array([r.params()]), sector)
     if win[0] < 0:
         raise DegenerateThetaError(
             f"no image of theta={r.theta!r} lies in the requested sector")
     theta, a0, a1, b0, b1 = out[0].tolist()
     return (QubitRealization(theta=theta, a=(a0, a1), b=(b0, b1)),
-            canonical_witness(win[0], folds[0]))
+            _canonical_witness(win[0], folds[0]))
 
 
 _CONSTRAINTS = {"canonical", "fully-alternating", "strictly-alternating", "non-alternating"}

@@ -30,7 +30,7 @@ from .errors import (
     QsetError,
 )
 from .extremality import _nonlocal_steered, _sector_terms, _selftest_residuals
-from .realization import QubitRealization, born_vector, canonical_witness, canonicalize_many
+from .realization import QubitRealization, _canonical_witness, _canonicalize_many, born_vector
 from .symmetry import SymmetryElement
 from .tolerances import TOL_EQ, TOL_RECON
 
@@ -178,7 +178,7 @@ class Reconstructions:
         self.residuals = residuals                # (k, 4) self-test residuals
         self.canonical = np.full((k, 5), np.nan)
         self.roundtrip = np.full(k, np.nan)       # NaN where not reached
-        self.win = np.full(k, -1)                 # canonicalize_many candidate
+        self.win = np.full(k, -1)                 # _canonicalize_many candidate
         self.folds = np.zeros((k, 4), bool)
         self.gauge: dict[int, tuple] = {}         # row -> gauge data of _solve_gauge
         self.errors: dict[int, QsetError] = {}
@@ -200,7 +200,7 @@ class Reconstructions:
             theta_branches=(theta, math.pi - theta),
             gauge_residual=gauge_residual,
             roundtrip_error=float(self.roundtrip[k]),
-            relabeling=canonical_witness(self.win[k], self.folds[k]),
+            relabeling=_canonical_witness(self.win[k], self.folds[k]),
         )
 
 
@@ -237,7 +237,7 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, asin: np.ndarray) -> Reconstr
             f"reconstructed realization misses the behavior by {float(rec.roundtrip[i])!r}")
 
     fit = np.array([i for i in solved.tolist() if i not in errors], dtype=int)
-    rec.canonical[fit], rec.win[fit], rec.folds[fit] = canonicalize_many(raw[fit], sector=True)
+    rec.canonical[fit], rec.win[fit], rec.folds[fit] = _canonicalize_many(raw[fit], sector=True)
     for i in fit[rec.win[fit] < 0].tolist():
         errors[i] = DegenerateThetaError(
             f"no image of theta={float(raw[i, 0])!r} lies in the requested sector")

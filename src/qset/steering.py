@@ -81,10 +81,8 @@ def modified_angles_raw(theta, a):
     """
     theta = np.asarray(theta, float)
     a = np.asarray(a, float)
-    sh, ch = np.sin(a / 2), np.cos(a / 2)
-    st, ct = np.sin(theta), np.cos(theta)
-    plus = 2 * np.arctan2(sh * st, ch * ct)
-    minus = 2 * np.arctan2(sh * ct, ch * st)
+    plus = 2 * np.arctan2(np.sin(a / 2) * np.sin(theta), np.cos(a / 2) * np.cos(theta))
+    minus = 2 * np.arctan2(np.sin(a / 2) * np.cos(theta), np.cos(a / 2) * np.sin(theta))
     return np.stack([plus, minus])
 
 
