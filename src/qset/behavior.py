@@ -80,9 +80,6 @@ class Behavior:
         )
 
 
-ZERO_BEHAVIOR = Behavior((0.0, 0.0), (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
-
-
 @dataclass(frozen=True)
 class BellFunctional:
     """Linear functional on behaviors.

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .realization import QubitRealization, _in_canonical_range
 from .steering import modified_angles_raw, pi_interval, steered_many
-from .symmetry import SymmetryElement, matrix
+from .symmetry import SymmetryElement, signed_permutation
 from .tolerances import TOL_CLAMP, TOL_EQ
 
 __all__ = [
@@ -63,8 +63,8 @@ _T_IDX = np.array([0 if t == 1 else 1 for _, t in SECTOR_PAIRS])
 #: Criterion sign patterns (e00, e01, e10, e11), in the order they are tried.
 _PATTERNS = np.array(SIGN_PATTERNS, dtype=float)[:, :, None]
 
-#: Behavior-vector permutation that exchanges Alice and Bob.
-_PARTY_SWAP = np.array([2, 3, 0, 1, 4, 6, 5, 7])
+#: Behavior-vector permutation that exchanges Alice and Bob (its signs are all +1).
+_PARTY_SWAP = signed_permutation(SymmetryElement(party_swap=True))[0]
 
 
 def asin_clamped(x) -> np.ndarray:
@@ -364,9 +364,7 @@ def _reference_relabelings() -> tuple[tuple[SymmetryElement, ...], np.ndarray, n
     signed permutation of behavior vectors (image = sign * v[perm])."""
     elems = tuple(pattern_to_reference_relabeling(_pattern(k))
                   for k in range(len(SIGN_PATTERNS)))
-    mats = np.array([matrix(g) for g in elems])
-    perms = np.argmax(np.abs(mats), axis=2)
-    signs = np.take_along_axis(mats, perms[:, :, None], axis=2)[:, :, 0]
+    perms, signs = (np.array(rows) for rows in zip(*map(signed_permutation, elems)))
     return elems, perms, signs
 
 

@@ -107,15 +107,13 @@ def _phase1_float(a_mat: np.ndarray, b: np.ndarray, tol: float = 1e-11,
     z = np.zeros(n + m)
     for i in range(m):
         z[basis[i]] = tab[i, -1]
-    cols = np.hstack([a_mat, np.eye(m)])
-    basis_mat = cols[:, basis]
-    cost_b = np.array([1.0 if j >= n else 0.0 for j in basis])
-    y = np.linalg.solve(basis_mat.T, cost_b)
-    return float(obj), z[:n], sign * y
+    # artificial column i has cost 1 and reduced cost 1 - y_i
+    return float(obj), z[:n], sign * (1.0 - red[n:])
 
 
 def _phase1_exact(a_rows: list[list[Fraction]], b: list[Fraction], max_iter: int = 2000):
-    """Exact-arithmetic variant of the phase-1 simplex (Bland's rule)."""
+    """Exact-arithmetic variant of the phase-1 simplex (Bland's rule); returns
+    (objective, solution, dual) as ``_phase1_float`` does."""
     m, n = len(a_rows), len(a_rows[0])
     zero, one = Fraction(0), Fraction(1)
     sign = [one if bi >= 0 else -one for bi in b]
@@ -157,7 +155,7 @@ def _phase1_exact(a_rows: list[list[Fraction]], b: list[Fraction], max_iter: int
     z = [zero] * (n + m)
     for i in range(m):
         z[basis[i]] = tab[i][-1]
-    return obj, z[:n], basis, tab, [s for s in sign]
+    return obj, z[:n], [s * (one - r) for s, r in zip(sign, red[n:])]
 
 
 def local_membership_lp(p: Behavior) -> tuple[bool, object]:
@@ -189,35 +187,11 @@ def local_membership_lp(p: Behavior) -> tuple[bool, object]:
     a_rows = [[Fraction(int(x)) for x in _VERTEX_MATRIX[i]] for i in range(8)]
     a_rows.append([Fraction(1)] * 16)
     b_exact = [Fraction(float(t)) for t in target] + [Fraction(1)]
-    obj_e, z_e, basis, tab, sign = _phase1_exact(a_rows, b_exact)
+    obj_e, z_e, y = _phase1_exact(a_rows, b_exact)
     if obj_e == 0:
         weights = np.array([float(x) for x in z_e])
         return True, weights
-    # exact dual via basis solve in rationals: y^T B = c_B
-    mdim = 9
-    cols = [[a_rows[i][j] * sign[i] for i in range(mdim)] for j in range(16)]
-    cols += [[(Fraction(1) if i == k else Fraction(0)) for i in range(mdim)] for k in range(mdim)]
-    bmat = [[cols[basis[r]][i] for r in range(mdim)] for i in range(mdim)]
-    cb = [Fraction(1) if basis[r] >= 16 else Fraction(0) for r in range(mdim)]
-    y = _solve_exact(bmat, cb)
-    beta_vec = np.array([float(sign[i] * y[i]) for i in range(8)])
-    return False, BellFunctional.from_vector(beta_vec)
-
-
-def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve mat^T y = rhs by Gaussian elimination in rationals."""
-    n = len(rhs)
-    aug = [[mat[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][-1] for i in range(n)]
+    return False, BellFunctional.from_vector([float(x) for x in y[:8]])
 
 
 def _grid_value(beta_vec: np.ndarray, res: int) -> tuple[float, np.ndarray]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .behavior import Behavior
 from .errors import DegenerateThetaError, SamplingError
-from .symmetry import SymmetryElement, group_elements
+from .symmetry import SymmetryElement, group_elements, signed_permutation
 from .tolerances import TOL_EQ
 
 __all__ = [
@@ -179,17 +179,15 @@ def born_point_matrix(r: QubitRealization) -> Behavior:
 
 
 def apply_relabeling(g: SymmetryElement, r: QubitRealization) -> QubitRealization:
-    """Realization-level relabeling: born_point(g . R) = apply_symmetry(g, born_point(R))."""
-    a, b = list(r.a), list(r.b)
-    if g.party_swap:
-        a, b = b, a
-    if g.input_swap_a:
-        a = [a[1], a[0]]
-    if g.input_swap_b:
-        b = [b[1], b[0]]
-    a = [a[x] + (PI if g.output_flip[x] else 0.0) for x in range(2)]
-    b = [b[y] + (PI if g.output_flip[2 + y] else 0.0) for y in range(2)]
-    return QubitRealization(theta=r.theta, a=(a[0], a[1]), b=(b[0], b[1]))
+    """Realization-level relabeling: born_point(g . R) = apply_symmetry(g, born_point(R)).
+
+    Marginal slot k of the behavior is cos(2 theta) cos(angle k), so g moves
+    the angles (a0, a1, b0, b1) as it moves the marginals, and an output
+    flip adds pi to the flipped angle."""
+    perm, sign = signed_permutation(g)
+    angles = np.array(r.a + r.b)[perm[:4]] + np.where(sign[:4] < 0, PI, 0.0)
+    a0, a1, b0, b1 = angles.tolist()
+    return QubitRealization(theta=r.theta, a=(a0, a1), b=(b0, b1))
 
 
 # --- local-unitary gauge moves --------------------------------------------
@@ -242,18 +240,14 @@ def _candidate_tables():
     ti, ai, ridx = [], [], []
     for emt, kmt, ea, ka, eb, kb in _gauge_moves():
         for ri, g in enumerate(group_elements()):
-            perm = [0, 1, 2, 3]
-            if g.party_swap:
-                perm = [2, 3, 0, 1]
-            if g.input_swap_a:
-                perm[0], perm[1] = perm[1], perm[0]
-            if g.input_swap_b:
-                perm[2], perm[3] = perm[3], perm[2]
+            # angle slots move as the marginals do (see apply_relabeling)
+            perm, sign = signed_permutation(g)
+            perm, flip = perm[:4].tolist(), (sign[:4] < 0).tolist()
             e_src = [ea, ea, eb, eb]
             k_src = [ka, ka, kb, kb]
             ti.append(theta_maps.setdefault((emt, kmt), len(theta_maps)))
             ai.append([angle_maps.setdefault(
-                (perm[s], e_src[perm[s]], k_src[perm[s]] + (1 if g.output_flip[s] else 0)),
+                (perm[s], e_src[perm[s]], k_src[perm[s]] + flip[s]),
                 len(angle_maps)) for s in range(4)])
             ridx.append(ri)
     tmap = np.array(list(theta_maps), dtype=float)

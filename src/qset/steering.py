@@ -31,6 +31,7 @@ from .errors import (
     QsetError,
 )
 from .realization import QubitRealization, born_point
+from .symmetry import SymmetryElement, apply_symmetry
 from .tolerances import TOL_CLAMP
 
 __all__ = [
@@ -152,8 +153,7 @@ def steered_table(r: QubitRealization) -> SteeredCorrelators:
 # --- Alice/Bob exchange -----------------------------------------------------
 
 def swap_parties(p: Behavior) -> Behavior:
-    return Behavior(marg_a=p.marg_b, marg_b=p.marg_a,
-                    corr=((p.corr[0][0], p.corr[1][0]), (p.corr[0][1], p.corr[1][1])))
+    return apply_symmetry(SymmetryElement(party_swap=True), p)
 
 
 def swap_parties_realization(r: QubitRealization) -> QubitRealization:

@@ -5,7 +5,9 @@ output flips.  The action on a behavior applies the stages in the order
 party swap -> input swaps -> output flips, with the flips indexed by the
 *final* measurement labels (A0, A1, B0, B1).  Every element acts as a
 signed permutation on the 8-component behavior vector, so orbits are exact
-in floating point.
+in floating point.  ``signed_permutation`` reads that action from one table
+built once from the elements' fields; every relabeling in the package,
+here and in the other modules, applies it from there.
 
 The group is generated programmatically by closure over the three
 generator families rather than hardcoding its order.
@@ -24,6 +26,7 @@ from .behavior import Behavior
 __all__ = [
     "SymmetryElement",
     "apply_symmetry",
+    "signed_permutation",
     "group_elements",
     "generators",
     "generated_closure",
@@ -50,38 +53,23 @@ class SymmetryElement:
 
 def apply_symmetry(g: SymmetryElement, p: Behavior) -> Behavior:
     """Relabeled behavior g . p."""
-    ma = list(p.marg_a)
-    mb = list(p.marg_b)
-    c = [list(p.corr[0]), list(p.corr[1])]
+    perm, sign = signed_permutation(g)
+    return Behavior.from_vector(sign * p.vector[perm])
+
+
+def _action(g: SymmetryElement) -> tuple[list[int], list[float]]:
+    """Signed permutation (perm, sign) of g: the image of v is sign * v[perm]."""
+    ma, mb, c = [0, 1], [2, 3], [[4, 5], [6, 7]]
     if g.party_swap:
         ma, mb = mb, ma
         c = [[c[0][0], c[1][0]], [c[0][1], c[1][1]]]
     if g.input_swap_a:
-        ma = [ma[1], ma[0]]
-        c = [c[1], c[0]]
+        ma, c = ma[::-1], c[::-1]
     if g.input_swap_b:
-        mb = [mb[1], mb[0]]
-        c = [[c[0][1], c[0][0]], [c[1][1], c[1][0]]]
-    sa = [-1.0 if g.output_flip[x] else 1.0 for x in range(2)]
-    sb = [-1.0 if g.output_flip[2 + y] else 1.0 for y in range(2)]
-    return Behavior(
-        marg_a=(sa[0] * ma[0], sa[1] * ma[1]),
-        marg_b=(sb[0] * mb[0], sb[1] * mb[1]),
-        corr=(
-            (sa[0] * sb[0] * c[0][0], sa[0] * sb[1] * c[0][1]),
-            (sa[1] * sb[0] * c[1][0], sa[1] * sb[1] * c[1][1]),
-        ),
-    )
-
-
-def matrix(g: SymmetryElement) -> np.ndarray:
-    """8x8 signed permutation matrix of the action on behavior vectors."""
-    cols = []
-    for k in range(8):
-        e = np.zeros(8)
-        e[k] = 1.0
-        cols.append(apply_symmetry(g, Behavior.from_vector(e)).vector)
-    return np.array(cols).T
+        mb, c = mb[::-1], [row[::-1] for row in c]
+    sa = [-1.0 if f else 1.0 for f in g.output_flip[:2]]
+    sb = [-1.0 if f else 1.0 for f in g.output_flip[2:]]
+    return ma + mb + c[0] + c[1], sa + sb + [x * y for x in sa for y in sb]
 
 
 def _all_tuples() -> Iterator[SymmetryElement]:
@@ -93,16 +81,23 @@ def _all_tuples() -> Iterator[SymmetryElement]:
                     yield SymmetryElement(p, ia, ib, flips)
 
 
-def _key(m: np.ndarray) -> bytes:
-    return np.asarray(np.rint(m), dtype=np.int8).tobytes()
-
-
 @functools.lru_cache(maxsize=1)
-def _tables() -> tuple[tuple[SymmetryElement, ...], dict[bytes, SymmetryElement], dict]:
+def _tables() -> tuple[tuple[SymmetryElement, ...], dict, np.ndarray, np.ndarray, dict]:
+    """The elements in enumeration order, their indices, the (128, 8) perm and
+    sign arrays of their actions, and the element of each (perm, sign)."""
     elems = tuple(_all_tuples())
-    by_key = {_key(matrix(g)): g for g in elems}
-    mats = {g: matrix(g) for g in elems}
-    return elems, by_key, mats
+    perm, sign = (np.array(rows) for rows in zip(*map(_action, elems)))
+    perm.flags.writeable = sign.flags.writeable = False
+    index = {g: k for k, g in enumerate(elems)}
+    by_action = {(perm[k].tobytes(), sign[k].tobytes()): g for k, g in enumerate(elems)}
+    return elems, index, perm, sign, by_action
+
+
+def signed_permutation(g: SymmetryElement) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (perm, sign) of g's action: g . v = sign * v[perm]."""
+    _, index, perm, sign, _ = _tables()
+    k = index[g]
+    return perm[k], sign[k]
 
 
 def group_elements() -> tuple[SymmetryElement, ...]:
@@ -137,27 +132,26 @@ def generated_closure() -> set[SymmetryElement]:
 
 def compose(g2: SymmetryElement, g1: SymmetryElement) -> SymmetryElement:
     """Element acting as g2 after g1."""
-    _, by_key, mats = _tables()
-    return by_key[_key(mats[g2] @ mats[g1])]
+    p2, s2 = signed_permutation(g2)
+    p1, s1 = signed_permutation(g1)
+    return _tables()[4][(p1[p2].tobytes(), (s2 * s1[p2]).tobytes())]
 
 
 def inverse(g: SymmetryElement) -> SymmetryElement:
-    _, by_key, mats = _tables()
-    return by_key[_key(mats[g].T)]
+    perm, sign = signed_permutation(g)
+    back = np.argsort(perm)
+    return _tables()[4][(back.tobytes(), sign[back].tobytes())]
 
 
 def canonical_behavior(p: Behavior) -> tuple[Behavior, SymmetryElement]:
     """Lexicographically minimal orbit representative and a witnessing element.
 
     The witness g satisfies apply_symmetry(g, p) == returned behavior, exactly
-    (signed permutations involve no rounding).
+    (signed permutations involve no rounding); among elements reaching the
+    minimum it is the first in ``group_elements()`` order.
     """
-    best: tuple | None = None
-    best_g = SymmetryElement.identity()
-    best_b = p
-    for g in group_elements():
-        q = apply_symmetry(g, p)
-        key = tuple(q.vector)
-        if best is None or key < best:
-            best, best_g, best_b = key, g, q
-    return best_b, best_g
+    elems, _, perm, sign, _ = _tables()
+    orbit = sign * p.vector[perm]
+    # lexsort is stable and its last key is the primary one
+    k = np.lexsort(orbit.T[::-1])[0]
+    return Behavior.from_vector(orbit[k]), elems[k]

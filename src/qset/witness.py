@@ -114,6 +114,14 @@ def solve_sector(r: QubitRealization, sector: tuple[int, int]
     D).  Sector (-1, +1) is excluded for theta in (0, pi/4].
     """
     _require_sector_range(r)
+    coeffs, companion, d = _solve_sector_at(r, sector, born_point(r).vector, tangent_basis(r))
+    return coeffs, companion[2:4].copy(), d
+
+
+def _solve_sector_at(r: QubitRealization, sector: tuple[int, int], p_vec: np.ndarray,
+                     basis: TangentBasis) -> tuple[np.ndarray, np.ndarray, float]:
+    """``solve_sector`` given born_point(r).vector and tangent_basis(r), for a
+    realization in the sector range; returns (coeffs, companion point P + v, D)."""
     s, t = sector
     if (s, t) == (-1, 1):
         raise ExcludedSectorError("sector (-1, +1) has no solution for theta in (0, pi/4]")
@@ -131,10 +139,7 @@ def solve_sector(r: QubitRealization, sector: tuple[int, int]
         -2 * math.sin((a0s - a1t) / 2) / d,
         0.0,
     ])
-    basis = tangent_basis(r)
-    companion = born_point(r).vector + coeffs @ basis.vecs
-    alphas = companion[2:4].copy()
-    return coeffs, alphas, d
+    return coeffs, p_vec + coeffs @ basis.vecs, d
 
 
 def delta_condition(r: QubitRealization, sector: tuple[int, int]) -> np.ndarray:
@@ -178,13 +183,14 @@ def find_witness(r: QubitRealization) -> FlatnessWitness | None:
     basis = tangent_basis(r)
     for sector in SECTOR_ORDER:
         try:
-            coeffs, alphas, _ = solve_sector(r, sector)
+            coeffs, companion, _ = _solve_sector_at(r, sector, p_vec, basis)
         except DegenerateDenominatorError:
             continue
+        alphas = companion[2:4].copy()
         if np.max(np.abs(alphas)) > 1.0 + TOL_EQ:
             continue
         deltas = delta_condition(r, sector)
-        local_vec = np.clip(p_vec + coeffs @ basis.vecs, -1.0, 1.0)
+        local_vec = np.clip(companion, -1.0, 1.0)
         local_point = Behavior.from_vector(local_vec)
         if validate(local_point) or not is_local(local_point):
             continue

@@ -274,7 +274,7 @@ def test_exact_simplex_paths_directly():
 
     # feasible: the uniform behavior
     b = [Fraction(0)] * 8 + [Fraction(1)]
-    obj, z, basis, tab, sign = _phase1_exact(a_rows, b)
+    obj, z, _ = _phase1_exact(a_rows, b)
     assert obj == 0
     weights = np.array([float(x) for x in z])
     assert np.max(np.abs(_VERTEX_MATRIX @ weights)) < 1e-15
@@ -283,8 +283,12 @@ def test_exact_simplex_paths_directly():
     # infeasible: the Tsirelson point is outside the polytope
     pt = born_point(TSIRELSON).vector
     b = [Fraction(float(x)) for x in pt] + [Fraction(1)]
-    obj, *_ = _phase1_exact(a_rows, b)
+    obj, _, y = _phase1_exact(a_rows, b)
     assert obj > 0
+    # the dual's behavior part separates the point from every vertex, exactly
+    score = sum(y[i] * b[i] for i in range(8))
+    vertex_scores = [sum(y[i] * a_rows[i][j] for i in range(8)) for j in range(16)]
+    assert score > max(vertex_scores)
 
 
 def test_decomposition_cross_validates_non_extremal_verdicts():

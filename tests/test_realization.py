@@ -142,7 +142,7 @@ def test_apply_relabeling_commutes_with_born():
     rng = np.random.default_rng(6)
     r = QubitRealization(rng.uniform(0, PI), tuple(rng.uniform(0, PI, 2)),
                          tuple(rng.uniform(0, PI, 2)))
-    for g in group_elements()[::11]:
+    for g in group_elements():
         lhs = born_point(apply_relabeling(g, r)).vector
         rhs = apply_symmetry(g, born_point(r)).vector
         assert np.allclose(lhs, rhs, atol=1e-12)

@@ -213,6 +213,32 @@ def test_find_witness_pi8_edge_boundary():
     assert np.max(np.abs(wit.alphas)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_find_witness_builds_point_and_basis_once(monkeypatch):
+    import qset.witness as witness
+
+    calls = {"born_point": 0, "tangent_basis": 0}
+
+    def counted(name):
+        original = getattr(witness, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(witness, name, counted(name))
+    # TSIRELSON tries all three sectors; R16 and PI8_EDGE stop at a witness
+    for r in (TSIRELSON, R16, PI8_EDGE):
+        calls.update(born_point=0, tangent_basis=0)
+        wit = witness.find_witness(r)
+        assert calls == {"born_point": 1, "tangent_basis": 1}
+        if wit is not None:
+            coeffs, alphas, _ = solve_sector(r, wit.sector)
+            assert np.array_equal(wit.coeffs, coeffs)
+            assert np.array_equal(wit.alphas, alphas)
+
+
 def test_witness_invariants_and_flatness():
     rng = np.random.default_rng(36)
     found = 0
