@@ -436,13 +436,17 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
         raise InvalidBehaviorError(violations)
     target = p.vector
     rng = np.random.default_rng(seed)
-
-    from scipy.optimize import least_squares
-
     best = None
 
     def polish(start: np.ndarray, retries: int) -> None:
         nonlocal best
+        # Imported here rather than per module or per search: loading
+        # scipy.optimize takes about 0.65 s and 47 MiB, and searches that
+        # never polish (strictly alternating points) should not pay it.
+        # Resolved on every polish, so a wrapper patched onto
+        # scipy.optimize.least_squares is the function that runs.
+        from scipy.optimize import least_squares
+
         q = start
         for _ in range(retries):
             res = least_squares(_residual, q, jac=_residual_jac, args=(target,),

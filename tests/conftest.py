@@ -1,8 +1,10 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
-
+import qset
 from qset import Behavior, QubitRealization, born_point, validate
 
 PI = math.pi
@@ -53,3 +55,17 @@ def random_valid_behavior(rng: np.random.Generator) -> Behavior:
         p = Behavior.from_vector(v)
         if not validate(p):
             return p
+
+
+def qset_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports the same qset as the tests.
+
+    ``pythonpath`` in pyproject.toml reaches only the pytest process, so
+    subprocesses get the directory holding the imported package prepended
+    to ``PYTHONPATH``.
+    """
+    src = str(Path(qset.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    rest = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + os.pathsep + rest if rest else src
+    return env

@@ -9,7 +9,7 @@ import pytest
 from qset import Behavior, born_point
 from qset.cli import main
 
-from conftest import NONALT, PI8_EDGE, TSIRELSON, fails_necessary_mixture
+from conftest import NONALT, PI8_EDGE, TSIRELSON, fails_necessary_mixture, qset_env
 
 PI = math.pi
 
@@ -62,7 +62,7 @@ def test_malformed_flag_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "qset.cli", "eval", "--theta", "abc",
          "--a0", "0", "--a1", "0", "--b0", "0", "--b1", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=qset_env())
     assert proc.returncode == 2
     assert proc.stderr
 
@@ -200,7 +200,7 @@ def test_stdin_input(tmp_path):
     payload = json.dumps(born_point(PI8_EDGE).to_json_dict())
     proc = subprocess.run(
         [sys.executable, "-m", "qset.cli", "classify", "--input", "-"],
-        input=payload, capture_output=True, text=True)
+        input=payload, capture_output=True, text=True, env=qset_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "ExtremalNonExposed"
 
@@ -243,12 +243,21 @@ def test_eval_selftest_shell_pipeline():
         [sys.executable, "-m", "qset.cli", "eval", "--theta", repr(PI / 8),
          "--a0", "0", "--a1", repr(PI / 2), "--b0", repr(PI / 4),
          "--b1", repr(3 * PI / 4), "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=qset_env())
     assert eval_proc.returncode == 0
     st_proc = subprocess.run(
         [sys.executable, "-m", "qset.cli", "selftest", "--input", "-"],
-        input=eval_proc.stdout, capture_output=True, text=True)
+        input=eval_proc.stdout, capture_output=True, text=True, env=qset_env())
     assert st_proc.returncode == 0
     doc = json.loads(st_proc.stdout)
     assert doc["realization"]["theta"] == pytest.approx(PI / 8, abs=1e-6)
     assert doc["realization"]["a"] == pytest.approx([0.0, PI / 2], abs=1e-6)
+
+
+def test_python_m_qset_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qset", "eval", *realization_flags(TSIRELSON), "--json"],
+        capture_output=True, text=True, env=qset_env())
+    assert proc.returncode == 0, proc.stderr
+    p = Behavior.from_json_dict(json.loads(proc.stdout))
+    assert np.allclose(p.vector, born_point(TSIRELSON).vector, atol=1e-12)

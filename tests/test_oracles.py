@@ -264,6 +264,28 @@ def test_decomposition_deterministic_given_seed():
     assert r1.separation == r2.separation
 
 
+def test_polish_looks_up_least_squares_on_every_call(monkeypatch):
+    # A wrapper patched onto scipy.optimize after its first import must be
+    # the function the polish runs, and must not change its result.
+    p = born_point(NONALT)
+    plain = decomposition_search(p, trials=100, seed=7, hint=NONALT)
+
+    import scipy.optimize
+
+    real = scipy.optimize.least_squares
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", counting)
+    wrapped = decomposition_search(p, trials=100, seed=7, hint=NONALT)
+    assert calls
+    assert (wrapped.found, wrapped.residual, wrapped.separation) \
+        == (plain.found, plain.residual, plain.separation)
+
+
 def test_exact_simplex_paths_directly():
     # the exact fallback is rarely reached through the public API; drive it directly
     from fractions import Fraction
