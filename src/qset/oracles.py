@@ -441,7 +441,7 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
     def polish(start: np.ndarray, retries: int) -> None:
         nonlocal best
         # Imported here rather than per module or per search: loading
-        # scipy.optimize takes about 0.65 s and 47 MiB, and searches that
+        # scipy.optimize takes about 0.5 s and 47 MiB, and searches that
         # never polish (strictly alternating points) should not pay it.
         # Resolved on every polish, so a wrapper patched onto
         # scipy.optimize.least_squares is the function that runs.

@@ -18,9 +18,6 @@ from qset.cli import main
 
 def loaded():
     return "scipy.optimize" in sys.modules
-
-def realization(theta, a, b):
-    return QubitRealization(theta, a, b)
 """
 
 
@@ -32,7 +29,7 @@ def _run(body: str, *args: str) -> dict:
 
 
 def _literal(r) -> str:
-    return f"realization({r.theta!r}, {tuple(r.a)!r}, {tuple(r.b)!r})"
+    return f"QubitRealization({r.theta!r}, {tuple(r.a)!r}, {tuple(r.b)!r})"
 
 
 def test_paths_without_a_polish_leave_scipy_optimize_unloaded(tmp_path):
