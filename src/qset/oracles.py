@@ -310,6 +310,8 @@ class DecompositionResult:
     lam: float
     residual: float
     separation: float
+    nfev: int       # residual evaluations summed over all polishes
+    capped: int     # polishes stopped by the evaluation ceiling
 
 
 def _parts_from_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,41 +338,143 @@ def _decomp_objective(x: np.ndarray, target: np.ndarray) -> np.ndarray:
     return res2 + 25.0 * hinge ** 2
 
 
-def _residual(q: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Polish residual: the 8 mixture deviations from ``target`` plus a guard
-    that grows as the parts come closer than 0.01 in max norm."""
+def _residual_sep(q: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_residual`` of parameter rows (..., 22), with the parts' separation
+    (max norm of p1 - p2) of each row."""
     p1, p2 = _parts_from_params(q)
-    sep = np.max(np.abs(p1 - p2))
-    guard = 5.0 * max(0.0, 0.01 - sep)
-    return np.append(0.5 * (p1 + p2) - target, guard)
+    sep = np.max(np.abs(p1 - p2), axis=-1)
+    guard = 5.0 * np.maximum(0.0, 0.01 - sep)
+    return np.concatenate([0.5 * (p1 + p2) - target, guard[..., None]], axis=-1), sep
+
+
+def _residual(q: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Polish residual (..., 9) of parameter rows (..., 22): the 8 mixture
+    deviations from ``target`` plus a guard that grows as the parts come
+    closer than 0.01 in max norm."""
+    return _residual_sep(q, target)[0]
 
 
 def _residual_jac(q: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Closed-form Jacobian (9, 22) of ``_residual``.
+    """Closed-form Jacobian (..., 9, 22) of ``_residual``.
 
     The guard row is a subgradient: the derivative of -|p1_i - p2_i| at the
     component i of largest separation while the guard is active, else zero."""
-    reals = q[:20].reshape(4, 5)
-    comps = born_vector(*reals.T)
-    dcomps = born_jacobian(*reals.T)
-    w = 1.0 / (1.0 + np.exp(-q[20:22]))
+    lead = q.shape[:-1]
+    reals = q[..., :20].reshape(*lead, 4, 5)
+    params = [reals[..., k] for k in range(5)]
+    comps = born_vector(*params)            # (..., 4, 8)
+    dcomps = born_jacobian(*params)         # (..., 4, 8, 5)
+    w = 1.0 / (1.0 + np.exp(-q[..., 20:22]))
     dw = w * (1.0 - w)
-    # d p1 / dq and d p2 / dq, each (8, 22)
-    j1 = np.zeros((8, 22))
-    j1[:, 0:5] = w[0] * dcomps[0]
-    j1[:, 5:10] = (1 - w[0]) * dcomps[1]
-    j1[:, 20] = dw[0] * (comps[0] - comps[1])
-    j2 = np.zeros((8, 22))
-    j2[:, 10:15] = w[1] * dcomps[2]
-    j2[:, 15:20] = (1 - w[1]) * dcomps[3]
-    j2[:, 21] = dw[1] * (comps[2] - comps[3])
-    jac = np.zeros((9, 22))
-    jac[:8] = 0.5 * (j1 + j2)
-    diff = (w[0] * comps[0] + (1 - w[0]) * comps[1]) - (w[1] * comps[2] + (1 - w[1]) * comps[3])
-    i = int(np.argmax(np.abs(diff)))
-    if abs(diff[i]) < 0.01:
-        jac[8] = -5.0 * np.sign(diff[i]) * (j1[i] - j2[i])
+    # d p1 / dq and d p2 / dq, each (..., 8, 22)
+    j1 = np.zeros(lead + (8, 22))
+    j1[..., 0:5] = w[..., 0, None, None] * dcomps[..., 0, :, :]
+    j1[..., 5:10] = (1 - w[..., 0, None, None]) * dcomps[..., 1, :, :]
+    j1[..., 20] = dw[..., 0:1] * (comps[..., 0, :] - comps[..., 1, :])
+    j2 = np.zeros(lead + (8, 22))
+    j2[..., 10:15] = w[..., 1, None, None] * dcomps[..., 2, :, :]
+    j2[..., 15:20] = (1 - w[..., 1, None, None]) * dcomps[..., 3, :, :]
+    j2[..., 21] = dw[..., 1:2] * (comps[..., 2, :] - comps[..., 3, :])
+    jac = np.zeros(lead + (9, 22))
+    jac[..., :8, :] = 0.5 * (j1 + j2)
+    diff = (w[..., 0:1] * comps[..., 0, :] + (1 - w[..., 0:1]) * comps[..., 1, :]) \
+        - (w[..., 1:2] * comps[..., 2, :] + (1 - w[..., 1:2]) * comps[..., 3, :])
+    i = np.argmax(np.abs(diff), axis=-1)[..., None]
+    di = np.take_along_axis(diff, i, axis=-1)                              # (..., 1)
+    dj = np.take_along_axis(j1 - j2, i[..., None], axis=-2)[..., 0, :]    # (..., 22)
+    jac[..., 8, :] = np.where(np.abs(di) < 0.01, -5.0 * np.sign(di) * dj, 0.0)
     return jac
+
+
+#: Residual evaluations one polish may spend.
+POLISH_MAX_NFEV = 1200
+#: Stall rule.  A polish in the flat regime (|J^T r| < _STALL_GRADIENT |r|:
+#: the residual points out of the range the Jacobian can reach) stops once
+#: its pace over the last _STALL_WINDOW evaluations, continued, would need
+#: more than _STALL_MARGIN times the evaluations it has left to bring the
+#: cost down to the found threshold.  Flat faces creep at ~0.005 nats per
+#: evaluation with ~30 to go; genuine splits that creep do so within a few
+#: nats of the threshold, or faster.
+_STALL_GRADIENT = 0.03
+_STALL_WINDOW = 40
+_STALL_MARGIN = 8.0
+_COST_TARGET = 0.5 * FOUND_RESIDUAL ** 2
+
+
+def _found(mixres: np.ndarray, sep: np.ndarray) -> np.ndarray:
+    return (mixres <= FOUND_RESIDUAL) & (sep >= FOUND_SEPARATION)
+
+
+def _mixres(r: np.ndarray) -> np.ndarray:
+    """Max-norm mixture residual of polish residual rows (..., 9)."""
+    return np.max(np.abs(r[..., :8]), axis=-1)
+
+
+def _polish(q: np.ndarray, target: np.ndarray, stop_at_first: bool = False
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt on ``_residual`` for each row of ``q`` (S, 22).
+
+    Each step solves the 9x9 system (J J^T + mu I) y = r and moves by
+    h = -J^T y; mu follows the ratio of actual to predicted cost reduction
+    (Nielsen's rule).  A row stops when it is found, after POLISH_MAX_NFEV
+    residual evaluations, or when it stalls (see _STALL_WINDOW) or its step
+    no longer moves it.  Rows do not interact: each gets the result it gets
+    as a batch of one, unless ``stop_at_first`` ends the whole batch at the
+    first step where some row is found.
+
+    Returns the final rows (S, 22), the residual evaluations per row and
+    which rows the evaluation ceiling stopped.
+    """
+    x = np.array(q, dtype=float)
+    r, sep = _residual_sep(x, target)
+    nfev = np.ones(len(x), dtype=int)
+    jac = _residual_jac(x, target)
+    grad = np.einsum("sij,si->sj", jac, r)
+    cost = 0.5 * np.sum(r * r, axis=-1)
+    mu = 1e-3 * np.max(np.sum(jac * jac, axis=-2), axis=-1)
+    nu = np.full(len(x), 2.0)
+    # cost (floored at the target) after each of the last _STALL_WINDOW evaluations
+    window = np.repeat(np.maximum(cost, _COST_TARGET)[:, None], _STALL_WINDOW, axis=1)
+    capped = np.zeros(len(x), dtype=bool)
+    active = np.flatnonzero(~_found(_mixres(r), sep))
+    while active.size:
+        ja, ra = jac[active], r[active]
+        lhs = np.einsum("sij,skj->sik", ja, ja) + mu[active, None, None] * np.eye(9)
+        y = np.linalg.solve(lhs, ra[..., None])[..., 0]
+        h = -np.einsum("sij,si->sj", ja, y)
+        xn = x[active] + h
+        rn, sepn = _residual_sep(xn, target)
+        nfev[active] += 1
+        gain = cost[active] - 0.5 * np.sum(rn * rn, axis=-1)
+        still = np.linalg.norm(h, axis=-1) <= 1e-15 * (1e-15 + np.linalg.norm(x[active], axis=-1))
+        ok = gain > 0
+        acc, rej = active[ok], active[~ok]
+        if acc.size:
+            # the predicted reduction is positive wherever h != 0
+            pred = 0.5 * np.sum(h[ok] * (mu[acc, None] * h[ok] - grad[acc]), axis=-1)
+            rho = gain[ok] / pred
+            x[acc], r[acc], sep[acc], cost[acc] = xn[ok], rn[ok], sepn[ok], cost[acc] - gain[ok]
+            jac[acc] = _residual_jac(x[acc], target)
+            grad[acc] = np.einsum("sij,si->sj", jac[acc], r[acc])
+            mu[acc] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu[acc] = 2.0
+        mu[rej] *= nu[rej]
+        nu[rej] *= 2.0
+        slot = nfev[active] % _STALL_WINDOW
+        floored = np.maximum(cost[active], _COST_TARGET)
+        pace = np.log(window[active, slot] / floored) / _STALL_WINDOW
+        window[active, slot] = floored
+        need = np.log(floored / _COST_TARGET)
+        left = POLISH_MAX_NFEV - nfev[active]
+        flat = np.linalg.norm(grad[active], axis=-1) < _STALL_GRADIENT * np.linalg.norm(r[active], axis=-1)
+        found = _found(_mixres(r[active]), sep[active])
+        capped[active] = ~found & (left <= 0)
+        stalled = ~found & (still | (flat & (nfev[active] > _STALL_WINDOW)
+                                     & (need > _STALL_MARGIN * pace * left)))
+        if stop_at_first and found.any():
+            break
+        active = active[~(found | stalled | capped[active])]
+    return x, nfev, capped
 
 
 def _structured_seeds(hint: QubitRealization) -> list[np.ndarray]:
@@ -425,11 +529,11 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
     """Seek a proper convex decomposition p = (p1 + p2)/2 with p1 != p2.
 
     Multistart stochastic descent over two 2-component mixtures of pure-qubit
-    behaviors, followed by a quasi-Newton polish of the most promising starts.
-    A hint realization of ``p`` adds starts seeded along its flat-witness
-    directions (one family per admissible sector), each polished with a
-    couple of basin-hopping retries.  Absence of a decomposition is evidence,
-    not proof.
+    behaviors, followed by a Levenberg-Marquardt polish of the most promising
+    starts.  A hint realization of ``p`` adds starts seeded along its
+    flat-witness directions (one family per admissible sector), polished
+    together with a couple of basin-hopping retries; the first of them to
+    reach a split wins.  Absence of a decomposition is evidence, not proof.
     """
     violations = validate(p)
     if violations:
@@ -437,38 +541,35 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
     target = p.vector
     rng = np.random.default_rng(seed)
     best = None
+    nfev = capped = 0
 
-    def polish(start: np.ndarray, retries: int) -> None:
-        nonlocal best
-        # Imported here rather than per module or per search: loading
-        # scipy.optimize takes about 0.5 s and 47 MiB, and searches that
-        # never polish (strictly alternating points) should not pay it.
-        # Resolved on every polish, so a wrapper patched onto
-        # scipy.optimize.least_squares is the function that runs.
-        from scipy.optimize import least_squares
-
-        q = start
+    def polish(starts: np.ndarray, retries: int) -> bool:
+        """Polish the rows of ``starts`` together; True once one is found."""
+        nonlocal best, nfev, capped
+        q = starts
         for _ in range(retries):
-            res = least_squares(_residual, q, jac=_residual_jac, args=(target,),
-                                xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=1200)
-            p1v, p2v = _parts_from_params(res.x)
-            mixres = float(np.max(np.abs(0.5 * (p1v + p2v) - target)))
-            sep = float(np.max(np.abs(p1v - p2v)))
-            if best is None or (mixres, -sep) < (best[0], -best[1]):
-                best = (mixres, sep, p1v, p2v)
-            if mixres <= FOUND_RESIDUAL and sep >= FOUND_SEPARATION:
-                return
-            if mixres > 1e-2:
-                return  # hopeless basin; retries will not rescue it
-            q = res.x + rng.normal(0.0, 0.15, size=22)
-
-    if hint is not None:
-        for ws in _structured_seeds(hint):
-            polish(ws, retries=2)
-            if best is not None and best[0] <= FOUND_RESIDUAL and best[1] >= FOUND_SEPARATION:
+            if not len(q):
                 break
+            x, n, c = _polish(q, target, stop_at_first=True)
+            nfev += int(n.sum())
+            capped += int(c.sum())
+            p1v, p2v = _parts_from_params(x)
+            mixres = np.max(np.abs(0.5 * (p1v + p2v) - target), axis=-1)
+            sep = np.max(np.abs(p1v - p2v), axis=-1)
+            found = _found(mixres, sep)
+            # the first found row, else the lowest residual (widest split on ties)
+            i = int(np.argmax(found)) if found.any() else int(np.lexsort((-sep, mixres))[0])
+            if found[i] or best is None or (mixres[i], -sep[i]) < (best[0], -best[1]):
+                best = (float(mixres[i]), float(sep[i]), p1v[i], p2v[i])
+            if found[i]:
+                return True
+            # a row left above 1e-2 sits in a hopeless basin; retries will not rescue it
+            x = x[mixres <= 1e-2]
+            q = x + rng.normal(0.0, 0.15, size=x.shape)
+        return False
 
-    if best is None or best[0] > FOUND_RESIDUAL or best[1] < FOUND_SEPARATION:
+    seeds = _structured_seeds(hint) if hint is not None else []
+    if not polish(np.array(seeds), retries=2):
         x = np.empty((trials, 22))
         x[:, 0:20] = rng.uniform(0.0, math.pi, size=(trials, 20))
         x[:, [0, 5, 10, 15]] = rng.uniform(0.0, math.pi / 2, size=(trials, 4))
@@ -483,18 +584,15 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
             x[better] = prop[better]
             f[better] = fp[better]
             scale *= decay
-        order = np.argsort(f)
-        for i in order[:polish_top]:
-            if f[i] > 1e-3:
-                break
-            polish(x[i], retries=1)
+        top = np.argsort(f)[:polish_top]
+        polish(x[top[f[top] <= 1e-3]], retries=1)
 
     if best is None:
         p1v, p2v = _parts_from_params(rng.uniform(0.0, math.pi, 22))
         best = (float(np.max(np.abs(0.5 * (p1v + p2v) - target))),
                 float(np.max(np.abs(p1v - p2v))), p1v, p2v)
     mixres, sep, p1v, p2v = best
-    found = bool(mixres <= FOUND_RESIDUAL and sep >= FOUND_SEPARATION)
+    found = bool(_found(mixres, sep))
     return DecompositionResult(
         found=found,
         p1=Behavior.from_vector(p1v) if found else None,
@@ -502,4 +600,6 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
         lam=0.5,
         residual=mixres,
         separation=sep,
+        nfev=nfev,
+        capped=capped,
     )

@@ -1,7 +1,7 @@
-"""Cold-import guard: scipy.optimize loads only when a decomposition polish runs.
+"""Cold-import guard: no qset path loads scipy.
 
-Each check runs in a fresh interpreter, since the test process itself may
-have imported scipy already.
+The check runs in a fresh interpreter, since the test process itself may
+have imported scipy already (the test extra installs it).
 """
 
 import json
@@ -10,59 +10,48 @@ import sys
 
 from conftest import NONALT, TSIRELSON, qset_env
 
-PRELUDE = """
+BODY = """
 import json, sys
+
+def loaded():
+    return "scipy" in sys.modules
+
+seen = {}
 from qset import (CHSH, QubitRealization, bell_max_q2, born_point,
                   decomposition_search, local_membership_lp)
 from qset.cli import main
-
-def loaded():
-    return "scipy.optimize" in sys.modules
-"""
-
-
-def _run(body: str, *args: str) -> dict:
-    proc = subprocess.run([sys.executable, "-c", PRELUDE + body, *args],
-                          capture_output=True, text=True, env=qset_env())
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def _literal(r) -> str:
-    return f"QubitRealization({r.theta!r}, {tuple(r.a)!r}, {tuple(r.b)!r})"
-
-
-def test_paths_without_a_polish_leave_scipy_optimize_unloaded(tmp_path):
-    path = tmp_path / "behavior.json"
-    out = tmp_path / "out.json"
-    body = f"""
-r = {_literal(TSIRELSON)}
-p = born_point(r)
-seen = {{"import qset": loaded()}}
+seen["import qset"] = loaded()
+p = born_point(QubitRealization(*json.loads(sys.argv[1])))
 local_membership_lp(p)
 seen["local_membership_lp"] = loaded()
 bell_max_q2(CHSH)
 seen["bell_max_q2"] = loaded()
-decomposition_search(p, trials=300, seed=1, hint=r)
+r = QubitRealization(*json.loads(sys.argv[2]))
+found = decomposition_search(born_point(r), trials=100, seed=7, hint=r).found
 seen["decomposition_search"] = loaded()
-with open(sys.argv[1], "w") as fh:
+with open(sys.argv[3], "w") as fh:
     json.dump(p.to_json_dict(), fh)
-seen["cli exit code"] = main(["oracle", "local", "--input", sys.argv[1],
-                              "--output", sys.argv[2]])
-seen["cli"] = loaded()
-print(json.dumps(seen))
+code = main(["oracle", "decompose", "--input", sys.argv[3], "--trials", "50",
+             "--output", sys.argv[4]])
+seen["qset oracle decompose"] = loaded()
+print(json.dumps({"seen": seen, "found": found, "code": code}))
 """
-    seen = _run(body, str(path), str(out))
-    assert seen.pop("cli exit code") == 0
-    assert json.loads(out.read_text())["local"] is False
-    assert seen == {"import qset": False, "local_membership_lp": False,
-                    "bell_max_q2": False, "decomposition_search": False, "cli": False}
 
 
-def test_polishing_search_loads_scipy_optimize():
-    body = f"""
-r = {_literal(NONALT)}
-res = decomposition_search(born_point(r), trials=100, seed=7, hint=r)
-print(json.dumps({{"found": res.found, "loaded": loaded()}}))
-"""
-    assert _run(body) == {"found": True, "loaded": True}
+def _args(r) -> str:
+    return json.dumps([r.theta, list(r.a), list(r.b)])
+
+
+def test_no_path_loads_scipy(tmp_path):
+    path, out = tmp_path / "behavior.json", tmp_path / "out.json"
+    proc = subprocess.run([sys.executable, "-c", BODY, _args(TSIRELSON), _args(NONALT),
+                           str(path), str(out)],
+                          capture_output=True, text=True, env=qset_env())
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["found"] is True  # the NONALT search polishes its way to a split
+    assert result["code"] == 0
+    assert "found" in json.loads(out.read_text())
+    assert result["seen"] == {"import qset": False, "local_membership_lp": False,
+                              "bell_max_q2": False, "decomposition_search": False,
+                              "qset oracle decompose": False}

@@ -25,8 +25,10 @@ from qset import (
 from qset.oracles import (
     FOUND_RESIDUAL,
     FOUND_SEPARATION,
+    POLISH_MAX_NFEV,
     _coordinate_form,
     _grid_value,
+    _polish,
     _residual,
     _residual_jac,
     _structured_seeds,
@@ -169,37 +171,102 @@ def test_coordinate_form_traces_the_functional():
 
 
 def residual_central_differences(q: np.ndarray, target: np.ndarray, h: float = 1e-7):
+    """Central differences of ``_residual`` over a batch q (S, 22): (S, 9, 22)."""
     cols = [(_residual(q + h * e, target) - _residual(q - h * e, target)) / (2 * h)
-            for e in np.eye(q.size)]
+            for e in np.eye(q.shape[-1])]
     return np.stack(cols, axis=-1)
+
+
+def assert_batch_matches_rows(q: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The batched residual and Jacobian equal the per-row calls; returns the
+    batched Jacobian."""
+    res, jac = _residual(q, target), _residual_jac(q, target)
+    assert res.shape == (len(q), 9) and jac.shape == (len(q), 9, 22)
+    for k, row in enumerate(q):
+        assert np.array_equal(res[k], _residual(row[None], target)[0])
+        assert np.array_equal(jac[k], _residual_jac(row[None], target)[0])
+        assert np.array_equal(jac[k], _residual_jac(row, target))
+    assert np.max(np.abs(jac - residual_central_differences(q, target))) < 1e-7
+    return jac
 
 
 def test_residual_jacobian_matches_central_differences():
     rng = np.random.default_rng(72)
-    for _ in range(10):
-        q = np.concatenate([rng.uniform(0.0, PI, 20), rng.normal(0.0, 1.0, 2)])
-        target = born_point(TSIRELSON).vector
-        assert _residual(q, target)[8] == 0.0  # parts far apart: guard inactive
-        jac = _residual_jac(q, target)
-        assert jac.shape == (9, 22)
-        assert not np.any(jac[8])
-        assert np.max(np.abs(jac - residual_central_differences(q, target))) < 1e-7
+    q = np.concatenate([rng.uniform(0.0, PI, (10, 20)), rng.normal(0.0, 1.0, (10, 2))], axis=1)
+    target = born_point(TSIRELSON).vector
+    assert not np.any(_residual(q, target)[:, 8])  # parts far apart: guard inactive
+    jac = assert_batch_matches_rows(q, target)
+    assert not np.any(jac[:, 8])
 
 
 def test_residual_jacobian_with_active_separation_guard():
     rng = np.random.default_rng(73)
-    checked = 0
-    while checked < 10:
+    rows = []
+    while len(rows) < 10:
         q = np.concatenate([rng.uniform(0.0, PI, 20), rng.normal(0.0, 1.0, 2)])
         q[10:20] = q[0:10] + rng.normal(0.0, 1e-3, 10)  # part 2 just off part 1
         q[21] = q[20]
-        target = born_point(NONALT).vector
-        if _residual(q, target)[8] <= 0.0:
-            continue
-        checked += 1
-        jac = _residual_jac(q, target)
-        assert np.any(jac[8])
-        assert np.max(np.abs(jac - residual_central_differences(q, target))) < 1e-7
+        if _residual(q, born_point(NONALT).vector)[8] > 0.0:
+            rows.append(q)
+    # mixed batch: guard active on the first ten rows, inactive on the last two
+    q = np.concatenate([rows, rng.uniform(0.0, PI, (2, 22))])
+    jac = assert_batch_matches_rows(q, born_point(NONALT).vector)
+    assert np.all(np.any(jac[:10, 8], axis=-1)) and not np.any(jac[10:, 8])
+
+
+#: Non-alternating point whose a1, b0 and b1 lie within 0.1 of each other
+#: near pi.
+HARD = QubitRealization(0.671953533568655, (0.41641406478734183, 3.0459034798488647),
+                        (2.9833928229489652, 3.034202363464429))
+
+
+@pytest.mark.parametrize("ceiling, n_capped", [(POLISH_MAX_NFEV, 0), (40, 6)])
+def test_polish_batch_rows_match_batches_of_one(monkeypatch, ceiling, n_capped):
+    # HARD's structured seeds (found after 29, 29, ~650 and ~650 evaluations)
+    # and four random rows (stalled); under the lowered ceiling every row but
+    # the first two is capped
+    monkeypatch.setattr("qset.oracles.POLISH_MAX_NFEV", ceiling)
+    rng = np.random.default_rng(74)
+    target = born_point(HARD).vector
+    q = np.concatenate([_structured_seeds(HARD), rng.uniform(0.0, PI, (4, 22))])
+    x, nfev, capped = _polish(q, target)
+    assert x.shape == q.shape and nfev.shape == capped.shape == (len(q),)
+    assert np.all(nfev <= ceiling)
+    assert np.sum(capped) == n_capped
+    for k in range(len(q)):
+        xk, nk, ck = _polish(q[k:k + 1], target)
+        assert np.array_equal(x[k], xk[0]) and nfev[k] == nk[0] and capped[k] == ck[0]
+
+
+def test_polish_stops_at_the_first_found_row():
+    target = born_point(NONALT).vector
+    q = np.array(_structured_seeds(NONALT))
+    x, nfev, _ = _polish(q, target, stop_at_first=True)
+    alone = [_polish(q[k:k + 1], target)[1][0] for k in range(len(q))]
+    assert np.max(nfev) == min(alone)
+    res = _residual(x, target)
+    assert np.any(np.max(np.abs(res[:, :8]), axis=-1) <= FOUND_RESIDUAL)
+
+
+#: Non-alternating point whose structured seeds all creep in the flat regime
+#: for about 500 evaluations before they converge.
+SLOW = QubitRealization(0.5043178699086907, (0.46956582766960764, 1.351696939934224),
+                        (0.8478930953087691, 3.052758141355598))
+
+
+def test_polish_lets_a_slow_genuine_split_converge():
+    target = born_point(SLOW).vector
+    x, nfev, capped = _polish(np.array(_structured_seeds(SLOW)), target)
+    res = _residual(x, target)
+    assert np.all(np.max(np.abs(res[:, :8]), axis=-1) <= FOUND_RESIDUAL)
+    assert np.all(nfev > 500) and not np.any(capped)
+
+
+def test_polish_on_a_flat_face_stalls_before_the_ceiling():
+    res = decomposition_search(born_point(PI8_EDGE), trials=300, seed=1, hint=PI8_EDGE)
+    assert not res.found
+    assert res.nfev > 0
+    assert res.capped == 0
 
 
 def test_decomposition_uniform():
@@ -230,10 +297,8 @@ def test_decomposition_not_found_on_extremal():
 def test_decomposition_found_at_near_degenerate_non_alternating_point():
     # a1, b0 and b1 lie within 0.1 of each other near pi; the polish needs an
     # exact Jacobian to reach the found threshold here
-    r = QubitRealization(0.671953533568655, (0.41641406478734183, 3.0459034798488647),
-                         (2.9833928229489652, 3.034202363464429))
-    p = born_point(r)
-    res = decomposition_search(p, trials=200, seed=6, hint=r)
+    p = born_point(HARD)
+    res = decomposition_search(p, trials=200, seed=6, hint=HARD)
     assert res.found
     assert res.residual <= FOUND_RESIDUAL
     assert res.separation >= FOUND_SEPARATION
@@ -262,28 +327,6 @@ def test_decomposition_deterministic_given_seed():
     r2 = decomposition_search(p, trials=100, seed=7, hint=NONALT)
     assert r1.residual == r2.residual
     assert r1.separation == r2.separation
-
-
-def test_polish_looks_up_least_squares_on_every_call(monkeypatch):
-    # A wrapper patched onto scipy.optimize after its first import must be
-    # the function the polish runs, and must not change its result.
-    p = born_point(NONALT)
-    plain = decomposition_search(p, trials=100, seed=7, hint=NONALT)
-
-    import scipy.optimize
-
-    real = scipy.optimize.least_squares
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "least_squares", counting)
-    wrapped = decomposition_search(p, trials=100, seed=7, hint=NONALT)
-    assert calls
-    assert (wrapped.found, wrapped.residual, wrapped.separation) \
-        == (plain.found, plain.residual, plain.separation)
 
 
 def test_exact_simplex_paths_directly():
