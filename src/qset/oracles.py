@@ -339,23 +339,19 @@ def _decomp_objective(x: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _residual_sep(q: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_residual`` of parameter rows (..., 22), with the parts' separation
-    (max norm of p1 - p2) of each row."""
+    """Polish residual (..., 9) of parameter rows (..., 22), and the parts'
+    separation (max norm of p1 - p2) of each row.
+
+    The residual holds the 8 mixture deviations from ``target`` plus a guard
+    that grows as the parts come closer than 0.01 in max norm."""
     p1, p2 = _parts_from_params(q)
     sep = np.max(np.abs(p1 - p2), axis=-1)
     guard = 5.0 * np.maximum(0.0, 0.01 - sep)
     return np.concatenate([0.5 * (p1 + p2) - target, guard[..., None]], axis=-1), sep
 
 
-def _residual(q: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Polish residual (..., 9) of parameter rows (..., 22): the 8 mixture
-    deviations from ``target`` plus a guard that grows as the parts come
-    closer than 0.01 in max norm."""
-    return _residual_sep(q, target)[0]
-
-
 def _residual_jac(q: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Closed-form Jacobian (..., 9, 22) of ``_residual``.
+    """Closed-form Jacobian (..., 9, 22) of the residual of ``_residual_sep``.
 
     The guard row is a subgradient: the derivative of -|p1_i - p2_i| at the
     component i of largest separation while the guard is active, else zero."""
@@ -410,56 +406,102 @@ def _mixres(r: np.ndarray) -> np.ndarray:
     return np.max(np.abs(r[..., :8]), axis=-1)
 
 
-def _polish(q: np.ndarray, target: np.ndarray, stop_at_first: bool = False
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Levenberg-Marquardt on ``_residual`` for each row of ``q`` (S, 22).
+def _boundary_step(s: np.ndarray, vt: np.ndarray, uf: np.ndarray, delta: np.ndarray,
+                   alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt steps of length ``delta`` (Moré 1978), per row.
 
-    Each step solves the 9x9 system (J J^T + mu I) y = r and moves by
-    h = -J^T y; mu follows the ratio of actual to predicted cost reduction
-    (Nielsen's rule).  A row stops when it is found, after POLISH_MAX_NFEV
-    residual evaluations, or when it stalls (see _STALL_WINDOW) or its step
-    no longer moves it.  Rows do not interact: each gets the result it gets
-    as a batch of one, unless ``stop_at_first`` ends the whole batch at the
-    first step where some row is found.
+    With J = U diag(s) V^T (9 singular values, since J is 9x22) and uf = U^T r,
+    the step h(a) = -J^T (J J^T + a I)^{-1} r = -V diag(s / (s^2 + a)) uf.
+    The damping a comes from safeguarded Newton iterations on |h(a)| = delta,
+    warm-started at ``alpha``, until |h(a)| is within 1% of delta (at most
+    10); h is then scaled onto the boundary.  As in scipy's TRF for a
+    Jacobian with fewer rows than columns, the undamped Gauss-Newton step is
+    never taken, even when it is shorter than delta: that is where the
+    Newton iterations run out, and the step is stretched to delta.
+    Returns the steps and their damping."""
+    suf = s * uf
+    upper = np.linalg.norm(suf, axis=-1) / delta
+    lower = np.zeros_like(upper)
+    a = np.where(alpha == 0.0, 1e-3 * upper, alpha)
+    live = np.ones(len(a), dtype=bool)
+    for _ in range(10):
+        reset = live & ((a < lower) | (a > upper))
+        a = np.where(reset, np.maximum(1e-3 * upper, np.sqrt(lower * upper)), a)
+        denom = s * s + a[:, None]
+        norm = np.linalg.norm(suf / denom, axis=-1)
+        phi = norm - delta
+        newton = phi / (-np.sum(suf * suf / denom ** 3, axis=-1) / norm)
+        upper = np.where(live & (phi < 0), a, upper)
+        lower = np.where(live, np.maximum(lower, a - newton), lower)
+        a = np.where(live, a - (phi + delta) * newton / delta, a)
+        live &= np.abs(phi) >= 0.01 * delta
+        if not live.any():
+            break
+    h = -np.einsum("sij,si->sj", vt, suf / (s * s + a[:, None]))
+    h *= (delta / np.linalg.norm(h, axis=-1))[:, None]
+    return h, a
 
-    Returns the final rows (S, 22), the residual evaluations per row and
-    which rows the evaluation ceiling stopped.
+
+def _polish(q: np.ndarray, target: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Trust-region Levenberg-Marquardt on the residual of ``_residual_sep``
+    for each row of ``q`` (S, 22), until some row is found.
+
+    Each evaluation tries a boundary step (``_boundary_step``) of the row's
+    trust radius, which starts at |q| and moves with the ratio rho of actual
+    to predicted cost reduction: a quarter of the step below rho = 0.25,
+    doubled above rho = 0.75.  A row stops after POLISH_MAX_NFEV residual
+    evaluations, when it stalls (see _STALL_WINDOW), or when its radius or
+    its gradient vanishes.  Rows do not interact, except that the whole
+    batch ends at the first evaluation after which some row is found.
+
+    Returns per row: the final parameters (S, 22), mixture residual,
+    separation, residual evaluations, and whether the evaluation ceiling
+    stopped it.
     """
     x = np.array(q, dtype=float)
     r, sep = _residual_sep(x, target)
     nfev = np.ones(len(x), dtype=int)
     jac = _residual_jac(x, target)
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
     grad = np.einsum("sij,si->sj", jac, r)
     cost = 0.5 * np.sum(r * r, axis=-1)
-    mu = 1e-3 * np.max(np.sum(jac * jac, axis=-2), axis=-1)
-    nu = np.full(len(x), 2.0)
+    delta = np.linalg.norm(x, axis=-1)
+    delta[delta == 0.0] = 1.0
+    alpha = np.zeros(len(x))
     # cost (floored at the target) after each of the last _STALL_WINDOW evaluations
     window = np.repeat(np.maximum(cost, _COST_TARGET)[:, None], _STALL_WINDOW, axis=1)
     capped = np.zeros(len(x), dtype=bool)
-    active = np.flatnonzero(~_found(_mixres(r), sep))
+    mixres = _mixres(r)
+    # rows at a stationary point have no step
+    active = np.flatnonzero(np.any(grad != 0.0, axis=-1))
+    if _found(mixres, sep).any():
+        active = active[:0]
     while active.size:
-        ja, ra = jac[active], r[active]
-        lhs = np.einsum("sij,skj->sik", ja, ja) + mu[active, None, None] * np.eye(9)
-        y = np.linalg.solve(lhs, ra[..., None])[..., 0]
-        h = -np.einsum("sij,si->sj", ja, y)
-        xn = x[active] + h
-        rn, sepn = _residual_sep(xn, target)
+        uf = np.einsum("sji,sj->si", u[active], r[active])
+        h, a = _boundary_step(s[active], vt[active], uf, delta[active], alpha[active])
+        jh = np.einsum("sij,sj->si", jac[active], h)
+        pred = -(0.5 * np.sum(jh * jh, axis=-1) + np.sum(grad[active] * h, axis=-1))
+        rn, sepn = _residual_sep(x[active] + h, target)
         nfev[active] += 1
         gain = cost[active] - 0.5 * np.sum(rn * rn, axis=-1)
-        still = np.linalg.norm(h, axis=-1) <= 1e-15 * (1e-15 + np.linalg.norm(x[active], axis=-1))
+        rho = np.where(pred > 0, gain / np.where(pred > 0, pred, 1.0), 0.0)
+        step = delta[active]
+        radius = np.where(rho < 0.25, 0.25 * step,
+                          np.where(rho > 0.75, 2.0 * step, step))
+        alpha[active] = a * step / radius
+        delta[active] = radius
         ok = gain > 0
-        acc, rej = active[ok], active[~ok]
+        acc = active[ok]
         if acc.size:
-            # the predicted reduction is positive wherever h != 0
-            pred = 0.5 * np.sum(h[ok] * (mu[acc, None] * h[ok] - grad[acc]), axis=-1)
-            rho = gain[ok] / pred
-            x[acc], r[acc], sep[acc], cost[acc] = xn[ok], rn[ok], sepn[ok], cost[acc] - gain[ok]
+            x[acc] += h[ok]
+            r[acc], sep[acc], cost[acc] = rn[ok], sepn[ok], cost[acc] - gain[ok]
+            mixres[acc] = _mixres(rn[ok])
             jac[acc] = _residual_jac(x[acc], target)
+            u[acc], s[acc], vt[acc] = np.linalg.svd(jac[acc], full_matrices=False)
             grad[acc] = np.einsum("sij,si->sj", jac[acc], r[acc])
-            mu[acc] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            nu[acc] = 2.0
-        mu[rej] *= nu[rej]
-        nu[rej] *= 2.0
+        if _found(mixres[acc], sep[acc]).any():
+            break
         slot = nfev[active] % _STALL_WINDOW
         floored = np.maximum(cost[active], _COST_TARGET)
         pace = np.log(window[active, slot] / floored) / _STALL_WINDOW
@@ -467,14 +509,12 @@ def _polish(q: np.ndarray, target: np.ndarray, stop_at_first: bool = False
         need = np.log(floored / _COST_TARGET)
         left = POLISH_MAX_NFEV - nfev[active]
         flat = np.linalg.norm(grad[active], axis=-1) < _STALL_GRADIENT * np.linalg.norm(r[active], axis=-1)
-        found = _found(_mixres(r[active]), sep[active])
-        capped[active] = ~found & (left <= 0)
-        stalled = ~found & (still | (flat & (nfev[active] > _STALL_WINDOW)
-                                     & (need > _STALL_MARGIN * pace * left)))
-        if stop_at_first and found.any():
-            break
-        active = active[~(found | stalled | capped[active])]
-    return x, nfev, capped
+        still = (step <= 1e-15 * (1e-15 + np.linalg.norm(x[active], axis=-1))) \
+            | ~np.any(grad[active] != 0.0, axis=-1)
+        capped[active] = left <= 0
+        stalled = still | (flat & (nfev[active] > _STALL_WINDOW) & (need > _STALL_MARGIN * pace * left))
+        active = active[~(stalled | capped[active])]
+    return x, mixres, sep, nfev, capped
 
 
 def _structured_seeds(hint: QubitRealization) -> list[np.ndarray]:
@@ -529,11 +569,12 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
     """Seek a proper convex decomposition p = (p1 + p2)/2 with p1 != p2.
 
     Multistart stochastic descent over two 2-component mixtures of pure-qubit
-    behaviors, followed by a Levenberg-Marquardt polish of the most promising
-    starts.  A hint realization of ``p`` adds starts seeded along its
-    flat-witness directions (one family per admissible sector), polished
-    together with a couple of basin-hopping retries; the first of them to
-    reach a split wins.  Absence of a decomposition is evidence, not proof.
+    behaviors, followed by a trust-region Levenberg-Marquardt polish of the
+    most promising starts.  A hint realization of ``p`` adds starts seeded
+    along its flat-witness directions (one family per admissible sector),
+    polished together with a couple of basin-hopping retries; the first of
+    them to reach a split wins.  Absence of a decomposition is evidence, not
+    proof.
     """
     violations = validate(p)
     if violations:
@@ -550,17 +591,14 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
         for _ in range(retries):
             if not len(q):
                 break
-            x, n, c = _polish(q, target, stop_at_first=True)
+            x, mixres, sep, n, c = _polish(q, target)
             nfev += int(n.sum())
             capped += int(c.sum())
-            p1v, p2v = _parts_from_params(x)
-            mixres = np.max(np.abs(0.5 * (p1v + p2v) - target), axis=-1)
-            sep = np.max(np.abs(p1v - p2v), axis=-1)
             found = _found(mixres, sep)
             # the first found row, else the lowest residual (widest split on ties)
             i = int(np.argmax(found)) if found.any() else int(np.lexsort((-sep, mixres))[0])
             if found[i] or best is None or (mixres[i], -sep[i]) < (best[0], -best[1]):
-                best = (float(mixres[i]), float(sep[i]), p1v[i], p2v[i])
+                best = (float(mixres[i]), float(sep[i]), *_parts_from_params(x[i]))
             if found[i]:
                 return True
             # a row left above 1e-2 sits in a hopeless basin; retries will not rescue it

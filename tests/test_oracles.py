@@ -28,8 +28,9 @@ from qset.oracles import (
     POLISH_MAX_NFEV,
     _coordinate_form,
     _grid_value,
+    _found,
     _polish,
-    _residual,
+    _residual_sep,
     _residual_jac,
     _structured_seeds,
 )
@@ -171,19 +172,19 @@ def test_coordinate_form_traces_the_functional():
 
 
 def residual_central_differences(q: np.ndarray, target: np.ndarray, h: float = 1e-7):
-    """Central differences of ``_residual`` over a batch q (S, 22): (S, 9, 22)."""
-    cols = [(_residual(q + h * e, target) - _residual(q - h * e, target)) / (2 * h)
-            for e in np.eye(q.shape[-1])]
+    """Central differences of the polish residual over a batch q (S, 22): (S, 9, 22)."""
+    cols = [(_residual_sep(q + h * e, target)[0] - _residual_sep(q - h * e, target)[0])
+            / (2 * h) for e in np.eye(q.shape[-1])]
     return np.stack(cols, axis=-1)
 
 
 def assert_batch_matches_rows(q: np.ndarray, target: np.ndarray) -> np.ndarray:
     """The batched residual and Jacobian equal the per-row calls; returns the
     batched Jacobian."""
-    res, jac = _residual(q, target), _residual_jac(q, target)
+    res, jac = _residual_sep(q, target)[0], _residual_jac(q, target)
     assert res.shape == (len(q), 9) and jac.shape == (len(q), 9, 22)
     for k, row in enumerate(q):
-        assert np.array_equal(res[k], _residual(row[None], target)[0])
+        assert np.array_equal(res[k], _residual_sep(row[None], target)[0][0])
         assert np.array_equal(jac[k], _residual_jac(row[None], target)[0])
         assert np.array_equal(jac[k], _residual_jac(row, target))
     assert np.max(np.abs(jac - residual_central_differences(q, target))) < 1e-7
@@ -194,7 +195,7 @@ def test_residual_jacobian_matches_central_differences():
     rng = np.random.default_rng(72)
     q = np.concatenate([rng.uniform(0.0, PI, (10, 20)), rng.normal(0.0, 1.0, (10, 2))], axis=1)
     target = born_point(TSIRELSON).vector
-    assert not np.any(_residual(q, target)[:, 8])  # parts far apart: guard inactive
+    assert not np.any(_residual_sep(q, target)[0][:, 8])  # parts far apart: guard inactive
     jac = assert_batch_matches_rows(q, target)
     assert not np.any(jac[:, 8])
 
@@ -206,7 +207,7 @@ def test_residual_jacobian_with_active_separation_guard():
         q = np.concatenate([rng.uniform(0.0, PI, 20), rng.normal(0.0, 1.0, 2)])
         q[10:20] = q[0:10] + rng.normal(0.0, 1e-3, 10)  # part 2 just off part 1
         q[21] = q[20]
-        if _residual(q, born_point(NONALT).vector)[8] > 0.0:
+        if _residual_sep(q, born_point(NONALT).vector)[0][8] > 0.0:
             rows.append(q)
     # mixed batch: guard active on the first ten rows, inactive on the last two
     q = np.concatenate([rows, rng.uniform(0.0, PI, (2, 22))])
@@ -219,47 +220,73 @@ def test_residual_jacobian_with_active_separation_guard():
 HARD = QubitRealization(0.671953533568655, (0.41641406478734183, 3.0459034798488647),
                         (2.9833928229489652, 3.034202363464429))
 
+#: Non-alternating points whose splits only one or two of their structured
+#: seeds reach: (realization, search seed).
+FEW_SEEDS = [
+    (QubitRealization(0.7341631130469009, (1.340579043504867, 2.3338752419994964),
+                      (2.38353121346546, 2.439561530574193)), 2),
+    (QubitRealization(0.7663859108449057, (0.692677127925735, 1.7177942062180198),
+                      (1.6833275402045844, 2.3335670085654936)), 7),
+]
 
-@pytest.mark.parametrize("ceiling, n_capped", [(POLISH_MAX_NFEV, 0), (40, 6)])
+
+@pytest.mark.parametrize("ceiling, n_capped", [(POLISH_MAX_NFEV, 0), (40, 8)])
 def test_polish_batch_rows_match_batches_of_one(monkeypatch, ceiling, n_capped):
-    # HARD's structured seeds (found after 29, 29, ~650 and ~650 evaluations)
-    # and four random rows (stalled); under the lowered ceiling every row but
-    # the first two is capped
+    # four of PI8_EDGE's structured seeds and four random rows: none is ever
+    # found, so the batch runs every row to its own stop (a stall at the real
+    # ceiling, the ceiling itself at 40)
     monkeypatch.setattr("qset.oracles.POLISH_MAX_NFEV", ceiling)
     rng = np.random.default_rng(74)
-    target = born_point(HARD).vector
-    q = np.concatenate([_structured_seeds(HARD), rng.uniform(0.0, PI, (4, 22))])
-    x, nfev, capped = _polish(q, target)
+    target = born_point(PI8_EDGE).vector
+    q = np.concatenate([_structured_seeds(PI8_EDGE)[::2], rng.uniform(0.0, PI, (4, 22))])
+    x, mixres, sep, nfev, capped = _polish(q, target)
     assert x.shape == q.shape and nfev.shape == capped.shape == (len(q),)
+    assert not np.any(_found(mixres, sep))
     assert np.all(nfev <= ceiling)
     assert np.sum(capped) == n_capped
     for k in range(len(q)):
-        xk, nk, ck = _polish(q[k:k + 1], target)
-        assert np.array_equal(x[k], xk[0]) and nfev[k] == nk[0] and capped[k] == ck[0]
+        alone = _polish(q[k:k + 1], target)
+        for got, want in zip((x, mixres, sep, nfev, capped), alone):
+            assert np.array_equal(got[k], want[0])
 
 
 def test_polish_stops_at_the_first_found_row():
     target = born_point(NONALT).vector
     q = np.array(_structured_seeds(NONALT))
-    x, nfev, _ = _polish(q, target, stop_at_first=True)
-    alone = [_polish(q[k:k + 1], target)[1][0] for k in range(len(q))]
-    assert np.max(nfev) == min(alone)
-    res = _residual(x, target)
-    assert np.any(np.max(np.abs(res[:, :8]), axis=-1) <= FOUND_RESIDUAL)
+    x, mixres, sep, nfev, _ = _polish(q, target)
+    alone = [_polish(q[k:k + 1], target) for k in range(len(q))]
+    assert np.max(nfev) == min(a[3][0] for a in alone)
+    found = _found(mixres, sep)
+    assert np.any(found)
+    assert np.array_equal(mixres, np.max(np.abs(_residual_sep(x, target)[0][:, :8]), axis=-1))
+    for k in np.flatnonzero(found):
+        assert np.array_equal(x[k], alone[k][0][0])
 
 
-#: Non-alternating point whose structured seeds all creep in the flat regime
-#: for about 500 evaluations before they converge.
+def test_polish_leaves_a_stationary_row_in_place():
+    # at q = 0 all four components are the same deterministic behavior and
+    # the Jacobian vanishes, so there is no step to take
+    x, mixres, sep, nfev, capped = _polish(np.zeros((1, 22)), born_point(NONALT).vector)
+    assert not np.any(x) and nfev[0] == 1 and not capped[0]
+    assert np.isfinite(mixres[0]) and sep[0] == 0.0
+
+
+#: Non-alternating point whose structured seeds creep in the flat regime for
+#: hundreds of evaluations before they converge.
 SLOW = QubitRealization(0.5043178699086907, (0.46956582766960764, 1.351696939934224),
                         (0.8478930953087691, 3.052758141355598))
 
 
-def test_polish_lets_a_slow_genuine_split_converge():
-    target = born_point(SLOW).vector
-    x, nfev, capped = _polish(np.array(_structured_seeds(SLOW)), target)
-    res = _residual(x, target)
-    assert np.all(np.max(np.abs(res[:, :8]), axis=-1) <= FOUND_RESIDUAL)
-    assert np.all(nfev > 500) and not np.any(capped)
+@pytest.mark.parametrize("r, seeds", [(SLOW, slice(None)), (HARD, slice(2, None))],
+                         ids=["SLOW", "HARD"])
+def test_polish_lets_a_slow_genuine_split_converge(r, seeds):
+    # each seed as a batch of one: SLOW's four and HARD's last two converge
+    # after 300 to 1100 evaluations
+    target = born_point(r).vector
+    for q in _structured_seeds(r)[seeds]:
+        x, mixres, sep, nfev, capped = _polish(q[None], target)
+        assert _found(mixres, sep)[0]
+        assert nfev[0] > 300 and not capped[0]
 
 
 def test_polish_on_a_flat_face_stalls_before_the_ceiling():
@@ -302,6 +329,15 @@ def test_decomposition_found_at_near_degenerate_non_alternating_point():
     assert res.found
     assert res.residual <= FOUND_RESIDUAL
     assert res.separation >= FOUND_SEPARATION
+    assert np.max(np.abs(0.5 * (res.p1.vector + res.p2.vector) - p.vector)) <= FOUND_RESIDUAL
+    assert validate(res.p1) == [] and validate(res.p2) == []
+
+
+@pytest.mark.parametrize("r, seed", FEW_SEEDS, ids=["seed2", "seed7"])
+def test_decomposition_found_from_few_structured_seeds(r, seed):
+    p = born_point(r)
+    res = decomposition_search(p, trials=200, seed=seed, hint=r)
+    assert res.found
     assert np.max(np.abs(0.5 * (res.p1.vector + res.p2.vector) - p.vector)) <= FOUND_RESIDUAL
     assert validate(res.p1) == [] and validate(res.p2) == []
 
