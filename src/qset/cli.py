@@ -288,6 +288,16 @@ def cmd_oracle_local(args) -> int:
     return 0
 
 
+def _trial_count(text: str) -> int:
+    try:
+        trials = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"trials must be an integer, got {text!r}") from exc
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"need trials >= 1, got {trials}")
+    return trials
+
+
 def cmd_oracle_decompose(args) -> int:
     p = _read_behavior(args.input)
     res = decomposition_search(p, trials=args.trials, seed=args.seed)
@@ -368,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lo.set_defaults(func=cmd_oracle_local)
 
     p_de = or_sub.add_parser("decompose", help="convex-decomposition search")
-    p_de.add_argument("--trials", type=int, default=400)
+    p_de.add_argument("--trials", type=_trial_count, default=400)
     p_de.add_argument("--seed", type=int, default=0)
     common(p_de, needs_input=True)
     p_de.set_defaults(func=cmd_oracle_decompose)

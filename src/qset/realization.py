@@ -96,10 +96,17 @@ def born_vector(theta, a0, a1, b0, b1):
     """Behavior components as arrays; broadcasts over array-valued parameters.
 
     Returns an array with the 8 behavior components stacked along the last axis.
+    The result is float32 when every parameter is float32 (arrays or numpy
+    scalars); any other input (float64 arrays, Python floats or ints, a mix
+    of float32 with anything else) is computed and returned in float64.
     """
+    # theta is tested alone first, so scalar and float64 calls pay one test
+    single = getattr(theta, "dtype", None) == np.float32 \
+        and all(getattr(v, "dtype", None) == np.float32 for v in (a0, a1, b0, b1))
+    dtype = np.float32 if single else float
     theta, a0, a1, b0, b1 = np.broadcast_arrays(
-        np.asarray(theta, float), np.asarray(a0, float), np.asarray(a1, float),
-        np.asarray(b0, float), np.asarray(b1, float))
+        np.asarray(theta, dtype), np.asarray(a0, dtype), np.asarray(a1, dtype),
+        np.asarray(b0, dtype), np.asarray(b1, dtype))
     c2 = np.cos(2 * theta)
     s2 = np.sin(2 * theta)
     ca0, ca1, cb0, cb1 = np.cos(a0), np.cos(a1), np.cos(b0), np.cos(b1)

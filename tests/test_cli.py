@@ -196,6 +196,15 @@ def test_oracle_decompose_cli(tmp_path, capsys):
     assert doc["lambda"] == 0.5
 
 
+@pytest.mark.parametrize("trials", ["0", "-1", "many"])
+def test_oracle_decompose_trials_below_one_is_a_usage_error(tmp_path, capsys, trials):
+    path = write_behavior(tmp_path, born_point(TSIRELSON))
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "decompose", "--input", path, "--trials", trials])
+    assert exc.value.code == 2
+    assert "trials" in capsys.readouterr().err
+
+
 def test_stdin_input(tmp_path):
     payload = json.dumps(born_point(PI8_EDGE).to_json_dict())
     proc = subprocess.run(

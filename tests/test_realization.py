@@ -85,6 +85,21 @@ def test_born_vector_bit_identical_to_expanded_form():
     assert np.array_equal(born_vector(theta, a0, a1, b0, b1), expected)
 
 
+def test_born_vector_stays_float32_only_for_all_float32_inputs():
+    rng = np.random.default_rng(12)
+    params = rng.uniform(-2 * PI, 2 * PI, (5, 100))
+    reference = born_vector(*params)
+    single = born_vector(*params.astype(np.float32))
+    assert single.dtype == np.float32
+    assert np.max(np.abs(single - reference)) < 1e-5
+    assert born_vector(*(np.float32(v) for v in params[:, 0])).dtype == np.float32
+    # float64 arrays, Python floats, ints and any mix with float32 give float64
+    mixed = [params.astype(np.float32)[0], *params[1:]]
+    for args in (params, params[:, 0].tolist(), (0, 1, 2, 3, 4), mixed,
+                 [*params.astype(np.float32)[:4], 0.5]):
+        assert born_vector(*args).dtype == np.float64
+
+
 def born_jacobian_central_differences(params: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """(..., 8, 5) central differences of born_vector over the last axis of params."""
     cols = []
