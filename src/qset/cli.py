@@ -288,14 +288,18 @@ def cmd_oracle_local(args) -> int:
     return 0
 
 
-def _trial_count(text: str) -> int:
-    try:
-        trials = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"trials must be an integer, got {text!r}") from exc
-    if trials < 1:
-        raise argparse.ArgumentTypeError(f"need trials >= 1, got {trials}")
-    return trials
+def _int_at_least(name: str, least: int):
+    """argparse type: an integer flag value of at least ``least``; anything
+    else is a usage error naming the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}") from exc
+        if value < least:
+            raise argparse.ArgumentTypeError(f"need {name} >= {least}, got {value}")
+        return value
+    return parse
 
 
 def cmd_oracle_decompose(args) -> int:
@@ -368,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bm.add_argument("--coeffs", type=float, nargs=8, default=None,
                       metavar=("bA0", "bA1", "bB0", "bB1", "b00", "b10", "b01", "b11"))
     p_bm.add_argument("--offset", type=float, default=0.0)
-    p_bm.add_argument("--resolution", type=int, default=16)
-    p_bm.add_argument("--refinements", type=int, default=60)
+    p_bm.add_argument("--resolution", type=_int_at_least("resolution", 16), default=16)
+    p_bm.add_argument("--refinements", type=_int_at_least("refinements", 0), default=60)
     common(p_bm)
     p_bm.set_defaults(func=cmd_oracle_bell_max)
 
@@ -378,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lo.set_defaults(func=cmd_oracle_local)
 
     p_de = or_sub.add_parser("decompose", help="convex-decomposition search")
-    p_de.add_argument("--trials", type=_trial_count, default=400)
-    p_de.add_argument("--seed", type=int, default=0)
+    p_de.add_argument("--trials", type=_int_at_least("trials", 1), default=400)
+    p_de.add_argument("--seed", type=_int_at_least("seed", 0), default=0)
     common(p_de, needs_input=True)
     p_de.set_defaults(func=cmd_oracle_decompose)
 

@@ -64,6 +64,8 @@ def enumerate_vertices() -> tuple[DeterministicVertex, ...]:
 
 _VERTICES = enumerate_vertices()
 _VERTEX_MATRIX = np.array([v.behavior.vector for v in _VERTICES]).T  # (8, 16)
+#: The LP's constraint rows: the 8 vertex coordinates and the weights' sum.
+_LP_MATRIX = np.vstack([_VERTEX_MATRIX, np.ones(16)])  # (9, 16)
 
 
 def _phase1_float(a_mat: np.ndarray, b: np.ndarray, tol: float = 1e-11,
@@ -74,41 +76,41 @@ def _phase1_float(a_mat: np.ndarray, b: np.ndarray, tol: float = 1e-11,
     original row signs)."""
     m, n = a_mat.shape
     sign = np.where(b < 0, -1.0, 1.0)
-    a_mat = a_mat * sign[:, None]
-    rhs = b * sign
-    tab = np.hstack([a_mat, np.eye(m), rhs[:, None]])
+    # rows 0..m-1 hold the constraints, row m the reduced costs; the last
+    # column holds the right-hand side
+    tab = np.zeros((m + 1, n + m + 1))
+    np.multiply(a_mat, sign[:, None], out=tab[:m, :n])
+    np.fill_diagonal(tab[:, n:], 1.0)
+    np.multiply(b, sign, out=tab[:m, -1])
+    tab[m, n:-1] = 1.0
+    tab[m, :-1] = tab[m, :-1] - tab[:m, :-1].sum(axis=0)
     basis = list(range(n, n + m))
-    red = np.concatenate([np.zeros(n), np.ones(m)])
-    red = red - tab[:, :-1].sum(axis=0)
     for _ in range(max_iter):
-        ent = -1
-        for j in range(n + m):
-            if red[j] < -tol:
-                ent = j
-                break
+        # Bland's scans read Python copies: element access on a short numpy
+        # row costs more than the copy
+        ent = next((j for j, v in enumerate(tab[m, :-1].tolist()) if v < -tol), -1)
         if ent < 0:
             break
-        col = tab[:, ent]
         best_row, best_key = -1, None
-        for i in range(m):
-            if col[i] > tol:
-                key = (tab[i, -1] / col[i], basis[i])
+        for i, (c, t) in enumerate(zip(tab[:m, ent].tolist(), tab[:m, -1].tolist())):
+            if c > tol:
+                key = (t / c, basis[i])
                 if best_key is None or key < best_key:
                     best_key, best_row = key, i
         if best_row < 0:
             break
-        tab[best_row] /= tab[best_row, ent]
+        row = tab[best_row]
+        row /= row[ent]
         other = tab[:, ent].copy()
         other[best_row] = 0.0
-        tab -= np.outer(other, tab[best_row])
-        red = red - red[ent] * tab[best_row, :-1]
+        tab -= other[:, None] * row
         basis[best_row] = ent
-    obj = sum(tab[i, -1] for i in range(m) if basis[i] >= n)
+    rhs = tab[:m, -1].tolist()
+    obj = sum(rhs[i] for i in range(m) if basis[i] >= n)
     z = np.zeros(n + m)
-    for i in range(m):
-        z[basis[i]] = tab[i, -1]
+    z[basis] = rhs
     # artificial column i has cost 1 and reduced cost 1 - y_i
-    return float(obj), z[:n], sign * (1.0 - red[n:])
+    return float(obj), z[:n], sign * (1.0 - tab[m, n:-1])
 
 
 def _phase1_exact(a_rows: list[list[Fraction]], b: list[Fraction], max_iter: int = 2000):
@@ -170,9 +172,8 @@ def local_membership_lp(p: Behavior) -> tuple[bool, object]:
     if violations:
         raise InvalidBehaviorError(violations)
     target = p.vector
-    a_mat = np.vstack([_VERTEX_MATRIX, np.ones(16)])
     rhs = np.concatenate([target, [1.0]])
-    obj, weights, dual = _phase1_float(a_mat, rhs)
+    obj, weights, dual = _phase1_float(_LP_MATRIX, rhs)
     if obj <= 1e-9:
         weights = np.maximum(weights, 0.0)
         if np.max(np.abs(_VERTEX_MATRIX @ weights - target)) <= 1e-9 \
@@ -262,9 +263,13 @@ def bell_max_q2(beta: BellFunctional, resolution: int = 16, refinements: int = 6
     coordinate descent with shrinking step, scoring each coordinate's
     candidates in closed form; the tracked value is monotone nondecreasing
     across refinement rounds.
+
+    Raises ValueError unless ``resolution >= 16`` and ``refinements >= 0``.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16 per axis")
+    if refinements < 0:
+        raise ValueError("refinements must be at least 0")
     bv = beta.vector
     best_val, params = _grid_value(bv, resolution)
     coeffs = bv.tolist()
@@ -361,7 +366,7 @@ def _residual_sep(q: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.nda
     The residual holds the 8 mixture deviations from ``target`` plus a guard
     that grows as the parts come closer than 0.01 in max norm."""
     p1, p2 = _parts_from_params(q)
-    sep = np.max(np.abs(p1 - p2), axis=-1)
+    sep = _row_max(np.abs(p1 - p2))
     guard = 5.0 * np.maximum(0.0, 0.01 - sep)
     return np.concatenate([0.5 * (p1 + p2) - target, guard[..., None]], axis=-1), sep
 
@@ -411,6 +416,14 @@ _STALL_GRADIENT = 0.03
 _STALL_WINDOW = 40
 _STALL_MARGIN = 8.0
 _COST_TARGET = 0.5 * FOUND_RESIDUAL ** 2
+#: Gauss-Newton finish.  A row whose mixture residual is below _GN_RESIDUAL
+#: takes the minimum-norm Gauss-Newton step -J^+ r when it fits its trust
+#: radius.  Farther out the step stays on the boundary: the early steps pick
+#: the basin, and undamped steps there lose genuine splits.
+_GN_RESIDUAL = 1e-4
+#: Singular values at most this fraction of the largest count as zero in
+#: J^+, the cutoff of ``np.linalg.lstsq`` for a 9x22 system.
+_GN_RCOND = 22 * np.finfo(float).eps
 
 
 def _found(mixres: np.ndarray, sep: np.ndarray) -> np.ndarray:
@@ -419,42 +432,59 @@ def _found(mixres: np.ndarray, sep: np.ndarray) -> np.ndarray:
 
 def _mixres(r: np.ndarray) -> np.ndarray:
     """Max-norm mixture residual of polish residual rows (..., 9)."""
-    return np.max(np.abs(r[..., :8]), axis=-1)
+    return _row_max(np.abs(r[..., :8]))
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis: ``np.linalg.norm``'s formula for
+    real input, without its dispatch."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
 def _boundary_step(s: np.ndarray, vt: np.ndarray, uf: np.ndarray, delta: np.ndarray,
-                   alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Levenberg-Marquardt steps of length ``delta`` (Moré 1978), per row.
+                   alpha: np.ndarray, near: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trust-region steps (Moré 1978), per row, and their damping.
 
     With J = U diag(s) V^T (9 singular values, since J is 9x22) and uf = U^T r,
-    the step h(a) = -J^T (J J^T + a I)^{-1} r = -V diag(s / (s^2 + a)) uf.
-    The damping a comes from safeguarded Newton iterations on |h(a)| = delta,
-    warm-started at ``alpha``, until |h(a)| is within 1% of delta (at most
-    10); h is then scaled onto the boundary.  As in scipy's TRF for a
-    Jacobian with fewer rows than columns, the undamped Gauss-Newton step is
-    never taken, even when it is shorter than delta: that is where the
-    Newton iterations run out, and the step is stretched to delta.
-    Returns the steps and their damping."""
+    a row flagged in ``near`` whose minimum-norm Gauss-Newton step
+    -J^+ r = -V diag(1/s) uf (singular values below _GN_RCOND times the
+    largest dropped) is no longer than its radius ``delta`` takes that step,
+    with damping 0.  Every other row takes the Levenberg-Marquardt step
+    h(a) = -J^T (J J^T + a I)^{-1} r = -V diag(s / (s^2 + a)) uf of length
+    delta: the damping a comes from safeguarded Newton iterations on
+    |h(a)| = delta, warm-started at ``alpha``, until |h(a)| is within 1% of
+    delta (at most 10), and h is then scaled onto the boundary.  As in
+    scipy's TRF for a Jacobian with fewer rows than columns, such a row's
+    step is stretched to delta even when J^+ r is shorter."""
     suf = s * uf
-    upper = np.linalg.norm(suf, axis=-1) / delta
+    fits = np.zeros(len(s), dtype=bool)
+    if near.any():
+        sn = s[near]
+        inv = np.divide(1.0, sn, out=np.zeros_like(sn), where=sn > _GN_RCOND * sn[:, :1])
+        gn = -np.einsum("sij,si->sj", vt[near], inv * uf[near])
+        fits[near] = _norm(gn) <= delta[near]
+    upper = _norm(suf) / delta
     lower = np.zeros_like(upper)
     a = np.where(alpha == 0.0, 1e-3 * upper, alpha)
-    live = np.ones(len(a), dtype=bool)
+    live = ~fits
     for _ in range(10):
+        if not live.any():
+            break
         reset = live & ((a < lower) | (a > upper))
         a = np.where(reset, np.maximum(1e-3 * upper, np.sqrt(lower * upper)), a)
         denom = s * s + a[:, None]
-        norm = np.linalg.norm(suf / denom, axis=-1)
+        norm = _norm(suf / denom)
         phi = norm - delta
         newton = phi / (-np.sum(suf * suf / denom ** 3, axis=-1) / norm)
         upper = np.where(live & (phi < 0), a, upper)
         lower = np.where(live, np.maximum(lower, a - newton), lower)
         a = np.where(live, a - (phi + delta) * newton / delta, a)
         live &= np.abs(phi) >= 0.01 * delta
-        if not live.any():
-            break
     h = -np.einsum("sij,si->sj", vt, suf / (s * s + a[:, None]))
-    h *= (delta / np.linalg.norm(h, axis=-1))[:, None]
+    h *= (delta / _norm(h))[:, None]
+    if fits.any():
+        h[fits] = gn[fits[near]]
+        a[fits] = 0.0
     return h, a
 
 
@@ -463,12 +493,14 @@ def _polish(q: np.ndarray, target: np.ndarray
     """Trust-region Levenberg-Marquardt on the residual of ``_residual_sep``
     for each row of ``q`` (S, 22), until some row is found.
 
-    Each evaluation tries a boundary step (``_boundary_step``) of the row's
-    trust radius, which starts at |q| and moves with the ratio rho of actual
-    to predicted cost reduction: a quarter of the step below rho = 0.25,
-    doubled above rho = 0.75.  A row stops after POLISH_MAX_NFEV residual
-    evaluations, when it stalls (see _STALL_WINDOW), or when its radius or
-    its gradient vanishes.  Rows do not interact, except that the whole
+    Each evaluation tries a step (``_boundary_step``) within the row's trust
+    radius: the minimum-norm Gauss-Newton step when the row's mixture
+    residual is below _GN_RESIDUAL and that step fits the radius, else a
+    Levenberg-Marquardt step on the boundary.  The radius starts at |q| and
+    moves with the ratio rho of actual to predicted cost reduction: a
+    quarter of the radius below rho = 0.25, doubled above rho = 0.75.  A
+    row stops after POLISH_MAX_NFEV residual evaluations, when it stalls
+    (see _STALL_WINDOW), or when its radius or its gradient vanishes.  Rows do not interact, except that the whole
     batch ends at the first evaluation after which some row is found.
 
     Returns per row: the final parameters (S, 22), mixture residual,
@@ -482,7 +514,7 @@ def _polish(q: np.ndarray, target: np.ndarray
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
     grad = np.einsum("sij,si->sj", jac, r)
     cost = 0.5 * np.sum(r * r, axis=-1)
-    delta = np.linalg.norm(x, axis=-1)
+    delta = _norm(x)
     delta[delta == 0.0] = 1.0
     alpha = np.zeros(len(x))
     # cost (floored at the target) after each of the last _STALL_WINDOW evaluations
@@ -495,7 +527,8 @@ def _polish(q: np.ndarray, target: np.ndarray
         active = active[:0]
     while active.size:
         uf = np.einsum("sji,sj->si", u[active], r[active])
-        h, a = _boundary_step(s[active], vt[active], uf, delta[active], alpha[active])
+        h, a = _boundary_step(s[active], vt[active], uf, delta[active], alpha[active],
+                              mixres[active] < _GN_RESIDUAL)
         jh = np.einsum("sij,sj->si", jac[active], h)
         pred = -(0.5 * np.sum(jh * jh, axis=-1) + np.sum(grad[active] * h, axis=-1))
         rn, sepn = _residual_sep(x[active] + h, target)
@@ -524,8 +557,8 @@ def _polish(q: np.ndarray, target: np.ndarray
         window[active, slot] = floored
         need = np.log(floored / _COST_TARGET)
         left = POLISH_MAX_NFEV - nfev[active]
-        flat = np.linalg.norm(grad[active], axis=-1) < _STALL_GRADIENT * np.linalg.norm(r[active], axis=-1)
-        still = (step <= 1e-15 * (1e-15 + np.linalg.norm(x[active], axis=-1))) \
+        flat = _norm(grad[active]) < _STALL_GRADIENT * _norm(r[active])
+        still = (step <= 1e-15 * (1e-15 + _norm(x[active]))) \
             | ~np.any(grad[active] != 0.0, axis=-1)
         capped[active] = left <= 0
         stalled = still | (flat & (nfev[active] > _STALL_WINDOW) & (need > _STALL_MARGIN * pace * left))

@@ -205,6 +205,31 @@ def test_oracle_decompose_trials_below_one_is_a_usage_error(tmp_path, capsys, tr
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["bell-max", "--resolution", "8"], "resolution"),
+    (["bell-max", "--refinements", "-3"], "refinements"),
+    (["decompose", "--seed", "-1"], "seed"),
+], ids=["resolution8", "refinements-3", "seed-1"])
+def test_oracle_out_of_range_flags_are_usage_errors(tmp_path, capsys, args, flag):
+    # the parser rejects them before any library call runs
+    path = write_behavior(tmp_path, born_point(TSIRELSON))
+    extra = ["--input", path] if args[0] == "decompose" else []
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", *args, *extra])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_oracle_flags_at_their_bounds_run(tmp_path, capsys):
+    code, out, _ = run_cli(["oracle", "bell-max", "--resolution", "16",
+                            "--refinements", "0"], capsys)
+    assert code == 0 and json.loads(out)["value"] > 2.0
+    path = write_behavior(tmp_path, Behavior.from_vector(np.zeros(8)))
+    code, out, _ = run_cli(["oracle", "decompose", "--input", path, "--trials", "1",
+                            "--seed", "0"], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+
 def test_stdin_input(tmp_path):
     payload = json.dumps(born_point(PI8_EDGE).to_json_dict())
     proc = subprocess.run(

@@ -26,17 +26,20 @@ from qset.oracles import (
     FOUND_RESIDUAL,
     FOUND_SEPARATION,
     POLISH_MAX_NFEV,
+    _LP_MATRIX,
+    _boundary_step,
     _coordinate_form,
     _decomp_objective,
     _grid_value,
     _found,
     _mixres,
+    _phase1_float,
     _polish,
     _residual_sep,
     _residual_jac,
     _structured_seeds,
 )
-from qset.realization import born_vector
+from qset.realization import born_vector, sample_realization
 
 from conftest import NONALT, PI8_EDGE, TSIRELSON, random_valid_behavior
 
@@ -115,6 +118,11 @@ def test_bell_max_resolution_gate_and_offset():
     shifted = BellFunctional(coeffs=CHSH.coeffs, offset=1.0)
     value, _ = bell_max_q2(shifted)
     assert value == pytest.approx(2 * SQ2 + 1.0, abs=1e-6)
+
+
+def test_bell_max_rejects_negative_refinements():
+    with pytest.raises(ValueError):
+        bell_max_q2(CHSH, refinements=-1)
 
 
 def test_bell_max_monotone_under_refinement():
@@ -511,6 +519,125 @@ def test_exact_simplex_paths_directly():
     assert score > max(vertex_scores)
 
 
+def reference_phase1(a_mat, b, tol=1e-11, max_iter=800):
+    """The phase-1 simplex loop as first written: numpy element access in
+    Bland's scans, ``np.outer`` in the pivot."""
+    m, n = a_mat.shape
+    sign = np.where(b < 0, -1.0, 1.0)
+    a_mat = a_mat * sign[:, None]
+    rhs = b * sign
+    tab = np.hstack([a_mat, np.eye(m), rhs[:, None]])
+    basis = list(range(n, n + m))
+    red = np.concatenate([np.zeros(n), np.ones(m)])
+    red = red - tab[:, :-1].sum(axis=0)
+    for _ in range(max_iter):
+        ent = -1
+        for j in range(n + m):
+            if red[j] < -tol:
+                ent = j
+                break
+        if ent < 0:
+            break
+        col = tab[:, ent]
+        best_row, best_key = -1, None
+        for i in range(m):
+            if col[i] > tol:
+                key = (tab[i, -1] / col[i], basis[i])
+                if best_key is None or key < best_key:
+                    best_key, best_row = key, i
+        if best_row < 0:
+            break
+        tab[best_row] /= tab[best_row, ent]
+        other = tab[:, ent].copy()
+        other[best_row] = 0.0
+        tab -= np.outer(other, tab[best_row])
+        red = red - red[ent] * tab[best_row, :-1]
+        basis[best_row] = ent
+    obj = sum(tab[i, -1] for i in range(m) if basis[i] >= n)
+    z = np.zeros(n + m)
+    for i in range(m):
+        z[basis[i]] = tab[i, -1]
+    return float(obj), z[:n], sign * (1.0 - red[n:])
+
+
+def test_phase1_float_matches_reference_loop_bitwise():
+    # realizations, vertex mixtures and cube draws, as in the crosscheck LP calls
+    rng = np.random.default_rng(81)
+    n_local = 0
+    for _ in range(600):
+        rhs = np.concatenate([random_valid_behavior(rng).vector, [1.0]])
+        got = _phase1_float(_LP_MATRIX, rhs)
+        want = reference_phase1(_LP_MATRIX.copy(), rhs)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        n_local += got[0] <= 1e-9
+    assert 100 < n_local < 550
+
+
+def lm_step(jac, r, a):
+    """-J^T (J J^T + a I)^{-1} r, by a dense solve."""
+    return -jac.T @ np.linalg.solve(jac @ jac.T + a * np.eye(len(r)), r)
+
+
+def test_boundary_step_matches_dense_reference():
+    rng = np.random.default_rng(83)
+    jac = rng.normal(size=(12, 9, 22))
+    # two rank-8 systems: the last row a combination of the first two
+    jac[8:10, 8] = 0.5 * jac[8:10, 0] - 0.25 * jac[8:10, 1]
+    r = rng.normal(size=(12, 9))
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    uf = np.einsum("sji,sj->si", u, r)
+    gn = np.stack([-np.linalg.lstsq(j, ri, rcond=None)[0] for j, ri in zip(jac, r)])
+    gn_norm = np.linalg.norm(gn, axis=-1)
+    # radii above and below |J^+ r|, each with and without the gate
+    scale = np.tile([2.0, 0.5, 2.0, 0.5], 3)
+    near = np.tile([True, True, False, False], 3)
+    delta = scale * gn_norm
+    alpha = np.where(np.arange(12) < 6, 0.0, 0.3)
+    h, a = _boundary_step(s, vt, uf, delta, alpha, near)
+    fits = near & (scale > 1.0)
+    for k in range(12):
+        if fits[k]:
+            assert a[k] == 0.0
+            assert np.max(np.abs(h[k] - gn[k])) <= 1e-12
+            continue
+        assert np.linalg.norm(h[k]) == pytest.approx(delta[k], rel=1e-12)
+        ref = lm_step(jac[k], r[k], a[k])
+        # h is the LM step for the returned damping, scaled onto the boundary
+        assert np.max(np.abs(h[k] - ref * delta[k] / np.linalg.norm(ref))) <= 1e-10
+        if scale[k] < 1.0:
+            assert a[k] > 0.0
+            assert np.linalg.norm(ref) == pytest.approx(delta[k], rel=0.01)
+    # gated or not, a row whose radius the Gauss-Newton step exceeds takes the
+    # same step
+    ungated = _boundary_step(s, vt, uf, delta, alpha, np.zeros(12, dtype=bool))
+    assert np.array_equal(h[~fits], ungated[0][~fits])
+    assert np.array_equal(a[~fits], ungated[1][~fits])
+
+
+def test_gauss_newton_finish_is_gated_by_the_mixture_residual(monkeypatch):
+    # rows take the undamped step only below _GN_RESIDUAL, and there it
+    # shortens the polish of NONALT's structured seeds
+    calls = []
+
+    def spy(s, vt, uf, delta, alpha, near):
+        h, a = _boundary_step(s, vt, uf, delta, alpha, near)
+        calls.append((near, a))
+        return h, a
+
+    target = born_point(NONALT).vector
+    q = np.array(_structured_seeds(NONALT))
+    monkeypatch.setattr("qset.oracles._boundary_step", spy)
+    _, mixres, sep, nfev, _ = _polish(q, target)
+    assert np.any(_found(mixres, sep))
+    assert not any(np.any(~near & (a == 0.0)) for near, a in calls)
+    assert any(np.any(a == 0.0) for _, a in calls)
+    monkeypatch.setattr("qset.oracles._GN_RESIDUAL", 0.0)
+    _, mixres, sep, nfev_off, _ = _polish(q, target)
+    assert np.any(_found(mixres, sep))
+    assert nfev.max() < nfev_off.max()
+
+
 def test_decomposition_cross_validates_non_extremal_verdicts():
     # every sampled NonExtremalInQ point admits a constructive decomposition
     from qset import classify, sample_realization, Verdict
@@ -541,3 +668,16 @@ def test_decomposition_sound_on_boundary_extremal_point():
     assert classify(p).verdict is Verdict.EXTREMAL_NON_EXPOSED
     res = decomposition_search(p, trials=200, seed=9, hint=r)
     assert not res.found
+
+
+def test_sampled_non_alternating_points_are_decomposed():
+    # 60 sampled non-alternating points (rng seeds 30-33, 15 each): every one
+    # splits from its hint's structured seeds or the stochastic phase
+    missed = []
+    for rng_seed in range(30, 34):
+        rng = np.random.default_rng(rng_seed)
+        for i in range(15):
+            r = sample_realization(rng, {"non-alternating"})
+            if not decomposition_search(born_point(r), trials=200, seed=i + 1, hint=r).found:
+                missed.append((rng_seed, i))
+    assert missed == []
