@@ -208,7 +208,12 @@ def is_local(p: Behavior) -> bool:
     violations = validate(p)
     if violations:
         raise InvalidBehaviorError(violations)
-    return bool(np.max(chsh_values(p.vector)) <= 2.0 + TOL_EQ)
+    return _fine_local(p.vector)
+
+
+def _fine_local(v: np.ndarray) -> bool:
+    """``is_local`` of a behavior vector that ``validate`` accepts."""
+    return bool(np.max(chsh_values(v)) <= 2.0 + TOL_EQ)
 
 
 def mix(behaviors: Iterable[Behavior], weights: Iterable[float]) -> Behavior:

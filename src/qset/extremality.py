@@ -146,15 +146,15 @@ def _alternating(margins: np.ndarray, strict: bool) -> np.ndarray:
     return margins.min(axis=1) >= -TOL_EQ
 
 
-def _front(v: np.ndarray):
-    """Validation, Fine's criterion and steering over behavior vectors (N, 8).
+def _front(v: np.ndarray, invalid: np.ndarray):
+    """Fine's criterion and steering over behavior vectors (N, 8), given the
+    rows ``validate`` rejects (``invalid_rows(v)``).
 
     Returns the max CHSH value and the Local mask per row; the rows that are
     valid, nonlocal and steerable, with their steered correlators
     (M, 2, 2, 2) and the asin of those; and the error ``classify`` raises for
     every other row that is not Local.
     """
-    invalid = invalid_rows(v)
     with np.errstate(invalid="ignore"):
         chsh_max = chsh_values(v).max(axis=1)
     local = ~invalid & (chsh_max <= 2.0 + TOL_EQ)
@@ -177,7 +177,8 @@ def _front(v: np.ndarray):
 def _nonlocal_steered(p: Behavior, local_message: str) -> tuple[np.ndarray, np.ndarray]:
     """Steered correlators (1, 2, 2, 2) of one behavior and their asin; raises
     InvalidBehaviorError, LocalInputError or the steering error."""
-    _, local, _, c, asin, errors = _front(p.vector[None])
+    v = p.vector[None]
+    _, local, _, c, asin, errors = _front(v, invalid_rows(v))
     if errors:
         raise errors[0]
     if local[0]:
@@ -368,6 +369,36 @@ def _reference_relabelings() -> tuple[tuple[SymmetryElement, ...], np.ndarray, n
     return elems, perms, signs
 
 
+@functools.lru_cache(maxsize=1)
+def _reference_steering() -> tuple[np.ndarray, np.ndarray]:
+    """Per sign pattern: where each entry of the reference-placement steered
+    table comes from in the row's own table, as flat indices (8, 8) into
+    [alpha, x, y], and the sign it takes (8,).
+
+    A reference relabeling keeps Alice's outputs, so the denominators
+    1 + alpha <A_x> only follow her input swap: it permutes x, Bob's input
+    swap permutes y, and flipping both of Bob's outputs negates every
+    numerator <A_x B_y> + alpha <B_y>.
+    """
+    _, perms, signs = _reference_relabelings()
+    x_src, y_src = perms[:, :2], perms[:, 2:4] - 2
+    index = 4 * np.arange(2)[:, None, None] + 2 * x_src[:, None, :, None] + y_src[:, None, None, :]
+    return index.reshape(-1, 8), signs[:, 2]
+
+
+def _reference_steered(c: np.ndarray, pats: np.ndarray) -> np.ndarray:
+    """``steered_many`` of the rows relabeled onto the reference placement,
+    (K, 2, 2, 2), read off their steered correlators c and sign patterns.
+
+    Permuting and negating are exact, so this equals the recomputed table bit
+    for bit, except that an exact zero may carry the other sign; asin and the
+    gauge placement treat +0 and -0 alike.
+    """
+    index, sign = _reference_steering()
+    flat = c.reshape(-1, 8)[np.arange(len(c))[:, None], index[pats]]
+    return (flat * sign[pats][:, None]).reshape(-1, 2, 2, 2)
+
+
 class BatchClassification:
     """Per-row outcome of ``classify_many``.
 
@@ -454,17 +485,17 @@ def _classify_non_extremal(out: BatchClassification, v: np.ndarray, rows: np.nda
                                  _CODE[Verdict.FAILS_NECESSARY_Q2_PURE])[keep]
 
 
-def _classify_extremal(out: BatchClassification, v: np.ndarray, rows: np.ndarray) -> None:
-    """Rows whose criterion holds: relabel onto the reference placement,
-    reconstruct, and decide by the alternation margins of the result."""
+def _classify_extremal(out: BatchClassification, v: np.ndarray, rows: np.ndarray,
+                       c: np.ndarray) -> None:
+    """Rows whose criterion holds, with their steered correlators c: relabel
+    onto the reference placement, reconstruct, and decide by the alternation
+    margins of the result."""
     from .selftest import reconstruct_rows
 
     _, perms, signs = _reference_relabelings()
     pats = out.pattern[rows]
     v_ref = v[rows[:, None], perms[pats]] * signs[pats]
-    # These relabelings keep Alice's outputs and only permute the steered
-    # correlators and flip their signs, so they exist since the row's do.
-    c_ref, _ = steered_many(v_ref)
+    c_ref = _reference_steered(c, pats)
     rebuilt = reconstruct_rows(v_ref, c_ref, np.arcsin(c_ref))
     out.ref_residuals[rows] = rebuilt.residuals
     out.realization[rows] = rebuilt.canonical
@@ -503,8 +534,13 @@ def classify_many(v) -> BatchClassification:
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != 8:
         raise ValueError(f"behavior vectors must have shape (N, 8), got {v.shape}")
+    return _classify_rows(v, invalid_rows(v))
+
+
+def _classify_rows(v: np.ndarray, invalid: np.ndarray) -> BatchClassification:
+    """``classify_many`` given the rows ``validate`` rejects."""
     out = BatchClassification(len(v))
-    out.chsh_max, local, rows, _, asin, out.errors = _front(v)
+    out.chsh_max, local, rows, c, asin, out.errors = _front(v, invalid)
     out.verdict[local] = _CODE[Verdict.LOCAL]
     if rows.size:
         terms = _sector_terms(asin)
@@ -516,13 +552,13 @@ def classify_many(v) -> BatchClassification:
             _classify_non_extremal(out, v, rows[~extremal],
                                    tuple(t[~extremal] for t in terms))
         if extremal.any():
-            _classify_extremal(out, v, rows[extremal])
+            _classify_extremal(out, v, rows[extremal], c[extremal])
     return out
 
 
 def classify(p: Behavior) -> Classification:
     """Compose the certification pipeline into a verdict: ``validate``, then
-    ``classify_many`` on a batch of one.
+    the stages of ``classify_many`` on a batch of one valid row.
 
     Local / ExtremalExposed / ExtremalNonExposed / NonExtremalInQ /
     FailsNecessaryQ2Pure, with Indeterminate reserved for the reconstruction
@@ -532,4 +568,4 @@ def classify(p: Behavior) -> Classification:
     violations = validate(p)
     if violations:
         raise InvalidBehaviorError(violations)
-    return classify_many(p.vector[None]).classification(0)
+    return _classify_rows(p.vector[None], np.zeros(1, bool)).classification(0)

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import Behavior, validate, is_local
+from .behavior import Behavior, _fine_local, invalid_rows
 from .errors import DegenerateDenominatorError, DegenerateThetaError, ExcludedSectorError
-from .realization import QubitRealization, born_jacobian, born_point, measurement_operator
+from .realization import QubitRealization, born_jacobian, born_point
 from .steering import modified_angles
 from .tolerances import TOL_EQ
 
@@ -71,22 +71,30 @@ def behavior_jacobian(r: QubitRealization) -> np.ndarray:
 
 
 def _state_rows(r: QubitRealization) -> np.ndarray:
-    """Rows <psi_perp| M_k |phi_theta> for psi_perp in (psi_theta, |01>, |10>)."""
+    """Rows <psi_perp| M_k |phi_theta> for psi_perp in (psi_theta, |01>, |10>).
+
+    With c = cos theta, s = sin theta, S = sin 2 theta, C = cos 2 theta, the
+    marginal entries of A_x and B_y and the correlator entries of A_x B_y are
+
+        psi_theta:  S cos a_x,  S cos b_y,  -C sin a_x sin b_y
+        |01>:       s sin a_x,  c sin b_y,  c cos a_x sin b_y - s sin a_x cos b_y
+        |10>:       c sin a_x,  s sin b_y,  c sin a_x cos b_y - s cos a_x sin b_y
+    """
     th = r.theta
-    phi = np.array([math.cos(th), 0.0, 0.0, math.sin(th)])
-    perps = [
-        np.array([math.sin(th), 0.0, 0.0, -math.cos(th)]),
-        np.array([0.0, 1.0, 0.0, 0.0]),
-        np.array([0.0, 0.0, 1.0, 0.0]),
-    ]
-    eye = np.eye(2)
-    a_ops = [measurement_operator(x) for x in r.a]
-    b_ops = [measurement_operator(y) for y in r.b]
-    mats = [np.kron(a_ops[0], eye), np.kron(a_ops[1], eye),
-            np.kron(eye, b_ops[0]), np.kron(eye, b_ops[1]),
-            np.kron(a_ops[0], b_ops[0]), np.kron(a_ops[0], b_ops[1]),
-            np.kron(a_ops[1], b_ops[0]), np.kron(a_ops[1], b_ops[1])]
-    return np.array([[float(psi @ m @ phi) for m in mats] for psi in perps])
+    c, s = math.cos(th), math.sin(th)
+    s2, c2 = math.sin(2 * th), math.cos(2 * th)
+    (ca0, ca1), (sa0, sa1) = map(math.cos, r.a), map(math.sin, r.a)
+    (cb0, cb1), (sb0, sb1) = map(math.cos, r.b), map(math.sin, r.b)
+    return np.array([
+        [s2 * ca0, s2 * ca1, s2 * cb0, s2 * cb1,
+         -c2 * sa0 * sb0, -c2 * sa0 * sb1, -c2 * sa1 * sb0, -c2 * sa1 * sb1],
+        [s * sa0, s * sa1, c * sb0, c * sb1,
+         c * ca0 * sb0 - s * sa0 * cb0, c * ca0 * sb1 - s * sa0 * cb1,
+         c * ca1 * sb0 - s * sa1 * cb0, c * ca1 * sb1 - s * sa1 * cb1],
+        [c * sa0, c * sa1, s * sb0, s * sb1,
+         c * sa0 * cb0 - s * ca0 * sb0, c * sa0 * cb1 - s * ca0 * sb1,
+         c * sa1 * cb0 - s * ca1 * sb0, c * sa1 * cb1 - s * ca1 * sb1],
+    ])
 
 
 def tangent_basis(r: QubitRealization) -> TangentBasis:
@@ -146,10 +154,14 @@ def delta_condition(r: QubitRealization, sector: tuple[int, int]) -> np.ndarray:
     """Sign quantities Delta_y = s t sin(atilde_0^s - b_y) sin(atilde_1^t - b_y);
     both nonnegative iff the sector's companion point is local (|alpha_y| <= 1)."""
     _require_sector_range(r)
-    s, t = sector
-    if (s, t) == (-1, 1):
+    if tuple(sector) == (-1, 1):
         raise ExcludedSectorError("sector (-1, +1) has no solution for theta in (0, pi/4]")
-    at = modified_angles(r)
+    return _deltas(r, modified_angles(r), sector)
+
+
+def _deltas(r: QubitRealization, at: np.ndarray, sector: tuple[int, int]) -> np.ndarray:
+    """``delta_condition`` given Alice's modified angles ``at`` of r."""
+    s, t = sector
     a0s = at[0, 0] if s == 1 else at[1, 0]
     a1t = at[0, 1] if t == 1 else at[1, 1]
     return np.array([
@@ -178,9 +190,8 @@ def find_witness(r: QubitRealization) -> FlatnessWitness | None:
     are nonnegative), which happens exactly when the realization is not
     strictly alternating.
     """
-    _require_sector_range(r)
+    basis = tangent_basis(r)  # also rejects realizations outside the sector range
     p_vec = born_point(r).vector
-    basis = tangent_basis(r)
     for sector in SECTOR_ORDER:
         try:
             coeffs, companion, _ = _solve_sector_at(r, sector, p_vec, basis)
@@ -189,10 +200,8 @@ def find_witness(r: QubitRealization) -> FlatnessWitness | None:
         alphas = companion[2:4].copy()
         if np.max(np.abs(alphas)) > 1.0 + TOL_EQ:
             continue
-        deltas = delta_condition(r, sector)
         local_vec = np.clip(companion, -1.0, 1.0)
-        local_point = Behavior.from_vector(local_vec)
-        if validate(local_point) or not is_local(local_point):
+        if invalid_rows(local_vec[None])[0] or not _fine_local(local_vec):
             continue
         if np.array_equal(local_vec, p_vec):
             continue  # companion coincides with P; not a witness
@@ -200,8 +209,8 @@ def find_witness(r: QubitRealization) -> FlatnessWitness | None:
             sector=sector,
             coeffs=coeffs,
             alphas=alphas,
-            local_point=local_point,
-            deltas=deltas,
+            local_point=Behavior.from_vector(local_vec),
+            deltas=_deltas(r, modified_angles(r), sector),
         )
     return None
 

@@ -352,6 +352,20 @@ def test_decomposition_found_from_few_structured_seeds(r, seed):
     assert validate(res.p1) == [] and validate(res.p2) == []
 
 
+#: NonExtremalInQ point, so it has a split, where every polish of the search
+#: below stalls with a mixture residual of 3e-6 to 3e-5, above FOUND_RESIDUAL.
+STALLED = QubitRealization(0.7129755967104685, (0.19869815370787125, 1.2369449756687652),
+                           (0.22427465756369028, 2.141822289884015))
+
+
+@pytest.mark.xfail(strict=True, reason="the polish stalls above FOUND_RESIDUAL at this point")
+def test_decomposition_found_where_the_polish_stalls():
+    p = born_point(STALLED)
+    res = decomposition_search(p, trials=200, seed=13, hint=STALLED)
+    assert res.found
+    assert np.max(np.abs(0.5 * (res.p1.vector + res.p2.vector) - p.vector)) <= FOUND_RESIDUAL
+
+
 def test_structured_seeds_raise_programming_errors(monkeypatch):
     def broken(*args):
         raise RuntimeError("bug")

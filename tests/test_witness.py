@@ -111,6 +111,32 @@ def test_state_row_t01_matrix_oracle():
     assert np.allclose(rows[1], expected, atol=1e-14)
 
 
+def kron_state_rows(r: QubitRealization) -> np.ndarray:
+    """Oracle for the state rows: <psi_perp| M_k |phi_theta> with explicit 4x4
+    operators M_k = A_x (x) 1, 1 (x) B_y, A_x (x) B_y."""
+    th = r.theta
+    phi = np.array([math.cos(th), 0.0, 0.0, math.sin(th)])
+    perps = [np.array([math.sin(th), 0.0, 0.0, -math.cos(th)]),
+             np.array([0.0, 1.0, 0.0, 0.0]),
+             np.array([0.0, 0.0, 1.0, 0.0])]
+    eye = np.eye(2)
+    a_ops = [measurement_operator(x) for x in r.a]
+    b_ops = [measurement_operator(y) for y in r.b]
+    mats = [np.kron(a_ops[0], eye), np.kron(a_ops[1], eye),
+            np.kron(eye, b_ops[0]), np.kron(eye, b_ops[1])] \
+        + [np.kron(a_ops[x], b_ops[y]) for x in range(2) for y in range(2)]
+    return np.array([[psi @ m @ phi for m in mats] for psi in perps])
+
+
+def test_state_rows_match_kronecker_oracle():
+    rng = np.random.default_rng(37)
+    worst = 0.0
+    for _ in range(2000):
+        r = sample_realization(rng, {"canonical"}, theta_range=(1e-4, PI / 4))
+        worst = max(worst, np.max(np.abs(tangent_basis(r).vecs[:3] - kron_state_rows(r))))
+    assert worst <= 1e-14
+
+
 def test_tangent_basis_sector_gate():
     with pytest.raises(DegenerateThetaError):
         tangent_basis(QubitRealization(0.9, (0.1, 1.0), (0.3, 2.0)))  # theta > pi/4
