@@ -49,7 +49,7 @@ def _realization_from_args(args) -> QubitRealization:
 
 def _add_realization_flags(parser: argparse.ArgumentParser) -> None:
     for name in SCAN_PARAMS:
-        parser.add_argument(f"--{name}", type=float, required=True)
+        parser.add_argument(f"--{name}", type=_finite_float(name), required=True)
     parser.add_argument("--degrees", action="store_true",
                         help="interpret angle flags as degrees")
 
@@ -235,6 +235,8 @@ def _parse_range(spec: str) -> tuple[str, float, float, int]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"range must look like name=min:max:steps, got {spec!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"range bounds must be finite, got {spec!r}")
     if name not in SCAN_PARAMS:
         raise argparse.ArgumentTypeError(f"unknown scan parameter {name!r}")
     if steps < 1 or lo > hi:
@@ -263,9 +265,8 @@ def cmd_scan(args) -> int:
 
 
 def _functional_from_args(args) -> BellFunctional:
-    if args.coeffs is None:
-        return CHSH
-    return BellFunctional(coeffs=tuple(args.coeffs), offset=args.offset)
+    coeffs = CHSH.coeffs if args.coeffs is None else tuple(args.coeffs)
+    return BellFunctional(coeffs=coeffs, offset=args.offset)
 
 
 def cmd_oracle_bell_max(args) -> int:
@@ -298,6 +299,20 @@ def _int_at_least(name: str, least: int):
             raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}") from exc
         if value < least:
             raise argparse.ArgumentTypeError(f"need {name} >= {least}, got {value}")
+        return value
+    return parse
+
+
+def _finite_float(name: str):
+    """argparse type: a finite float flag value; anything else, nan and inf
+    included, is a usage error naming the flag."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}") from exc
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{name} must be finite, got {text!r}")
         return value
     return parse
 
@@ -358,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--range", type=_parse_range, action="append", required=True,
                         metavar="PARAM=MIN:MAX:STEPS")
     for name in SCAN_PARAMS:
-        p_scan.add_argument(f"--{name}", type=float, default=None)
+        p_scan.add_argument(f"--{name}", type=_finite_float(name), default=None)
     p_scan.add_argument("--degrees", action="store_true")
     p_scan.add_argument("--columns", default=None,
                         help="comma-separated output column subset")
@@ -369,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     or_sub = p_or.add_subparsers(dest="oracle_command", required=True)
 
     p_bm = or_sub.add_parser("bell-max", help="maximize a Bell functional over two qubits")
-    p_bm.add_argument("--coeffs", type=float, nargs=8, default=None,
+    p_bm.add_argument("--coeffs", type=_finite_float("coeffs"), nargs=8, default=None,
                       metavar=("bA0", "bA1", "bB0", "bB1", "b00", "b10", "b01", "b11"))
-    p_bm.add_argument("--offset", type=float, default=0.0)
+    p_bm.add_argument("--offset", type=_finite_float("offset"), default=0.0)
     p_bm.add_argument("--resolution", type=_int_at_least("resolution", 16), default=16)
     p_bm.add_argument("--refinements", type=_int_at_least("refinements", 0), default=60)
     common(p_bm)

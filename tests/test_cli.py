@@ -220,6 +220,35 @@ def test_oracle_out_of_range_flags_are_usage_errors(tmp_path, capsys, args, flag
     assert flag in capsys.readouterr().err
 
 
+WITNESS_FLAGS = ["--a0", "0", "--a1", "1.5707963268", "--b0", "0.7853981634",
+                 "--b1", "2.3561944902"]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["oracle", "bell-max", "--coeffs", "nan", "0", "0", "0", "1", "1", "1", "-1"], "coeffs"),
+    (["oracle", "bell-max", "--offset", "inf"], "offset"),
+    (["eval", "--theta", "nan", *WITNESS_FLAGS], "theta"),
+    (["witness", "--theta", "inf", *WITNESS_FLAGS], "theta"),
+    (["witness", "--theta", "0.2", *WITNESS_FLAGS[:-2], "--b1=-inf"], "b1"),
+    (["scan", "--range", "theta=0:1:2", *WITNESS_FLAGS[:-1], "nan"], "b1"),
+    (["scan", "--range", "theta=0:inf:2", *WITNESS_FLAGS], "range"),
+], ids=["bell-max-coeffs", "bell-max-offset", "eval-theta", "witness-theta",
+        "witness-b1", "scan-b1", "scan-range"])
+def test_non_finite_float_flags_are_usage_errors(capsys, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be finite" in err or f"{flag} bounds must be finite" in err
+
+
+def test_oracle_bell_max_offset_applies_to_the_default_functional(capsys):
+    code, out, _ = run_cli(["oracle", "bell-max", "--offset", "1.5", "--refinements", "40"],
+                           capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(2 * math.sqrt(2) + 1.5, abs=1e-6)
+
+
 def test_oracle_flags_at_their_bounds_run(tmp_path, capsys):
     code, out, _ = run_cli(["oracle", "bell-max", "--resolution", "16",
                             "--refinements", "0"], capsys)

@@ -125,6 +125,15 @@ def test_bell_max_rejects_negative_refinements():
         bell_max_q2(CHSH, refinements=-1)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"resolution": 16.0}, "resolution"),
+    ({"refinements": 2.0}, "refinements"),
+], ids=["resolution", "refinements"])
+def test_bell_max_rejects_non_integer_arguments(kwargs, name):
+    with pytest.raises(TypeError, match=f"{name} must be an integer"):
+        bell_max_q2(CHSH, **kwargs)
+
+
 def test_bell_max_monotone_under_refinement():
     values = [bell_max_q2(CHSH, refinements=k)[0] for k in (0, 5, 20, 60)]
     assert all(v2 >= v1 - 1e-15 for v1, v2 in zip(values, values[1:]))
@@ -163,6 +172,44 @@ def test_grid_value_matches_full_grid_argmax():
         ref_value, ref_params = full_grid_value(beta_vec)
         assert value == ref_value
         assert np.array_equal(params, ref_params)
+
+
+def mirrored_integer_functionals(rng, count):
+    """Integer functionals invariant under swapping Alice's or Bob's inputs:
+    mirrored grid points tie in exact arithmetic and differ by rounding."""
+    out = []
+    for k in range(count):
+        m, n, e, f, mb = rng.integers(-2, 3, 5).astype(float)
+        if k % 2 == 0:  # Alice's swap: bA0 = bA1, b00 = b10, b01 = b11
+            out.append(np.array([m, m, n, mb, e, f, e, f]))
+        else:  # Bob's swap: bB0 = bB1, b00 = b01, b10 = b11
+            out.append(np.array([mb, m, n, n, e, e, f, f]))
+    out.append(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
+    out.append(np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0, -1.0, 1.0]))
+    return out
+
+
+def test_grid_value_separable_kernel_on_scaled_tied_and_odd_grids():
+    rng = np.random.default_rng(72)
+    cases = [(rng.normal(size=8), 17) for _ in range(3)]
+    cases += [(rng.normal(size=8), 24) for _ in range(2)]
+    cases += [(rng.normal(size=8) * scale, 16) for scale in (1e6, 1e-6) for _ in range(3)]
+    # beta = 0 and single coefficients tie on whole sub-grids
+    cases += [(np.zeros(8), 16), (np.zeros(8), 17)]
+    cases += [(np.eye(8)[k] * w, 16) for k in range(8) for w in (1.0, -0.7)]
+    cases += [(beta_vec, 16) for beta_vec in mirrored_integer_functionals(rng, 12)]
+    cases += [(beta_vec, 17) for beta_vec in mirrored_integer_functionals(rng, 4)]
+    # the first maximum's separable value lies 1.07 to 1.6 eps ||beta||_1 below
+    # the separable maximum: the largest gaps among about 14,000 seeded
+    # integer, half-integer and normal functionals
+    gaps = ([0, 0, 0, 0, 3, -3, 3, 1], [0, 0, 0, 0, -1, 2, -1, -3],
+            [0.5, 0, 0, 0, 1.5, 1.5, -1.5, 2], [-1, -2, -3, -3, -2, -2, -1, -1])
+    cases += [(np.array(beta, float), 16) for beta in gaps]
+    for beta_vec, res in cases:
+        value, params = _grid_value(beta_vec, res)
+        ref_value, ref_params = full_grid_value(beta_vec, res)
+        assert value == ref_value, (beta_vec, res)
+        assert np.array_equal(params, ref_params), (beta_vec, res)
 
 
 def test_coordinate_form_traces_the_functional():
