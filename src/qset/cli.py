@@ -388,7 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar=("bA0", "bA1", "bB0", "bB1", "b00", "b10", "b01", "b11"))
     p_bm.add_argument("--offset", type=_finite_float("offset"), default=0.0)
     p_bm.add_argument("--resolution", type=_int_at_least("resolution", 16), default=16)
-    p_bm.add_argument("--refinements", type=_int_at_least("refinements", 0), default=60)
+    p_bm.add_argument("--refinements", type=_int_at_least("refinements", 0), default=60,
+                      help="cap on ascent iterations after the grid: the first 6 are "
+                           "block sweeps over every start, the rest Newton steps; "
+                           "0 returns the grid point")
     common(p_bm)
     p_bm.set_defaults(func=cmd_oracle_bell_max)
 

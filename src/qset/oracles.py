@@ -2,9 +2,10 @@
 
 Three falsifiers/cross-checks that share no code path with the analytical
 modules: local-polytope membership by a small feasibility simplex over the
-deterministic vertices, Bell maximization over the two-qubit family by grid
-search plus coordinate refinement, and a convex-decomposition search that
-tries to split a behavior into two distinct quantum parts.
+deterministic vertices, Bell maximization over the two-qubit family by a
+grid search plus a multistart exact block-coordinate ascent with a Newton
+finish, and a convex-decomposition search that tries to split a behavior
+into two distinct quantum parts.
 """
 
 from __future__ import annotations
@@ -279,34 +280,128 @@ def _grid_value(beta_vec: np.ndarray, res: int) -> tuple[float, np.ndarray]:
     return best_val, ax[best_idx]
 
 
-#: Frequency of each coordinate (theta, a0, a1, b0, b1) in the Born rule.
-_FREQ = (2, 1, 1, 1, 1)
+#: Further starts of the ascent: (theta, a0, a1, b0, b1) columns, the first
+#: 16 points frac(1/2 + n phi^-k) of Roberts' R_5 sequence (phi^6 = phi + 1)
+#: scaled to [0, pi)^5.  A closed form: a seeded generator would import
+#: numpy.random with the package.
+_STARTS = math.pi * np.modf(
+    0.5 + np.arange(1, 17) * 1.1347241384015194 ** -np.arange(1.0, 6.0)[:, None])[0]
+#: Block sweeps over every start before the Newton finish.
+_SWEEPS = 6
+#: How many of the best swept rows take the Newton finish.
+_FINISH_ROWS = 2
+#: Longest Newton step (max norm, radians), and the floor on |eigenvalue|
+#: relative to ||beta||_1.
+_STEP_CAP = 0.5
+_EIG_FLOOR = 1e-6
 
 
-def _coordinate_form(coeffs: list[float], trig: list[tuple[float, float]], k: int
-                     ) -> tuple[float, float, float]:
-    """(C, S, K) such that moving coordinate k to t gives the functional the
-    value C cos(m t) + S sin(m t) + K, with m = _FREQ[k].
+def _sweeps(bv: np.ndarray, x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """At most ``count`` block sweeps (Alice, theta, Bob, theta) over the
+    columns of ``x``; returns the swept columns and their values.
 
-    ``trig`` holds (cos, sin) of m times each current coordinate.  The value
-    is c2 (mA . ca + mB . cb) + ca^T E cb + s2 sa^T E sb, with E the
-    correlator block, so it is a sinusoid in 2 theta and in each angle."""
-    (c2, s2), (ca0, sa0), (ca1, sa1), (cb0, sb0), (cb1, sb1) = trig
-    ca, sa, cb, sb = (ca0, ca1), (sa0, sa1), (cb0, cb1), (sb0, sb1)
-    m_a, m_b = coeffs[0:2], coeffs[2:4]
-    e = (coeffs[4:6], coeffs[6:8])  # e[x][y]
-    if k >= 3:  # one of Bob's angles: exchange the parties' roles
-        ca, sa, cb, sb, m_a, m_b, e = cb, sb, ca, sa, m_b, m_a, tuple(zip(*e))
-    ecb = (e[0][0] * cb[0] + e[0][1] * cb[1], e[1][0] * cb[0] + e[1][1] * cb[1])
-    esb = (e[0][0] * sb[0] + e[0][1] * sb[1], e[1][0] * sb[0] + e[1][1] * sb[1])
-    if k == 0:
-        marg = m_a[0] * ca[0] + m_a[1] * ca[1] + m_b[0] * cb[0] + m_b[1] * cb[1]
-        return marg, sa[0] * esb[0] + sa[1] * esb[1], ca[0] * ecb[0] + ca[1] * ecb[1]
-    i = (k - 1) % 2  # the moving angle; o is the same party's other angle
-    o = 1 - i
-    rest = (c2 * (m_a[o] * ca[o] + m_b[0] * cb[0] + m_b[1] * cb[1])
-            + ca[o] * ecb[o] + s2 * sa[o] * esb[o])
-    return c2 * m_a[i] + ecb[i], s2 * esb[i], rest
+    Each block is set to its exact maximum with the others fixed.  The value
+    is c2 M + s2 S + K, with M = mA . ca + mB . cb, S = sa^T E sb and
+    K = ca^T E cb (E the correlator block), so Alice's angle a_x maximizes
+    ca_x (c2 mA_x + (E cb)_x) + sa_x s2 (E sb)_x, Bob's likewise with E^T,
+    and 2 theta maximizes c2 M + s2 S.  The sweeps stop early once no column
+    gains."""
+    m_a, m_b, e = bv[0:2, None], bv[2:4, None], bv[4:8].reshape(2, 2)
+    phi = 2.0 * x[0]
+    c2, s2 = np.cos(phi), np.sin(phi)
+    b = x[3:5]
+    cb, sb = np.cos(b), np.sin(b)
+    val = None
+    for _ in range(count):
+        ecb, esb = e @ cb, e @ sb
+        a = np.arctan2(s2 * esb, c2 * m_a + ecb)
+        ca, sa = np.cos(a), np.sin(a)
+        phi = np.arctan2((sa * esb).sum(0), (m_a * ca).sum(0) + (m_b * cb).sum(0))
+        c2, s2 = np.cos(phi), np.sin(phi)
+        eca, esa = e.T @ ca, e.T @ sa
+        b = np.arctan2(s2 * esa, c2 * m_b + eca)
+        cb, sb = np.cos(b), np.sin(b)
+        marg, corr = (m_a * ca).sum(0) + (m_b * cb).sum(0), (sb * esa).sum(0)
+        phi = np.arctan2(corr, marg)
+        c2, s2 = np.cos(phi), np.sin(phi)
+        new = np.hypot(marg, corr) + (cb * eca).sum(0)
+        done = val is not None and not (new > val).any()
+        val = new
+        if done:
+            break
+    return np.vstack([0.5 * phi, a, b]), val
+
+
+def _local_model(bv: np.ndarray, rows: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value (R,), gradient (R, 5) and Hessian (R, 5, 5) of the functional at
+    ``rows`` (R, 5), in closed form.
+
+    Both parties are handled at once: for party k with angles (c, s) and the
+    partner's (c', s'), u = c2 m_k + E_k c' and v = s2 E_k s', with E_A = E
+    and E_B = E^T, so the value along one angle is c u + s v + const."""
+    r = len(rows)
+    c2, s2 = np.cos(2.0 * rows[:, 0]), np.sin(2.0 * rows[:, 0])
+    c, s = np.cos(rows[:, 1:].T), np.sin(rows[:, 1:].T)
+    cs, ss = c.reshape(2, 2, r), s.reshape(2, 2, r)  # (party, setting, R)
+    e = bv[4:8].reshape(2, 2)
+    pair = np.stack([e, e.T])
+    m = bv[0:4].reshape(2, 2, 1)
+    ec, es = pair @ cs[::-1], pair @ ss[::-1]
+    u, v = c2 * m + ec, s2 * es
+    marg = bv[0:4] @ c
+    corr = (ss[0] * es[0]).sum(0)
+    tilt = c2 * marg + s2 * corr
+    val = tilt + (cs[0] * ec[0]).sum(0)
+    grad = np.empty((5, r))
+    grad[0] = 2.0 * (c2 * corr - s2 * marg)
+    grad[1:] = (cs * v - ss * u).reshape(4, r)
+    hess = np.empty((5, 5, r))
+    hess[0, 0] = -4.0 * tilt
+    hess[0, 1:] = hess[1:, 0] = (2.0 * (s2 * m * ss + c2 * cs * es)).reshape(4, r)
+    hess[1:, 1:] = 0.0
+    diag = np.arange(1, 5)
+    hess[diag, diag] = -(cs * u + ss * v).reshape(4, r)
+    cross = e[:, :, None] * (ss[0][:, None] * ss[1][None] + s2 * (cs[0][:, None] * cs[1][None]))
+    hess[1:3, 3:5] = cross
+    hess[3:5, 1:3] = cross.transpose(1, 0, 2)
+    return val, grad.T, hess.transpose(2, 0, 1)
+
+
+def _newton(bv: np.ndarray, rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """At most ``count`` saddle-free Newton steps on ``rows`` (R, 5); returns
+    the moved rows and their values.
+
+    The step is V diag(1 / max(|lambda|, floor)) V^T g from the eigenpairs of
+    the Hessian, so it ascends whatever the curvature's signs.  A step is
+    kept only when it gains.  A step longer than the row's radius (at first
+    _STEP_CAP) is scaled down to it, and a scaled step that gains nothing
+    halves the radius; a row stops when an unscaled step gains nothing."""
+    val, grad, hess = _local_model(bv, rows)
+    rows = rows.copy()
+    radius = np.full(len(rows), _STEP_CAP)
+    floor = _EIG_FLOOR * float(np.abs(bv).sum()) + np.finfo(float).tiny
+    active = np.arange(len(rows))
+    for _ in range(count):
+        if not active.size:
+            break
+        lam, vec = np.linalg.eigh(hess)
+        step = vec @ ((grad[:, None, :] @ vec)[:, 0] / np.maximum(np.abs(lam), floor))[..., None]
+        step = step[..., 0]
+        length = np.abs(step).max(axis=1)
+        scaled = length > radius[active]
+        step[scaled] *= (radius[active][scaled] / length[scaled])[:, None]
+        new_val, new_grad, new_hess = _local_model(bv, rows[active] + step)
+        gain = new_val > val[active]
+        keep = active[gain]
+        rows[keep] += step[gain]
+        val[keep] = new_val[gain]
+        radius[active[~gain]] = 0.5 * np.minimum(length, radius[active])[~gain]
+        go = gain | scaled
+        active = active[go]
+        grad = np.where(gain[:, None], new_grad, grad)[go]
+        hess = np.where(gain[:, None, None], new_hess, hess)[go]
+    return rows, val
 
 
 def _integer(name: str, value) -> int:
@@ -321,10 +416,19 @@ def bell_max_q2(beta: BellFunctional, resolution: int = 16, refinements: int = 6
                 ) -> tuple[float, QubitRealization]:
     """Maximize a Bell functional over the pure two-qubit family.
 
-    Coarse grid over (theta, a0, a1, b0, b1) in [0, pi)^5 followed by
-    coordinate descent with shrinking step, scoring each coordinate's
-    candidates in closed form; the tracked value is monotone nondecreasing
-    across refinement rounds.
+    Returns (value, realization), where value is the functional at the
+    realization plus ``beta.offset``.  The value is a lower bound on the
+    maximum from a multistart local search, and the search can still miss.
+
+    The starts are the best point of a ``resolution``^5 grid over
+    (theta, a0, a1, b0, b1) in [0, pi)^5 (``_grid_value``) and 16 fixed
+    points (``_STARTS``).  Exact block-coordinate ascent (``_sweeps``) runs
+    on all of them as one batch; the best ``_FINISH_ROWS`` rows then take
+    saddle-free Newton steps on the closed-form Hessian (``_newton``).
+    ``refinements`` caps the ascent iterations: the first
+    min(refinements, _SWEEPS) are sweeps over every start, the rest Newton
+    steps.  The grid point is kept unless the ascent beats its value, so
+    ``refinements=0`` returns the grid point and value exactly.
 
     Raises TypeError unless ``resolution`` and ``refinements`` are integers,
     and ValueError unless ``resolution >= 16`` and ``refinements >= 0``.
@@ -337,26 +441,14 @@ def bell_max_q2(beta: BellFunctional, resolution: int = 16, refinements: int = 6
         raise ValueError("refinements must be at least 0")
     bv = beta.vector
     best_val, params = _grid_value(bv, resolution)
-    coeffs = bv.tolist()
-    trig = [(math.cos(m * v), math.sin(m * v)) for m, v in zip(_FREQ, params)]
-    step = math.pi / resolution
-    scan = np.linspace(-1.0, 1.0, 13)
-    for _ in range(refinements):
-        offsets = scan * step
-        # cos/sin of m * offset; each candidate's value follows by angle
-        # addition from the current coordinate's (cos, sin)
-        rot = {m: (np.cos(m * offsets), np.sin(m * offsets)) for m in (1, 2)}
-        for k, m in enumerate(_FREQ):
-            c, s, rest = _coordinate_form(coeffs, trig, k)
-            ct, st = trig[k]
-            cd, sd = rot[m]
-            vals = (c * ct + s * st) * cd + (s * ct - c * st) * sd + rest
-            j = int(vals.argmax())
-            if vals[j] > best_val:
-                best_val = float(vals[j])
-                params[k] += offsets[j]
-                trig[k] = (math.cos(m * params[k]), math.sin(m * params[k]))
-        step *= 0.65
+    if refinements:
+        swept, swept_val = _sweeps(bv, np.column_stack([params, _STARTS]),
+                                   min(refinements, _SWEEPS))
+        top = np.argsort(-swept_val, kind="stable")[:_FINISH_ROWS]
+        rows, val = _newton(bv, swept[:, top].T, refinements - min(refinements, _SWEEPS))
+        k = int(np.argmax(val))
+        if val[k] > best_val:
+            best_val, params = float(val[k]), rows[k]
     realization = QubitRealization(
         theta=float(params[0]),
         a=(float(params[1]), float(params[2])),

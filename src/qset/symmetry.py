@@ -9,8 +9,10 @@ in floating point.  ``signed_permutation`` reads that action from one table
 built once from the elements' fields; every relabeling in the package,
 here and in the other modules, applies it from there.
 
-The group is generated programmatically by closure over the three
-generator families rather than hardcoding its order.
+The 128 elements are enumerated directly by ``_all_tuples`` over the fields
+(party swap, two input swaps, four output flips).  That this set is the
+closure of the three generator families under composition is checked by a
+test only.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ __all__ = [
     "apply_symmetry",
     "signed_permutation",
     "group_elements",
-    "generators",
-    "generated_closure",
     "compose",
     "inverse",
     "canonical_behavior",
@@ -103,31 +103,6 @@ def signed_permutation(g: SymmetryElement) -> tuple[np.ndarray, np.ndarray]:
 def group_elements() -> tuple[SymmetryElement, ...]:
     """All distinct relabeling elements, in fixed enumeration order."""
     return _tables()[0]
-
-
-def generators() -> list[SymmetryElement]:
-    """One representative per generator family: party swap, an input swap, an output flip."""
-    return [
-        SymmetryElement(party_swap=True),
-        SymmetryElement(input_swap_a=True),
-        SymmetryElement(output_flip=(True, False, False, False)),
-    ]
-
-
-def generated_closure() -> set[SymmetryElement]:
-    """Close the generator families under composition (no order assumption)."""
-    frontier = set(generators()) | {SymmetryElement.identity()}
-    closed: set[SymmetryElement] = set()
-    while frontier:
-        closed |= frontier
-        nxt = set()
-        for g in frontier:
-            for h in list(closed):
-                for comp in (compose(g, h), compose(h, g)):
-                    if comp not in closed:
-                        nxt.add(comp)
-        frontier = nxt - closed
-    return closed
 
 
 def compose(g2: SymmetryElement, g1: SymmetryElement) -> SymmetryElement:

@@ -173,7 +173,7 @@ def test_oracle_bell_max_cli(capsys):
     code, out, _ = run_cli(["oracle", "bell-max", "--refinements", "40"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["value"] == pytest.approx(2 * math.sqrt(2), abs=1e-6)
+    assert doc["value"] == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
 
 def test_oracle_local_cli(tmp_path, capsys):

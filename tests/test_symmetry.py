@@ -7,13 +7,37 @@ from qset.symmetry import (
     apply_symmetry,
     canonical_behavior,
     compose,
-    generated_closure,
     group_elements,
     inverse,
     signed_permutation,
 )
 
 from conftest import PI8_EDGE, random_valid_behavior
+
+
+def generators() -> list[SymmetryElement]:
+    """One representative per generator family: party swap, an input swap, an output flip."""
+    return [
+        SymmetryElement(party_swap=True),
+        SymmetryElement(input_swap_a=True),
+        SymmetryElement(output_flip=(True, False, False, False)),
+    ]
+
+
+def generated_closure() -> set[SymmetryElement]:
+    """Close the generator families under composition (no order assumption)."""
+    frontier = set(generators()) | {SymmetryElement.identity()}
+    closed: set[SymmetryElement] = set()
+    while frontier:
+        closed |= frontier
+        nxt = set()
+        for g in frontier:
+            for h in list(closed):
+                for comp in (compose(g, h), compose(h, g)):
+                    if comp not in closed:
+                        nxt.add(comp)
+        frontier = nxt - closed
+    return closed
 
 
 def test_generated_closure_matches_enumeration():
