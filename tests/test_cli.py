@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -324,3 +325,58 @@ def test_python_m_qset_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     p = Behavior.from_json_dict(json.loads(proc.stdout))
     assert np.allclose(p.vector, born_point(TSIRELSON).vector, atol=1e-12)
+
+
+SCAN_A = ["scan", "--range", "theta=0.1:1.4:5", "--range", "a1=0.4:2.8:3",
+          "--range", "b0=0:2.5:2", "--a0", "0", "--b1", "2.7"]
+
+
+def test_one_process_shares_the_parser_across_calls(capsys):
+    code, first, _ = run_cli(SCAN_A, capsys)
+    assert code == 0 and len(first.splitlines()) == 1 + 5 * 3 * 2
+    code, _, err = run_cli(["scan", "--range", "theta=0.1:0.2:2",
+                            "--range", "theta=0.5:0.6:1", "--a0", "0", "--a1", "1",
+                            "--b0", "0.5", "--b1", "2"], capsys)
+    assert code == 2 and "theta" in err
+    code, out, _ = run_cli(["oracle", "bell-max"], capsys)
+    assert code == 0 and json.loads(out)["value"] == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--help"])
+    assert exc.value.code == 0 and "--range" in capsys.readouterr().out
+    code, out, _ = run_cli(["scan", "--range", "b1=1.5:2.5:3", "--theta", "0.3",
+                            "--a0", "0", "--a1", "1.2", "--b0", "0.6"], capsys)
+    assert code == 0
+    rows = [line.split(",")[:5] for line in out.splitlines()[1:]]
+    assert [[float(x) for x in row] for row in rows] == [
+        [0.3, 0.0, 1.2, 0.6, b1] for b1 in (1.5, 2.0, 2.5)]
+    code, again, _ = run_cli(SCAN_A, capsys)
+    assert code == 0 and again == first
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--range", "b0=0.1:0.2:2", "--range", "b0=0.5:0.6:1",
+      "--theta", "0.3", "--a0", "0", "--a1", "1", "--b1", "2"], "b0"),
+    (["--range", "a1=0.1:0.2:2", "--a1", "0.7",
+      "--theta", "0.3", "--a0", "0", "--b0", "0.5", "--b1", "2"], "a1"),
+], ids=["ranged-twice", "ranged-and-fixed"])
+def test_scan_repeated_or_conflicting_parameter_is_a_usage_error(capsys, args, name):
+    code, out, err = run_cli(["scan", *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"parameter {name} " in err
+
+
+def test_second_main_call_builds_no_parser(monkeypatch, capsys):
+    argv = ["scan", "--range", "theta=0.1:0.7:4", "--a0", "0", "--a1", "1.2",
+            "--b0", "0.6", "--b1", "2.5"]
+    assert run_cli(argv, capsys)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(argv, capsys)[0] == 0
+    assert built == []
