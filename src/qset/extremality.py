@@ -252,18 +252,23 @@ def alternation_margins(params) -> tuple[np.ndarray, dict[int, Exception]]:
     Returns the (N, 8) margins and the error ``full_alternation_check``
     raises for each row it rejects (ValueError for a non-canonical row,
     DegenerateThetaError for theta = 0 mod pi/2); those rows' margins are NaN.
+    The degenerate test is |sin 2 theta| < 1e-12 in ``math`` (libm): numpy's
+    sin only screens for the rows to test, with twice the bound.
     """
     params = np.asarray(params, dtype=float)
-    b0, b1 = params[:, 3:4], params[:, 4:5]
-    at = pi_interval(modified_angles_raw(params[:, :1], params[:, 1:3]))  # [alpha, row, x]
+    theta, b0, b1 = params[:, :1], params[:, 3:4], params[:, 4:5]
+    at = pi_interval(modified_angles_raw(theta, params[:, 1:3]))  # [alpha, row, x]
     margins = np.concatenate(
         [b0 - at[:, :, 0].T, at[:, :, 1].T - b0, b1 - at[:, :, 1].T, b0, math.pi - b1], axis=1)
+    canonical = _in_canonical_range(*params.T)
+    suspect = ~canonical | (np.abs(np.sin(2 * theta[:, 0])) < 2e-12)
     errors: dict[int, Exception] = {}
-    for i, row in enumerate(params.tolist()):
-        if not _in_canonical_range(*row):
+    for i in np.flatnonzero(suspect).tolist():
+        t = float(params[i, 0])
+        if not canonical[i]:
             errors[i] = ValueError("full_alternation_check requires a canonical realization")
-        elif abs(math.sin(2 * row[0])) < 1e-12:
-            errors[i] = DegenerateThetaError(f"theta={row[0]!r} is 0 mod pi/2")
+        elif abs(math.sin(2 * t)) < 1e-12:
+            errors[i] = DegenerateThetaError(f"theta={t!r} is 0 mod pi/2")
     if errors:
         margins[list(errors)] = np.nan
     return margins, errors
@@ -272,13 +277,15 @@ def alternation_margins(params) -> tuple[np.ndarray, dict[int, Exception]]:
 def full_alternation_check(r: QubitRealization, strict: bool) -> tuple[bool, np.ndarray]:
     """Full alternation of the modified angles against Bob's angles:
 
-        0 <= [atilde_0^s]_pi <= b0 <= [atilde_1^t]_pi <= b1 < pi   for all s, t.
+        0 <= [atilde_0^s]_pi <= b0 <= [atilde_1^t]_pi <= b1 <= pi   for all s, t,
 
+    where [x]_pi is x mod pi, so the leading inequality holds by construction.
     Returns the verdict and 8 signed slack margins, ordered
     (b0 - [a~0+], b0 - [a~0-], [a~1+] - b0, [a~1-] - b0,
      b1 - [a~1+], b1 - [a~1-], b0, pi - b1).
-    The strict variant requires the six inner margins strictly positive
-    (the leading 0 <= [a~0^s] inequality stays non-strict in the strict variant).
+    Every margin must be >= -TOL_EQ.  The strict variant requires the six
+    inner margins > TOL_EQ; the last two, b0 and pi - b1, stay non-strict
+    (>= -TOL_EQ) in both variants.
 
     The verdict characterizes extremality of the behavior for canonical
     realizations with theta in (0, pi/2); for theta beyond pi/2 canonicalize

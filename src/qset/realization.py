@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,17 +80,13 @@ class QubitRealization:
         )
 
 
-def _in_canonical_range(theta, a0, a1, b0, b1, tol: float = TOL_EQ) -> bool:
+def _in_canonical_range(theta, a0, a1, b0, b1, tol: float = TOL_EQ):
     """True when theta in [0, pi), 0 <= a0 <= b0 <= b1 < pi and a0 <= a1 < pi,
-    each bound widened by ``tol``."""
-    return (
-        -tol <= theta < PI + tol
-        and -tol <= a0 <= b0 + tol
-        and b0 <= b1 + tol
-        and b1 < PI + tol
-        and a0 <= a1 + tol
-        and a1 < PI + tol
-    )
+    each bound widened by ``tol``; elementwise over array arguments."""
+    return ((-tol <= theta) & (theta < PI + tol)
+            & (-tol <= a0) & (a0 <= b0 + tol)
+            & (b0 <= b1 + tol) & (b1 < PI + tol)
+            & (a0 <= a1 + tol) & (a1 < PI + tol))
 
 
 def born_vector(theta, a0, a1, b0, b1):
@@ -232,22 +229,52 @@ def _gauge_moves() -> tuple[tuple, ...]:
     return tuple(sorted(moves))
 
 
+#: Images per row that ``_canonicalize_many`` evaluates: 4 theta images,
+#: then 24 angle images.
+_IMAGES = 28
+
+
+class _Candidates(NamedTuple):
+    """Tables of the 1024 gauge x relabeling candidates.
+
+    Image column m of a row is mod(sign[m] * params[src[m]] + offset[m],
+    period[m]), less pi where it is at least fold_at[m].  ``cols`` (5, 1024)
+    holds the image columns of each candidate's (theta, a0, a1, b0, b1).
+    ``lists`` gives the first candidate and the (4, K) comparison-table
+    entries of the K consecutive candidates of each theta map, then of all
+    1024.  ``ridx`` is each candidate's relabeling in ``group_elements()``.
+    """
+
+    sign: np.ndarray
+    src: np.ndarray
+    offset: np.ndarray
+    period: np.ndarray
+    fold_at: np.ndarray
+    cols: np.ndarray
+    lists: tuple
+    ridx: tuple
+
+
 @functools.lru_cache(maxsize=1)
-def _candidate_tables():
+def _candidate_tables() -> _Candidates:
     """Precompute the combined gauge x relabeling transform tables.
 
-    Candidate j maps theta to TSGN[k]*theta + TOFF[k]*pi/2 (mod pi) with
-    k = TI[j], and slot s of (a0, a1, b0, b1) to
-    ASGN[k]*angles[ASRC[k]] + AOFF[k]*pi (mod 2pi) with k = AI[s, j].  The
-    1024 candidates share a few dozen distinct images, so each is reduced
-    once.  RIDX[j] is the candidate's relabeling in ``group_elements()``.
+    Candidate j maps theta by its gauge move and moves the angle slots as the
+    marginals move (see ``apply_relabeling``), an output flip adding pi.  The
+    1024 candidates share 4 theta images (mod pi) and 24 angle images (mod
+    2pi, folded into [0, pi)), so each row evaluates those 28 images once and
+    a candidate's (theta, a0, a1, b0, b1) are 5 of its columns.
+
+    A candidate reads 4 entries (p, q) of a row's 28 x 28 comparison table:
+    (theta, theta), (a0, a1), (b0, b1) and (a0, b0); see ``_canonicalize_many``.
+    ``lists[k]`` covers the 256 candidates of theta map k, ``lists[4]`` all
+    1024.
     """
     theta_maps: dict[tuple, int] = {}
     angle_maps: dict[tuple, int] = {}
     ti, ai, ridx = [], [], []
     for emt, kmt, ea, ka, eb, kb in _gauge_moves():
         for ri, g in enumerate(group_elements()):
-            # angle slots move as the marginals do (see apply_relabeling)
             perm, sign = signed_permutation(g)
             perm, flip = perm[:4].tolist(), (sign[:4] < 0).tolist()
             e_src = [ea, ea, eb, eb]
@@ -259,65 +286,118 @@ def _candidate_tables():
             ridx.append(ri)
     tmap = np.array(list(theta_maps), dtype=float)
     amap = np.array(list(angle_maps))
-    return (tmap[:, 0], tmap[:, 1], np.array(ti), amap[:, 0], amap[:, 1].astype(float),
-            amap[:, 2].astype(float), np.array(ai).T.copy(), tuple(ridx))
+    nt, na = len(tmap), len(amap)
+    assert nt + na == _IMAGES
+    ti = np.array(ti)
+    # moves are sorted, so the candidates of each theta map are consecutive
+    size = len(ti) // nt
+    assert np.array_equal(ti, np.repeat(np.arange(nt), size))
+    cols = np.vstack([ti, nt + np.array(ai).T])
+    t, a0, a1, b0, b1 = cols
+    entries = np.vstack([t * _IMAGES + t, a0 * _IMAGES + a1,
+                         b0 * _IMAGES + b1, a0 * _IMAGES + b0])
+    return _Candidates(
+        sign=np.concatenate([tmap[:, 0], amap[:, 1]]),
+        src=np.concatenate([np.zeros(nt, int), 1 + amap[:, 0]]),
+        offset=np.concatenate([tmap[:, 1] * (PI / 2), amap[:, 2] * PI]),
+        period=np.repeat([PI, 2 * PI], [nt, na]),
+        fold_at=np.repeat([np.inf, PI], [nt, na]),
+        cols=cols,
+        lists=tuple((k * size, entries[:, k * size:(k + 1) * size].copy()) for k in range(nt))
+        + ((0, entries),),
+        ridx=tuple(ridx),
+    )
 
 
-#: Rows per ``_canonicalize_many`` chunk: each row expands to 1024 candidates.
+#: Rows per ``_canonicalize_many`` chunk searched over one theta map's 256
+#: candidates; a chunk searched over all 1024 holds a quarter as many (at
+#: least one).  A chunk gathers 4 comparison-table entries per candidate, so
+#: no chunk array exceeds CANONICALIZE_CHUNK x 1024 elements.
 CANONICALIZE_CHUNK = 8
+
+#: Place values of a candidate's 4 comparison-table entries in its key.
+_KEY_WEIGHTS = (float(_IMAGES * _IMAGES) ** np.arange(3, -1, -1))[:, None]
 
 
 def _canonicalize_many(params: np.ndarray, sector: bool = False
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``canonicalize`` over the rows of an (N, 5) array of (theta, a0, a1, b0, b1).
+    """``canonicalize`` over the rows of an (N, 5) array of finite
+    (theta, a0, a1, b0, b1).
 
     Returns the canonical parameters (N, 5), the index of the winning
     gauge x relabeling candidate per row (-1 where no image satisfies the
     constraints; that row's parameters are NaN) and its (N, 4) fold flags,
     from which ``_canonical_witness`` builds the witness element.
+
+    theta leads the lexicographic order and depends on the theta map alone,
+    so a row whose least admissible theta image comes from a single theta
+    map is searched over that map's 256 candidates only.  A row where two
+    theta maps give that image bit for bit (theta = 0, pi/4, ...) and a row
+    whose 256 candidates admit none are searched over all 1024.  Both
+    searches take the first candidate, in index order, with the least key.
+
+    A candidate's key is exact: each row ranks its 28 images (equal images
+    share a rank), and entry (p, q) of its comparison table is
+    28 rank(p) + rank(q) where image p <= image q + TOL_EQ and inf elsewhere.
+    The (theta, theta) entry is inf for a theta image outside the sector, so
+    the weighted sum of a candidate's 4 entries is finite exactly when it is
+    admissible and orders the admissible ones as (theta, a0, a1, b0, b1) do
+    ((a0, b0) comes last and repeats a0 and b0).
     """
-    tsgn, toff, ti, asrc, asgn, aoff, ai, _ = _candidate_tables()
+    tab = _candidate_tables()
     n = len(params)
-    out = np.full((n, 5), np.nan)
     win = np.full(n, -1)
-    folds = np.zeros((n, 4), bool)
-    for lo in range(0, n, CANONICALIZE_CHUNK):
-        chunk = params[lo:lo + CANONICALIZE_CHUNK]
-        thetas = np.mod(tsgn * chunk[:, :1] + toff * (PI / 2), PI).take(ti, axis=1)
-        images = np.mod(asgn * chunk[:, 1 + asrc] + aoff * PI, 2 * PI)
-        fold = images >= PI
-        images -= fold * PI
-        a0, a1, b0, b1 = (images.take(slot, axis=1) for slot in ai)
-        ok = (a0 <= a1 + TOL_EQ) & (a0 <= b0 + TOL_EQ) & (b0 <= b1 + TOL_EQ)
-        if sector:
-            ok &= (thetas > TOL_EQ) & (thetas <= PI / 4 + TOL_EQ)
-        # per row, the lexicographic minimum of (theta, a0, a1, b0, b1) over the
-        # admissible candidates; lexsort is stable, so ties go to the first one
-        hits = np.flatnonzero(ok)
-        if hits.size == 0:
-            continue
-        r_idx, c_idx = np.divmod(hits, ok.shape[1])
-        keys = [key.take(hits) for key in (thetas, a0, a1, b0, b1)]
-        order = np.lexsort(keys[::-1] + [r_idx])
-        r_sorted = r_idx[order]
-        first = order[np.concatenate(([True], r_sorted[1:] != r_sorted[:-1]))]
-        rows = lo + r_idx[first]
-        out[rows] = np.column_stack([key[first] for key in keys])
-        win[rows] = c_idx[first]
-        folds[rows] = fold[r_idx[first, None], ai[:, c_idx[first]].T]
+    images = np.mod(tab.sign * params[:, tab.src] + tab.offset, tab.period)
+    fold = images >= tab.fold_at
+    np.subtract(images, PI, out=images, where=fold)
+    theta = images[:, :4]
+    if sector:
+        # NaN fails every comparison, so no candidate admits that theta image
+        theta[(theta <= TOL_EQ) | (theta > PI / 4 + TOL_EQ)] = np.nan
+    # each row's theta map with the least admissible image (NaN sorts last),
+    # or the list of all candidates where two maps give that image
+    full = len(tab.lists) - 1
+    lowest = np.sort(theta, axis=1)
+    group = np.where(lowest[:, 0] >= lowest[:, 1], full, theta.argsort(axis=1)[:, 0])
+
+    def search(rows, first, entries):
+        im = images.take(rows, axis=0)
+        ranks = (im[:, None, :] < im[:, :, None]).sum(axis=2)
+        table = np.where(im[:, :, None] <= im[:, None, :] + TOL_EQ,
+                         ranks[:, :, None] * _IMAGES + ranks[:, None, :], np.inf)
+        key = (table.reshape(len(rows), -1).take(entries, axis=1) * _KEY_WEIGHTS).sum(axis=1)
+        win[rows] = np.where(key.min(axis=1) < np.inf, first + key.argmin(axis=1), -1)
+
+    # the search over all candidates runs last, so it also takes the rows
+    # that their theta map's search left unmatched
+    for k in sorted(set(group.tolist()) | {full}):
+        rows = (group == k if k < full else win < 0).nonzero()[0]
+        step = max(1, CANONICALIZE_CHUNK * 256 // tab.lists[k][1].shape[1])
+        for lo in range(0, len(rows), step):
+            search(rows[lo:lo + step], *tab.lists[k])
+    every, cols = np.arange(n)[:, None], tab.cols[:, win].T
+    out, folds = images[every, cols], fold[every, cols[:, 1:]]
+    lost = win < 0  # win = -1 read the last candidate's columns
+    out[lost], folds[lost] = np.nan, False
     return out, win, folds
 
 
 def _canonical_witness(win: int, fold) -> SymmetryElement:
     """Witness element of a ``_canonicalize_many`` row from its candidate index
     and fold flags."""
-    base = group_elements()[_candidate_tables()[7][win]]
-    extra = tuple(bool(fold[s]) != bool(base.output_flip[s]) for s in range(4))
+    return _witness(int(win), tuple(fold.tolist()))
+
+
+@functools.lru_cache(maxsize=None)
+def _witness(win: int, fold: tuple[bool, ...]) -> SymmetryElement:
+    """``_canonical_witness`` of one (candidate, fold flags) pair: at most
+    1024 x 16 distinct elements, each built once."""
+    base = group_elements()[_candidate_tables().ridx[win]]
     return SymmetryElement(
         party_swap=base.party_swap,
         input_swap_a=base.input_swap_a,
         input_swap_b=base.input_swap_b,
-        output_flip=extra,
+        output_flip=tuple(f != b for f, b in zip(fold, base.output_flip)),
     )
 
 
@@ -327,8 +407,11 @@ def canonicalize(r: QubitRealization, sector: bool = False) -> tuple[QubitRealiz
     Returns (canonical realization, witness element g) with
     born_point(canonical) = apply_symmetry(g, born_point(r)) to float accuracy.
     The representative is the lexicographic minimum of (theta, a0, a1, b0, b1)
-    over all gauge-move x relabeling images that satisfy the range constraints;
-    the minimum always lands theta in [0, pi/4].
+    over all gauge-move x relabeling images that satisfy the range constraints
+    (the first such image in candidate order on a tie); the minimum always
+    lands theta in [0, pi/4].  Since theta leads that order, only the 256
+    images of the theta map with the least admissible theta image are
+    searched, unless two theta maps tie there (see ``_canonicalize_many``).
 
     With sector=True the result is additionally required to have
     theta in (0, pi/4]; a product-state input then raises DegenerateThetaError.

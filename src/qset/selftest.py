@@ -91,36 +91,35 @@ def _gauge_placement(c) -> tuple[list[list[float]], float, float]:
     (w, bgauge, residual) where w[alpha][x] solves cos(w) = c[.][.][1] and
     cos(w - bgauge) = c[.][.][0] simultaneously; the residual is the worst
     deviation of (sin w, cos w) from the unit circle across the four
-    projectors, which measures placement consistency.
+    projectors, which measures placement consistency.  Of the two bgauge
+    candidates the smaller wins a tie in residual.
     """
-    m1 = math.acos(max(-1.0, min(1.0, c[0][0][1])))
-    m0 = math.acos(max(-1.0, min(1.0, c[0][0][0])))
-    cands = set()
-    for u in (m1 + m0, m1 - m0):
-        v = abs((u + math.pi) % (2 * math.pi) - math.pi)
-        cands.add(round(v, 15))
-    best: tuple[float, float, list[list[float]]] | None = None
-    for bg in sorted(cands):
+    (p0, q0), (p1, q1) = c[0]  # (c[alpha][x][0], c[alpha][x][1]) for alpha = +1
+    (p2, q2), (p3, q3) = c[1]  # and for alpha = -1
+    m1 = math.acos(max(-1.0, min(1.0, q0)))
+    m0 = math.acos(max(-1.0, min(1.0, p0)))
+    # the two bgauge candidates |m1 +- m0|, wrapped into [0, pi]
+    v0 = round(abs((m1 + m0 + math.pi) % (2 * math.pi) - math.pi), 15)
+    v1 = round(abs((m1 - m0 + math.pi) % (2 * math.pi) - math.pi), 15)
+    best = None
+    for bg in ((v0,) if v0 == v1 else (min(v0, v1), max(v0, v1))):
         sb = math.sin(bg)
         if sb < 1e-9:
             continue
         cb = math.cos(bg)
-        w = [[0.0, 0.0], [0.0, 0.0]]
-        resid = 0.0
-        for ai in range(2):
-            for x in range(2):
-                sw = (c[ai][x][0] - c[ai][x][1] * cb) / sb
-                w[ai][x] = math.atan2(sw, c[ai][x][1])
-                resid = max(resid, abs(math.hypot(sw, c[ai][x][1]) - 1.0))
+        sw = ((p0 - q0 * cb) / sb, (p1 - q1 * cb) / sb, (p2 - q2 * cb) / sb, (p3 - q3 * cb) / sb)
+        resid = max(0.0, abs(math.hypot(sw[0], q0) - 1.0), abs(math.hypot(sw[1], q1) - 1.0),
+                    abs(math.hypot(sw[2], q2) - 1.0), abs(math.hypot(sw[3], q3) - 1.0))
         if best is None or resid < best[0]:
-            best = (resid, bg, w)
+            best = (resid, bg, sw)
     if best is None:
         raise InconsistentGaugeError("Bob's two measurements coincide on the circle")
-    resid, bg, w = best
+    resid, bg, sw = best
     if resid > TOL_EQ:
         raise InconsistentGaugeError(
             f"gauge placement residual {resid!r} exceeds tolerance")
-    return w, bg, resid
+    return ([[math.atan2(sw[0], q0), math.atan2(sw[1], q1)],
+             [math.atan2(sw[2], q2), math.atan2(sw[3], q3)]], bg, resid)
 
 
 def _solve_gauge(c) -> tuple[tuple[float, ...], tuple]:
@@ -128,22 +127,22 @@ def _solve_gauge(c) -> tuple[tuple[float, ...], tuple]:
     steered table (nested lists), and the gauge data
     (w, bgauge, gauge_residual, theta, delta) of the trace."""
     w, bgauge, gauge_residual = _gauge_placement(c)
+    (wp0, wp1), (wm0, wm1) = w  # w[alpha][x] for alpha = +1, then -1
     # (w_+x + w_-x)/2 and (w_-x - w_+x)/2 per input x
-    s_mid = ((w[0][0] + w[1][0]) / 2.0, (w[0][1] + w[1][1]) / 2.0)
-    d_half = ((w[1][0] - w[0][0]) / 2.0, (w[1][1] - w[0][1]) / 2.0)
-    det = math.sin(s_mid[1] - s_mid[0])
+    s0, s1 = (wp0 + wm0) / 2.0, (wp1 + wm1) / 2.0
+    d0, d1 = (wm0 - wp0) / 2.0, (wm1 - wp1) / 2.0
+    det = math.sin(s1 - s0)
     if abs(det) < 1e-11:
         # both Alice inputs steer to the same mid-angle: consistent only for
         # the maximally entangled state, where the pair collapse d_half = 0
-        if max(abs(d_half[0]), abs(d_half[1])) > TOL_EQ:
+        if max(abs(d0), abs(d1)) > TOL_EQ:
             raise InconsistentGaugeError(
                 "degenerate gauge mid-angles with a non-maximally-entangled signature")
         u = v = 0.0
     else:
-        u = (-math.cos(s_mid[1]) * math.sin(d_half[0])
-             + math.cos(s_mid[0]) * math.sin(d_half[1])) / det
-        v = (-math.sin(s_mid[1]) * math.sin(d_half[0])
-             + math.sin(s_mid[0]) * math.sin(d_half[1])) / det
+        sd0, sd1 = math.sin(d0), math.sin(d1)
+        u = (-math.cos(s1) * sd0 + math.cos(s0) * sd1) / det
+        v = (-math.sin(s1) * sd0 + math.sin(s0) * sd1) / det
     h = math.hypot(u, v)
     if h > 1.0 + 1e-7:
         raise NoThetaBranchError(f"|cos 2theta| = {h!r} > 1; no branch in (0, pi/4]")
@@ -158,11 +157,10 @@ def _solve_gauge(c) -> tuple[tuple[float, ...], tuple]:
 
     # steered-frame angles of alpha = +1: atilde = w - delta
     sin_t, cos_t = math.sin(theta), math.cos(theta)
-    a_rec = [2 * math.atan2(math.sin((w[0][x] - delta) / 2) * cos_t,
-                            math.cos((w[0][x] - delta) / 2) * sin_t)
-             for x in range(2)]
-    params = (theta, a_rec[0], a_rec[1], bgauge - delta, -delta)
-    return params, (w, bgauge, gauge_residual, theta, delta)
+    h0, h1 = (wp0 - delta) / 2, (wp1 - delta) / 2
+    a0 = 2 * math.atan2(math.sin(h0) * cos_t, math.cos(h0) * sin_t)
+    a1 = 2 * math.atan2(math.sin(h1) * cos_t, math.cos(h1) * sin_t)
+    return (theta, a0, a1, bgauge - delta, -delta), (w, bgauge, gauge_residual, theta, delta)
 
 
 class Reconstructions:

@@ -81,9 +81,10 @@ def modified_angles_raw(theta, a):
     index 1 is alpha = -1.
     """
     theta = np.asarray(theta, float)
-    a = np.asarray(a, float)
-    plus = 2 * np.arctan2(np.sin(a / 2) * np.sin(theta), np.cos(a / 2) * np.cos(theta))
-    minus = 2 * np.arctan2(np.sin(a / 2) * np.cos(theta), np.cos(a / 2) * np.sin(theta))
+    half = np.asarray(a, float) / 2
+    sa, ca, st, ct = np.sin(half), np.cos(half), np.sin(theta), np.cos(theta)
+    plus = 2 * np.arctan2(sa * st, ca * ct)
+    minus = 2 * np.arctan2(sa * ct, ca * st)
     return np.stack([plus, minus])
 
 

@@ -22,7 +22,9 @@ from qset import (
     steered_correlators,
     extremality_criterion_check,
 )
-from qset.extremality import SignPattern, pattern_to_reference_relabeling
+from qset.errors import DegenerateThetaError
+from qset.extremality import SignPattern, alternation_margins, pattern_to_reference_relabeling
+from qset.tolerances import TOL_EQ
 from qset.symmetry import group_elements
 
 from conftest import NONALT, PI8_EDGE, TSIRELSON, fails_necessary_mixture
@@ -215,6 +217,72 @@ def test_full_alternation_examples():
 def test_full_alternation_requires_canonical():
     with pytest.raises(ValueError):
         full_alternation_check(QubitRealization(0.3, (2.0, 0.1), (0.5, 1.0)), strict=False)
+
+
+def scalar_rejection(row) -> Exception | None:
+    """The error ``full_alternation_check`` raises for one row, decided with
+    Python floats and ``math.sin``, or None."""
+    theta, a0, a1, b0, b1 = row
+    tol = TOL_EQ
+    if not (-tol <= theta < PI + tol and -tol <= a0 <= b0 + tol and b0 <= b1 + tol
+            and b1 < PI + tol and a0 <= a1 + tol and a1 < PI + tol):
+        return ValueError("full_alternation_check requires a canonical realization")
+    if abs(math.sin(2 * theta)) < 1e-12:
+        return DegenerateThetaError(f"theta={theta!r} is 0 mod pi/2")
+    return None
+
+
+def margin_edge_rows() -> list[list[float]]:
+    """Rows one ulp either side of each canonical-range bound, theta exactly
+    0 and pi/2, and theta where |sin 2 theta| straddles 1e-12."""
+    base = [0.4, 0.2, 1.0, 0.9, 2.0]
+    rows = []
+
+    def around(k, bound):
+        for x in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)):
+            row = list(base)
+            row[k] = float(x)
+            rows.append(row)
+
+    around(0, -TOL_EQ)
+    around(0, PI + TOL_EQ)
+    around(1, -TOL_EQ)
+    around(1, base[3] + TOL_EQ)     # a0 <= b0 + tol
+    around(1, base[2] + TOL_EQ)     # a0 <= a1 + tol
+    around(3, base[4] + TOL_EQ)     # b0 <= b1 + tol
+    around(4, PI + TOL_EQ)
+    around(2, PI + TOL_EQ)
+    for theta in (0.0, PI / 2):
+        rows.append([theta] + base[1:])
+    for centre in (0.0, PI / 2):
+        # sin(2 theta) = 1e-12 near 5e-13 from centre; step across it
+        for d in np.linspace(4.9e-13, 5.1e-13, 21):
+            rows.append([centre + d] + base[1:])
+            rows.append([abs(centre - d)] + base[1:])
+    return [[float(x) for x in row] for row in rows]
+
+
+def test_alternation_margins_rejects_rows_as_full_alternation_check():
+    rows = margin_edge_rows()
+    theta = np.array([r[0] for r in rows])
+    assert (np.abs(np.sin(2 * theta)) < 1e-12).any() and (np.abs(np.sin(2 * theta)) >= 1e-12).any()
+    margins, errors = alternation_margins(np.array(rows))
+    want = {}
+    for i, row in enumerate(rows):
+        try:
+            _, row_margins = full_alternation_check(
+                QubitRealization(row[0], (row[1], row[2]), (row[3], row[4])), strict=False)
+        except (ValueError, DegenerateThetaError) as exc:
+            want[i] = exc
+        else:
+            assert np.array_equal(margins[i], row_margins)
+        ref = scalar_rejection(row)
+        assert (type(ref), str(ref)) == (type(want.get(i)), str(want.get(i)))
+    assert list(errors) == list(want)
+    assert [(type(e), str(e)) for e in errors.values()] == [(type(e), str(e)) for e in want.values()]
+    assert {type(e) for e in errors.values()} == {ValueError, DegenerateThetaError}
+    assert np.array_equal(np.flatnonzero(np.isnan(margins).all(axis=1)), np.array(list(errors)))
+    assert not np.isnan(np.delete(margins, list(errors), axis=0)).any()
 
 
 def test_classify_examples():

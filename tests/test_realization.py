@@ -1,4 +1,8 @@
+import contextlib
+import io
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +18,17 @@ from qset import (
     full_alternation_check,
     sample_realization,
 )
-from qset.realization import apply_relabeling, born_jacobian, born_vector
-from qset.symmetry import group_elements
+import qset.selftest
+from qset.cli import main
+from qset.realization import (CANONICALIZE_CHUNK, _canonicalize_many, _gauge_moves,
+                              apply_relabeling, born_jacobian, born_vector)
+from qset.symmetry import group_elements, signed_permutation
+from qset.tolerances import TOL_EQ
 
 from conftest import PI8_EDGE
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "data"))
+from make_golden import GRIDS  # noqa: E402
 
 PI = math.pi
 SQ2 = math.sqrt(2.0)
@@ -201,6 +212,110 @@ def test_canonicalize_sector_from_large_theta():
 def test_canonicalize_sector_rejects_product_state():
     with pytest.raises(DegenerateThetaError):
         canonicalize(QubitRealization(0.0, (0.3, 1.0), (0.5, 2.0)), sector=True)
+
+
+def brute_force_canonicalize(params: np.ndarray, sector: bool, chunk: int = 64):
+    """Oracle for ``_canonicalize_many``: every row expands to all 1024
+    gauge x relabeling images, and the winner is the first lexicographic
+    minimum of (theta, a0, a1, b0, b1) over the admissible ones (lexsort is
+    stable).  The images are the same floating-point expressions, so the
+    results must agree bit for bit."""
+    tsgn, toff, asrc, asgn, aoff = [], [], [], [], []
+    for et, kt, ea, ka, eb, kb in _gauge_moves():
+        for g in group_elements():
+            perm, sign = signed_permutation(g)
+            src = perm[:4].tolist()
+            tsgn.append(et)
+            toff.append(kt)
+            asrc.append(src)
+            asgn.append([(ea, ea, eb, eb)[k] for k in src])
+            aoff.append([(ka, ka, kb, kb)[k] + (sign[s] < 0) for s, k in enumerate(src)])
+    tsgn, toff = np.array(tsgn, float), np.array(toff, float)
+    asrc, asgn, aoff = np.array(asrc), np.array(asgn, float), np.array(aoff, float)
+    n = len(params)
+    out, win, folds = np.full((n, 5), np.nan), np.full(n, -1), np.zeros((n, 4), bool)
+    for lo in range(0, n, chunk):
+        rows = params[lo:lo + chunk]
+        thetas = np.mod(tsgn * rows[:, :1] + toff * (PI / 2), PI)
+        images = np.mod(asgn * rows[:, 1 + asrc] + aoff * PI, 2 * PI)  # (rows, 1024, 4)
+        fold = images >= PI
+        images -= fold * PI
+        a0, a1, b0, b1 = np.moveaxis(images, -1, 0)
+        ok = (a0 <= a1 + TOL_EQ) & (a0 <= b0 + TOL_EQ) & (b0 <= b1 + TOL_EQ)
+        if sector:
+            ok &= (thetas > TOL_EQ) & (thetas <= PI / 4 + TOL_EQ)
+        hits = np.flatnonzero(ok)
+        if hits.size == 0:
+            continue
+        r_idx, c_idx = np.divmod(hits, ok.shape[1])
+        keys = [key.ravel()[hits] for key in (thetas, a0, a1, b0, b1)]
+        order = np.lexsort(keys[::-1] + [r_idx])
+        r_sorted = r_idx[order]
+        first = order[np.concatenate(([True], r_sorted[1:] != r_sorted[:-1]))]
+        dest = lo + r_idx[first]
+        out[dest] = np.column_stack([key[first] for key in keys])
+        win[dest] = c_idx[first]
+        folds[dest] = fold[r_idx[first], c_idx[first]]
+    return out, win, folds
+
+
+def assert_canonicalized_bitwise(params: np.ndarray, sector: bool, batch: int | None = None):
+    want = brute_force_canonicalize(params, sector)
+    batch = batch or len(params)
+    parts = [_canonicalize_many(params[lo:lo + batch], sector) for lo in range(0, len(params), batch)]
+    got = [np.concatenate(arrays) for arrays in zip(*parts)]
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+
+
+def golden_grid_canonicalize_rows(monkeypatch) -> np.ndarray:
+    """The rows the 10,000-row golden scan grid sends to ``_canonicalize_many``."""
+    seen = []
+
+    def record(params, sector=False):
+        seen.append(params.copy())
+        return _canonicalize_many(params, sector)
+
+    monkeypatch.setattr(qset.selftest, "_canonicalize_many", record)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(GRIDS["grid"]) == 0
+    return np.concatenate(seen)
+
+
+def tie_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    """theta where theta maps tie (0, pi/8, pi/4, pi/2, 3pi/4, pi), angles
+    exactly 0 or pi, and rows with a0 = b0 or a1 = b1."""
+    theta = rng.choice([0.0, PI / 8, PI / 4, PI / 2, 3 * PI / 4, PI], n)
+    angles = np.where(rng.random((n, 4)) < 0.5, rng.choice([0.0, PI], (n, 4)),
+                      rng.uniform(-7, 7, (n, 4)))
+    angles[::3, 2] = angles[::3, 0]
+    angles[1::3, 3] = angles[1::3, 1]
+    return np.column_stack([theta, angles])
+
+
+@pytest.mark.parametrize("sector", [True, False])
+def test_canonicalize_many_matches_brute_force_on_golden_grid_rows(sector, monkeypatch):
+    params = golden_grid_canonicalize_rows(monkeypatch)
+    assert len(params) > 1000
+    assert_canonicalized_bitwise(params, sector)
+
+
+@pytest.mark.parametrize("sector", [True, False])
+def test_canonicalize_many_matches_brute_force_on_seeded_rows(sector):
+    rng = np.random.default_rng(61)
+    params = np.vstack([rng.uniform(-7, 7, (5000, 5)), tie_rows(rng, 2000)])
+    assert_canonicalized_bitwise(params, sector)
+
+
+@pytest.mark.parametrize("sector", [True, False])
+@pytest.mark.parametrize("batch", [1, CANONICALIZE_CHUNK, CANONICALIZE_CHUNK + 1,
+                                   4 * CANONICALIZE_CHUNK + 1])
+def test_canonicalize_many_matches_brute_force_across_batches(sector, batch):
+    rng = np.random.default_rng(67)
+    params = np.vstack([rng.uniform(-7, 7, (60, 5)), tie_rows(rng, 60)])
+    rng.shuffle(params)
+    assert_canonicalized_bitwise(params, sector, batch)
 
 
 def test_sample_determinism():
