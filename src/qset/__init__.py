@@ -55,7 +55,6 @@ from .oracles import (
 from .realization import (
     QubitRealization,
     born_point,
-    born_point_matrix,
     canonicalize,
     sample_realization,
 )

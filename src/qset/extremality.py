@@ -94,10 +94,6 @@ class SignPattern:
         return (self.eps[0][0], self.eps[0][1], self.eps[1][0], self.eps[1][1])
 
 
-#: Pattern of the reference self-test equality (minus on the (x=0, y=1) slot).
-REFERENCE_PATTERN = SignPattern(eps=((1, -1), (1, 1)))
-
-
 def _pattern(k: int) -> SignPattern:
     e00, e01, e10, e11 = SIGN_PATTERNS[k]
     return SignPattern(eps=((e00, e01), (e10, e11)))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -115,60 +114,24 @@ def _phase1_float(a_mat: np.ndarray, b: np.ndarray, tol: float = 1e-11,
     return float(obj), z[:n], sign * (1.0 - tab[m, n:-1])
 
 
-def _phase1_exact(a_rows: list[list[Fraction]], b: list[Fraction], max_iter: int = 2000):
-    """Exact-arithmetic variant of the phase-1 simplex (Bland's rule); returns
-    (objective, solution, dual) as ``_phase1_float`` does."""
-    m, n = len(a_rows), len(a_rows[0])
-    zero, one = Fraction(0), Fraction(1)
-    sign = [one if bi >= 0 else -one for bi in b]
-    tab = [[sign[i] * a_rows[i][j] for j in range(n)]
-           + [one if k == i else zero for k in range(m)]
-           + [sign[i] * b[i]] for i in range(m)]
-    basis = list(range(n, n + m))
-    red = [zero] * n + [one] * m
-    for j in range(n + m):
-        s = sum(tab[i][j] for i in range(m))
-        red[j] -= s
-    for _ in range(max_iter):
-        ent = -1
-        for j in range(n + m):
-            if red[j] < 0:
-                ent = j
-                break
-        if ent < 0:
-            break
-        best_row, best_key = -1, None
-        for i in range(m):
-            if tab[i][ent] > 0:
-                key = (tab[i][-1] / tab[i][ent], basis[i])
-                if best_key is None or key < best_key:
-                    best_key, best_row = key, i
-        if best_row < 0:
-            break
-        piv = tab[best_row][ent]
-        tab[best_row] = [x / piv for x in tab[best_row]]
-        for i in range(m):
-            if i != best_row and tab[i][ent] != 0:
-                f = tab[i][ent]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[best_row])]
-        f = red[ent]
-        if f != 0:
-            red = [x - f * y for x, y in zip(red, tab[best_row][:-1])]
-        basis[best_row] = ent
-    obj = sum(tab[i][-1] for i in range(m) if basis[i] >= n)
-    z = [zero] * (n + m)
-    for i in range(m):
-        z[basis[i]] = tab[i][-1]
-    return obj, z[:n], [s * (one - r) for s, r in zip(sign, red[n:])]
-
-
 def local_membership_lp(p: Behavior) -> tuple[bool, object]:
     """Convex-combination feasibility over the 16 deterministic vertices.
 
     Returns (True, weights) with weights reproducing p to 1e-9, or
-    (False, separating BellFunctional) scoring p strictly above every vertex.
-    Falls back to exact rational arithmetic if the float certificate fails
-    verification.
+    (False, separating BellFunctional) scoring p above every vertex by more
+    than 1e-12.  The float phase-1 simplex decides every call: p is local
+    when the phase-1 objective is at most 1e-9 and the clipped weights
+    verify, and nonlocal when the dual's behavior part separates p from
+    every vertex.  At the end of phase 1 the dual is a Farkas certificate
+    (y . A_j <= tol on every column, y . b = objective), so an objective
+    just above 1e-9 still separates by about that much.  Raises
+    ArithmeticError, naming the objective and the separation, when neither
+    certificate verifies; an unverified one is never returned.
+
+    Fine's test (``is_local``) accepts CHSH <= 2 + TOL_EQ = 2 + 1e-8 instead,
+    so the two can disagree on points whose CHSH excess lies in about
+    (1e-9, 1e-8]: this LP calls some of them nonlocal where ``is_local``
+    calls them local.
     """
     violations = validate(p)
     if violations:
@@ -181,20 +144,11 @@ def local_membership_lp(p: Behavior) -> tuple[bool, object]:
         if np.max(np.abs(_VERTEX_MATRIX @ weights - target)) <= 1e-9 \
                 and abs(weights.sum() - 1.0) <= 1e-9:
             return True, weights
-    else:
-        beta = BellFunctional.from_vector(dual[:8])
-        scores = dual[:8] @ _VERTEX_MATRIX
-        if dual[:8] @ target - scores.max() > 1e-12:
-            return False, beta
-    # float certificate unverifiable; decide exactly
-    a_rows = [[Fraction(int(x)) for x in _VERTEX_MATRIX[i]] for i in range(8)]
-    a_rows.append([Fraction(1)] * 16)
-    b_exact = [Fraction(float(t)) for t in target] + [Fraction(1)]
-    obj_e, z_e, y = _phase1_exact(a_rows, b_exact)
-    if obj_e == 0:
-        weights = np.array([float(x) for x in z_e])
-        return True, weights
-    return False, BellFunctional.from_vector([float(x) for x in y[:8]])
+    separation = dual[:8] @ target - (dual[:8] @ _VERTEX_MATRIX).max()
+    if separation > 1e-12:
+        return False, BellFunctional.from_vector(dual[:8])
+    raise ArithmeticError(f"membership LP certificate does not verify: phase-1 objective "
+                          f"{obj:.17g}, dual separation {separation:.17g}")
 
 
 def _grid_value(beta_vec: np.ndarray, res: int) -> tuple[float, np.ndarray]:
@@ -288,8 +242,6 @@ _STARTS = math.pi * np.modf(
     0.5 + np.arange(1, 17) * 1.1347241384015194 ** -np.arange(1.0, 6.0)[:, None])[0]
 #: Block sweeps over every start before the Newton finish.
 _SWEEPS = 6
-#: How many of the best swept rows take the Newton finish.
-_FINISH_ROWS = 2
 #: Longest Newton step (max norm, radians), and the floor on |eigenvalue|
 #: relative to ||beta||_1.
 _STEP_CAP = 0.5
@@ -423,8 +375,8 @@ def bell_max_q2(beta: BellFunctional, resolution: int = 16, refinements: int = 6
     The starts are the best point of a ``resolution``^5 grid over
     (theta, a0, a1, b0, b1) in [0, pi)^5 (``_grid_value``) and 16 fixed
     points (``_STARTS``).  Exact block-coordinate ascent (``_sweeps``) runs
-    on all of them as one batch; the best ``_FINISH_ROWS`` rows then take
-    saddle-free Newton steps on the closed-form Hessian (``_newton``).
+    on all of them as one batch; the best swept row then takes saddle-free
+    Newton steps on the closed-form Hessian (``_newton``).
     ``refinements`` caps the ascent iterations: the first
     min(refinements, _SWEEPS) are sweeps over every start, the rest Newton
     steps.  The grid point is kept unless the ascent beats its value, so
@@ -444,11 +396,10 @@ def bell_max_q2(beta: BellFunctional, resolution: int = 16, refinements: int = 6
     if refinements:
         swept, swept_val = _sweeps(bv, np.column_stack([params, _STARTS]),
                                    min(refinements, _SWEEPS))
-        top = np.argsort(-swept_val, kind="stable")[:_FINISH_ROWS]
-        rows, val = _newton(bv, swept[:, top].T, refinements - min(refinements, _SWEEPS))
-        k = int(np.argmax(val))
-        if val[k] > best_val:
-            best_val, params = float(val[k]), rows[k]
+        top = int(np.argmax(swept_val))
+        rows, val = _newton(bv, swept[:, [top]].T, refinements - min(refinements, _SWEEPS))
+        if val[0] > best_val:
+            best_val, params = float(val[0]), rows[0]
     realization = QubitRealization(
         theta=float(params[0]),
         a=(float(params[1]), float(params[2])),

@@ -33,7 +33,6 @@ from .tolerances import TOL_EQ
 __all__ = [
     "QubitRealization",
     "born_point",
-    "born_point_matrix",
     "born_vector",
     "born_jacobian",
     "canonicalize",
@@ -42,9 +41,6 @@ __all__ = [
 ]
 
 PI = math.pi
-
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -158,28 +154,6 @@ def born_jacobian(theta, a0, a1, b0, b1):
 def born_point(r: QubitRealization) -> Behavior:
     """Behavior of a realization via the closed-form expressions."""
     return Behavior.from_vector(born_vector(r.theta, r.a[0], r.a[1], r.b[0], r.b[1]))
-
-
-def measurement_operator(angle: float) -> np.ndarray:
-    return math.cos(angle) * SIGMA_Z + math.sin(angle) * SIGMA_X
-
-
-def born_point_matrix(r: QubitRealization) -> Behavior:
-    """Independent Born-rule oracle: explicit |phi_theta> and 4x4 operators."""
-    phi = np.array([math.cos(r.theta), 0.0, 0.0, math.sin(r.theta)])
-    eye = np.eye(2)
-    a_ops = [measurement_operator(x) for x in r.a]
-    b_ops = [measurement_operator(y) for y in r.b]
-
-    def ev(m: np.ndarray) -> float:
-        return float(phi @ m @ phi)
-
-    vec = [ev(np.kron(a_ops[0], eye)), ev(np.kron(a_ops[1], eye)),
-           ev(np.kron(eye, b_ops[0])), ev(np.kron(eye, b_ops[1]))]
-    for x in range(2):
-        for y in range(2):
-            vec.append(ev(np.kron(a_ops[x], b_ops[y])))
-    return Behavior.from_vector(vec)
 
 
 def apply_relabeling(g: SymmetryElement, r: QubitRealization) -> QubitRealization:

@@ -21,6 +21,34 @@ TSIRELSON = QubitRealization(PI / 4, (0.0, PI / 2), (PI / 4, 3 * PI / 4))
 NONALT = QubitRealization(0.3, (0.0, PI / 2), (PI / 4, 3 * PI / 4))
 
 
+#: Pauli matrices of the measurement operators.
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def measurement_operator(angle: float) -> np.ndarray:
+    """cos(angle) sigma_z + sin(angle) sigma_x."""
+    return math.cos(angle) * SIGMA_Z + math.sin(angle) * SIGMA_X
+
+
+def born_point_matrix(r: QubitRealization) -> Behavior:
+    """Independent Born-rule oracle: explicit |phi_theta> and 4x4 operators."""
+    phi = np.array([math.cos(r.theta), 0.0, 0.0, math.sin(r.theta)])
+    eye = np.eye(2)
+    a_ops = [measurement_operator(x) for x in r.a]
+    b_ops = [measurement_operator(y) for y in r.b]
+
+    def ev(m: np.ndarray) -> float:
+        return float(phi @ m @ phi)
+
+    vec = [ev(np.kron(a_ops[0], eye)), ev(np.kron(a_ops[1], eye)),
+           ev(np.kron(eye, b_ops[0])), ev(np.kron(eye, b_ops[1]))]
+    for x in range(2):
+        for y in range(2):
+            vec.append(ev(np.kron(a_ops[x], b_ops[y])))
+    return Behavior.from_vector(vec)
+
+
 #: Weight and realizations of a mixture of two qubit behaviors (so a point of
 #: Q) that fails both sides' pure-qubit necessary conditions.
 MIX_LAMBDA = 0.30832986332825785

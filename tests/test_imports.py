@@ -1,7 +1,8 @@
-"""Cold-import guard: no qset path loads scipy.
+"""Cold-import guard: no qset path loads scipy or fractions.
 
 The check runs in a fresh interpreter, since the test process itself may
-have imported scipy already (the test extra installs it).
+have imported either already (the test extra installs scipy, and the tests
+check the LP against exact rational arithmetic).
 """
 
 import json
@@ -14,7 +15,7 @@ BODY = """
 import json, sys
 
 def loaded():
-    return "scipy" in sys.modules
+    return [name for name in ("scipy", "fractions") if name in sys.modules]
 
 seen = {}
 from qset import (CHSH, QubitRealization, bell_max_q2, born_point,
@@ -52,6 +53,6 @@ def test_no_path_loads_scipy(tmp_path):
     assert result["found"] is True  # the NONALT search polishes its way to a split
     assert result["code"] == 0
     assert "found" in json.loads(out.read_text())
-    assert result["seen"] == {"import qset": False, "local_membership_lp": False,
-                              "bell_max_q2": False, "decomposition_search": False,
-                              "qset oracle decompose": False}
+    assert result["seen"] == {"import qset": [], "local_membership_lp": [],
+                              "bell_max_q2": [], "decomposition_search": [],
+                              "qset oracle decompose": []}

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -613,31 +615,80 @@ def test_float32_screening_matches_float64_reference(monkeypatch):
     assert n_polished > 0
 
 
-def test_exact_simplex_paths_directly():
-    # the exact fallback is rarely reached through the public API; drive it directly
-    from fractions import Fraction
-    from qset.oracles import _VERTEX_MATRIX, _phase1_exact
+#: The 16 deterministic vertices as rows.
+VERTICES = np.array([v.behavior.vector for v in enumerate_vertices()])
+#: The CHSH functional of the facet pushed out in the band test.
+CHSH_VEC = np.array([0, 0, 0, 0, 1, 1, 1, -1], dtype=float)
+#: The 8 sign variants (e00, e01, e10, e11) of CHSH, product -1.
+CHSH_SIGNS = [e for e in itertools.product((1, -1), repeat=4) if math.prod(e) == -1]
 
-    a_rows = [[Fraction(int(x)) for x in _VERTEX_MATRIX[i]] for i in range(8)]
-    a_rows.append([Fraction(1)] * 16)
 
-    # feasible: the uniform behavior
-    b = [Fraction(0)] * 8 + [Fraction(1)]
-    obj, z, _ = _phase1_exact(a_rows, b)
-    assert obj == 0
-    weights = np.array([float(x) for x in z])
-    assert np.max(np.abs(_VERTEX_MATRIX @ weights)) < 1e-15
-    assert abs(weights.sum() - 1.0) < 1e-15
+def exact_chsh_max(v: np.ndarray) -> Fraction:
+    """Fine's statistic, the largest of the 8 CHSH values, in exact arithmetic
+    on the float components of ``v``."""
+    corr = [Fraction(float(x)) for x in v[4:]]
+    return max(sum(e * c for e, c in zip(signs, corr)) for signs in CHSH_SIGNS)
 
-    # infeasible: the Tsirelson point is outside the polytope
-    pt = born_point(TSIRELSON).vector
-    b = [Fraction(float(x)) for x in pt] + [Fraction(1)]
-    obj, _, y = _phase1_exact(a_rows, b)
-    assert obj > 0
-    # the dual's behavior part separates the point from every vertex, exactly
-    score = sum(y[i] * b[i] for i in range(8))
-    vertex_scores = [sum(y[i] * a_rows[i][j] for i in range(8)) for j in range(16)]
-    assert score > max(vertex_scores)
+
+def assert_certificate_verifies(p: Behavior, ok: bool, payload) -> None:
+    if ok:
+        assert np.all(payload >= 0.0)
+        assert np.max(np.abs(payload @ VERTICES - p.vector)) <= 1e-9
+        assert abs(payload.sum() - 1.0) <= 1e-9
+    else:
+        # the separator scores p above every vertex, exactly in rationals of its floats
+        beta = [Fraction(float(c)) for c in payload.vector]
+        score = sum(b * Fraction(float(x)) for b, x in zip(beta, p.vector))
+        assert all(score > sum(b * int(x) for b, x in zip(beta, v)) for v in VERTICES)
+
+
+def test_lp_certificates_verify_across_the_chsh_facet_band(monkeypatch):
+    """Facet points pushed out past CHSH = 2 by eps, where the float phase-1
+    objective straddles its 1e-9 cut, plus the uniform behavior and the
+    Tsirelson point.  Every call returns a certificate that verifies, and
+    its verdict agrees with Fine's test wherever the exact CHSH excess is
+    outside (0, 2e-9]."""
+    objectives = []
+
+    def recording_phase1(a_mat, b):
+        out = _phase1_float(a_mat, b)
+        objectives.append(out[0])
+        return out
+
+    monkeypatch.setattr("qset.oracles._phase1_float", recording_phase1)
+    facet = VERTICES[VERTICES @ CHSH_VEC == 2.0]
+    assert len(facet) == 8
+    rng = np.random.default_rng(14)
+    points = [Behavior.from_vector(np.zeros(8)), born_point(TSIRELSON)]
+    for eps in (0.0, 1e-10, 9e-10, 1e-9, 1.05e-9, 3e-9, 2e-8):
+        points += [Behavior.from_vector(rng.dirichlet(np.ones(8)) @ facet + eps / 4 * CHSH_VEC)
+                   for _ in range(100)]
+    verdicts = []
+    for p in points:
+        objectives.clear()
+        ok, payload = local_membership_lp(p)
+        assert_certificate_verifies(p, ok, payload)
+        excess = exact_chsh_max(p.vector) - 2
+        if excess <= 0:
+            assert ok
+        elif excess > Fraction(2e-9):
+            assert not ok
+        verdicts.append((ok, objectives[0] <= 1e-9))
+    assert verdicts[:2] == [(True, True), (False, False)]
+    # the band is reached: points whose weights fail to verify at an
+    # objective under the cut are decided by the dual's separation
+    assert (False, True) in verdicts
+
+
+@pytest.mark.parametrize("obj", [0.0, 1e-3])
+def test_lp_raises_when_no_certificate_verifies(monkeypatch, obj):
+    # zero weights never sum to 1, and a zero dual separates nothing
+    def unverifiable(a_mat, b):
+        return obj, np.zeros(a_mat.shape[1]), np.zeros(a_mat.shape[0])
+
+    monkeypatch.setattr("qset.oracles._phase1_float", unverifiable)
+    with pytest.raises(ArithmeticError, match=f"objective {obj:.17g}, dual separation 0"):
+        local_membership_lp(born_point(TSIRELSON))
 
 
 def reference_phase1(a_mat, b, tol=1e-11, max_iter=800):

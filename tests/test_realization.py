@@ -13,7 +13,6 @@ from qset import (
     SamplingError,
     apply_symmetry,
     born_point,
-    born_point_matrix,
     canonicalize,
     full_alternation_check,
     sample_realization,
@@ -25,7 +24,7 @@ from qset.realization import (CANONICALIZE_CHUNK, _canonicalize_many, _gauge_mov
 from qset.symmetry import group_elements, signed_permutation
 from qset.tolerances import TOL_EQ
 
-from conftest import PI8_EDGE
+from conftest import PI8_EDGE, born_point_matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "data"))
 from make_golden import GRIDS  # noqa: E402

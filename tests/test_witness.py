@@ -18,7 +18,6 @@ from qset import (
     tangent_basis,
     validate,
 )
-from qset.realization import measurement_operator
 from qset.witness import (
     SECTOR_ORDER,
     behavior_jacobian,
@@ -26,7 +25,7 @@ from qset.witness import (
     sector_denominator,
 )
 
-from conftest import PI8_EDGE, TSIRELSON
+from conftest import PI8_EDGE, TSIRELSON, measurement_operator
 
 PI = math.pi
 SQ2 = math.sqrt(2.0)
