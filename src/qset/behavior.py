@@ -152,7 +152,7 @@ def validate(p: Behavior) -> list[str]:
     violations = [
         f"component {name} is not finite" if not math.isfinite(x)
         else f"component {name} = {x!r} out of range [-1, 1]"
-        for name, x, bad in zip(_COMPONENT_NAMES, v, _out_of_range(v)) if bad]
+        for name, x, bad in zip(_COMPONENT_NAMES, v.tolist(), _out_of_range(v)) if bad]
     if violations:
         return violations
     probs = _probability_table(v)
@@ -160,9 +160,16 @@ def validate(p: Behavior) -> list[str]:
         idx = np.unravel_index(np.argmin(probs), probs.shape)
         ai, bi, x, y = idx
         violations.append(
-            f"probability p({'+-'[ai]}1,{'+-'[bi]}1|{x},{y}) = {probs[idx]!r} negative"
+            f"probability p({'+-'[ai]}1,{'+-'[bi]}1|{x},{y}) = {float(probs[idx])!r} negative"
         )
     return violations
+
+
+def _require_valid(p: Behavior) -> None:
+    """Raise InvalidBehaviorError listing the violations ``validate`` finds."""
+    violations = validate(p)
+    if violations:
+        raise InvalidBehaviorError(violations)
 
 
 def invalid_rows(v: np.ndarray) -> np.ndarray:
@@ -205,9 +212,7 @@ def chsh_all(p: Behavior) -> np.ndarray:
 
 def is_local(p: Behavior) -> bool:
     """Fine criterion: a valid behavior is local iff all 8 CHSH values <= 2."""
-    violations = validate(p)
-    if violations:
-        raise InvalidBehaviorError(violations)
+    _require_valid(p)
     return _fine_local(p.vector)
 
 

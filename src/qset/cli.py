@@ -202,28 +202,34 @@ class ScanSpec:
 SCAN_BLOCK = 4096
 
 
-def _cells(values: np.ndarray) -> list[str]:
-    """``_fmt`` of each value, formatting each distinct bit pattern once: grid
-    columns repeat a few values many times."""
-    bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
-    text = [_fmt(x) for x in bits.view(np.float64).tolist()]
-    return [text[k] for k in inverse.tolist()]
+#: Column of each numeric CSV column in the table ``run_scan`` builds per block.
+_NUMERIC = {name: k for k, name in enumerate(c for c in CSV_COLUMNS if c != "verdict")}
 
 
 def run_scan(spec: ScanSpec) -> str:
     """Execute the scan: each block of grid rows goes through ``classify_many``
-    once, and the CSV cells are formatted straight from its arrays."""
+    once, and the CSV cells are formatted straight from its arrays.
+
+    ``_fmt`` runs once per distinct bit pattern among a block's numeric
+    cells (grid columns repeat a few values many times); one gather then
+    places those texts and the verdict labels into the rows.
+    """
     header = spec.header()
+    verdict = np.array([name == "verdict" for name in header])
+    numeric = [_NUMERIC[name] for name in header if name != "verdict"]
     lines = [",".join(header)]
     points = spec.grid_points()
     for lo in range(0, len(points), SCAN_BLOCK):
         block = points[lo:lo + SCAN_BLOCK]
         batch = classify_many(born_vector(*block.T))
         margins, _ = alternation_margins(block)
-        columns = dict(zip(CSV_COLUMNS, [*block.T, None, *margins.T, *batch.residuals.T]))
-        cells = [batch.labels() if name == "verdict" else _cells(columns[name])
-                 for name in header]
-        lines += [",".join(row) for row in zip(*cells)]
+        values = np.concatenate([block, margins, batch.residuals], axis=1)[:, numeric]
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        text = [_fmt(x) for x in bits.view(np.float64).tolist()] + batch.labels()
+        index = np.empty((len(block), len(header)), np.intp)
+        index[:, ~verdict] = inverse.reshape(len(block), -1)
+        index[:, verdict] = len(bits) + np.arange(len(block))[:, None]
+        lines += [",".join(row) for row in np.array(text, dtype=object)[index].tolist()]
     return "\n".join(lines) + "\n"
 
 

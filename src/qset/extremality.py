@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .behavior import SIGN_PATTERNS, Behavior, chsh_values, invalid_rows, validate
+from .behavior import (SIGN_PATTERNS, Behavior, _require_valid, chsh_values, invalid_rows,
+                       validate)
 from .errors import (
     CorrelatorRangeError,
     DegenerateThetaError,
@@ -66,12 +67,16 @@ _PATTERNS = np.array(SIGN_PATTERNS, dtype=float)[:, :, None]
 #: Behavior-vector permutation that exchanges Alice and Bob (its signs are all +1).
 _PARTY_SWAP = signed_permutation(SymmetryElement(party_swap=True))[0]
 
+#: Gather indices (2, 1, 8) of each party's steering input: the behavior
+#: vector for Alice, its party swap for Bob.
+_PARTIES = np.array([np.arange(8), _PARTY_SWAP])[:, None, :]
+
 
 def asin_clamped(x) -> np.ndarray:
     x = np.asarray(x, float)
     over = np.max(np.abs(x)) - 1.0
     if over > TOL_CLAMP:
-        raise CorrelatorRangeError(f"asin argument exceeds [-1,1] by {over!r}")
+        raise CorrelatorRangeError(f"asin argument exceeds [-1,1] by {float(over)!r}")
     return np.arcsin(np.clip(x, -1.0, 1.0))
 
 
@@ -142,44 +147,60 @@ def _alternating(margins: np.ndarray, strict: bool) -> np.ndarray:
     return margins.min(axis=1) >= -TOL_EQ
 
 
-def _front(v: np.ndarray, invalid: np.ndarray):
-    """Fine's criterion and steering over behavior vectors (N, 8), given the
-    rows ``validate`` rejects (``invalid_rows(v)``).
+def _screen(v: np.ndarray, invalid: np.ndarray, chsh_max: np.ndarray):
+    """Fine's criterion over behavior vectors (N, 8), given the rows
+    ``validate`` rejects (``invalid_rows(v)``).
 
-    Returns the max CHSH value and the Local mask per row; the rows that are
-    valid, nonlocal and steerable, with their steered correlators
-    (M, 2, 2, 2) and the asin of those; and the error ``classify`` raises for
-    every other row that is not Local.
+    Writes the max CHSH value of each row into chsh_max (N,) and returns the
+    Local mask, the rows that are valid and nonlocal, and the
+    InvalidBehaviorError of each invalid row.
     """
     with np.errstate(invalid="ignore"):
-        chsh_max = chsh_values(v).max(axis=1)
+        chsh_values(v).max(axis=1, out=chsh_max)
     local = ~invalid & (chsh_max <= 2.0 + TOL_EQ)
     errors: dict[int, QsetError] = {
         i: InvalidBehaviorError(validate(Behavior.from_vector(v[i])))
         for i in np.flatnonzero(invalid).tolist()}
-    rows = np.flatnonzero(~invalid & ~local)
-    c = np.empty((0, 2, 2, 2))
-    if rows.size:
-        c, failures = steered_many(v[rows])
-        if failures:
-            for k, exc in failures.items():
-                errors[int(rows[k])] = exc
-            keep = np.ones(len(rows), bool)
-            keep[list(failures)] = False
-            rows, c = rows[keep], c[keep]
-    return chsh_max, local, rows, c, np.arcsin(c), errors
+    return local, np.flatnonzero(~invalid & ~local), errors
 
 
 def _nonlocal_steered(p: Behavior, local_message: str) -> tuple[np.ndarray, np.ndarray]:
     """Steered correlators (1, 2, 2, 2) of one behavior and their asin; raises
     InvalidBehaviorError, LocalInputError or the steering error."""
     v = p.vector[None]
-    _, local, _, c, asin, errors = _front(v, invalid_rows(v))
+    local, _, errors = _screen(v, invalid_rows(v), np.empty(1))
     if errors:
         raise errors[0]
     if local[0]:
         raise LocalInputError(local_message)
-    return c, asin
+    c, failures = steered_many(v)
+    if failures:
+        raise failures[0]
+    return c, np.arcsin(c)
+
+
+def _steer_parties(v: np.ndarray, rows: np.ndarray, errors: dict):
+    """Steered correlators of the given rows for both parties in one
+    ``steered_many`` call: Alice's (M, 2, 2, 2) stacked over Bob's, which are
+    those of the party-swapped rows.
+
+    A row whose Alice side cannot be steered is dropped, its error recorded in
+    errors.  Returns the rows kept, their (2M, 2, 2, 2) table and the
+    steering error of each kept row's Bob side (position in the kept rows ->
+    exception), which counts only where the criterion fails.
+    """
+    m = len(rows)
+    c, failures = steered_many(v[rows[:, None], _PARTIES].reshape(-1, 8))
+    if not failures:
+        return rows, c, failures
+    alice = [k for k in failures if k < m]
+    for k in alice:
+        errors[int(rows[k])] = failures[k]
+    keep = np.ones(m, bool)
+    keep[alice] = False
+    position = np.cumsum(keep) - 1
+    bob = {int(position[k - m]): exc for k, exc in failures.items() if k >= m and keep[k - m]}
+    return rows[keep], c[np.tile(keep, 2)], bob
 
 
 def necessary_conditions_check(p: Behavior, side: str = "alice") -> tuple[bool, np.ndarray]:
@@ -188,10 +209,12 @@ def necessary_conditions_check(p: Behavior, side: str = "alice") -> tuple[bool, 
     Checks the 32 inequalities |sum of signed asin of steered correlators| <= pi
     over all (s, t) sign choices and single-minus placements.  Returns the
     verdict and a (16, 2) array of signed slacks (pi - value, value + pi);
-    nonnegative slacks mean the inequality holds.
+    nonnegative slacks mean the inequality holds.  Raises
+    InvalidBehaviorError for a behavior that ``validate`` rejects.
     """
     if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+    _require_valid(p)
     v = p.vector if side == "alice" else p.vector[_PARTY_SWAP]
     c, failures = steered_many(v[None])
     if failures:
@@ -202,10 +225,12 @@ def necessary_conditions_check(p: Behavior, side: str = "alice") -> tuple[bool, 
 
 def masanes_check(p: Behavior) -> bool:
     """Zero-marginal boundary criterion: the 8 inequalities
-    |sum of signed asin <A_x B_y>| <= pi with a single minus."""
+    |sum of signed asin <A_x B_y>| <= pi with a single minus.  Raises
+    InvalidBehaviorError for a behavior that ``validate`` rejects."""
+    _require_valid(p)
     v = p.vector
     if np.max(np.abs(v[:4])) > TOL_EQ:
-        raise NonzeroMarginalsError(f"marginals {v[:4]!r} are not all zero")
+        raise NonzeroMarginalsError(f"marginals {v[:4].tolist()!r} are not all zero")
     asin = asin_clamped(v[4:].reshape(2, 2))
     terms = np.array([asin[0, 0], asin[1, 0], asin[0, 1], asin[1, 1]])
     vals = np.array([np.dot(row, terms) for row in _SIGN_ROWS])
@@ -416,19 +441,19 @@ class BatchClassification:
     """
 
     def __init__(self, n: int):
-        nan = lambda *shape: np.full((n, *shape), np.nan)
+        nan = np.full((n, 24), np.nan)
         self.verdict = np.full(n, -1, np.int8)
         self.failure = np.zeros(n, np.int8)
         self.errors: dict[int, Exception] = {}
-        self.residuals = nan(4)
-        self.chsh_max = nan()
+        self.residuals = nan[:, 0:4]
+        self.chsh_max = nan[:, 4]
         self.pattern = np.full(n, -1, np.int8)         # index into SIGN_PATTERNS
         self.necessary = np.zeros((n, 2), bool)         # Alice's and Bob's conditions
-        self.necessary_min_slack = nan()
-        self.realization = nan(5)                       # canonical reconstruction
-        self.alternation_margins = nan(8)               # of the reconstruction
-        self.ref_residuals = nan(4)                     # self-test residuals, relabeled row
-        self.roundtrip_error = nan()
+        self.necessary_min_slack = nan[:, 5]
+        self.realization = nan[:, 6:11]                 # canonical reconstruction
+        self.alternation_margins = nan[:, 11:19]        # of the reconstruction
+        self.ref_residuals = nan[:, 19:23]              # self-test residuals, relabeled row
+        self.roundtrip_error = nan[:, 23]
 
     def labels(self) -> list[str]:
         """Verdict names per row; ``Error:<exception class>`` where ``classify`` raises."""
@@ -469,15 +494,20 @@ class BatchClassification:
         return Classification(verdict, details)
 
 
-def _classify_non_extremal(out: BatchClassification, v: np.ndarray, rows: np.ndarray,
-                           terms) -> None:
+def _classify_non_extremal(out: BatchClassification, rows: np.ndarray, terms,
+                           bob_failures: dict) -> None:
     """Necessary conditions on both sides for valid nonlocal rows whose
-    criterion fails: NonExtremalInQ, or FailsNecessaryQ2Pure when both fail."""
-    slack_a = _necessary_slacks(terms).min(axis=(1, 2))
-    c_bob, failures = steered_many(v[rows][:, _PARTY_SWAP])
-    slack_b = _necessary_slacks(_sector_terms(np.arcsin(c_bob))).min(axis=(1, 2))
+    criterion fails: NonExtremalInQ, or FailsNecessaryQ2Pure when both fail.
+
+    terms are the sector terms of both parties' steered correlators, Alice's
+    K rows stacked over Bob's, from the one steering pass of
+    ``_classify_rows``; bob_failures maps a position in rows to the error
+    that stopped its Bob side.
+    """
+    slack = _necessary_slacks(terms).min(axis=(1, 2))
+    slack_a, slack_b = slack[:len(rows)], slack[len(rows):]
     keep = np.ones(len(rows), bool)
-    for k, exc in failures.items():
+    for k, exc in bob_failures.items():
         out.errors[int(rows[k])] = exc
         keep[k] = False
     ok_a, ok_b = slack_a >= -TOL_EQ, slack_b >= -TOL_EQ
@@ -527,12 +557,14 @@ def classify_many(v) -> BatchClassification:
     """Classify the behaviors given as the rows of an (N, 8) array.
 
     Each stage runs once, as array operations over the rows that reach it:
-    validation and Fine's criterion; the steered correlators and their asin;
-    the criterion over 8 sign patterns x 4 sectors; both sides' necessary
-    conditions where it fails; and where it holds, reconstruction of the
-    relabeled behavior, canonicalization and the alternation margins.
-    Row i gives what ``classify(Behavior.from_vector(v[i]))`` gives, through
-    ``classification(i)``.
+    validation and Fine's criterion; one steering pass for both parties,
+    Alice's rows stacked over their party swaps, and the asin of that table;
+    the criterion on Alice's side over 8 sign patterns x 4 sectors; both
+    sides' necessary conditions, in one stacked call, where it fails; and
+    where it holds, reconstruction of the relabeled behavior,
+    canonicalization and the alternation margins.  Row i gives what
+    ``classify(Behavior.from_vector(v[i]))`` gives, through
+    ``classification(i)``: ``classify`` is this call on a batch of one.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != 8:
@@ -543,32 +575,39 @@ def classify_many(v) -> BatchClassification:
 def _classify_rows(v: np.ndarray, invalid: np.ndarray) -> BatchClassification:
     """``classify_many`` given the rows ``validate`` rejects."""
     out = BatchClassification(len(v))
-    out.chsh_max, local, rows, c, asin, out.errors = _front(v, invalid)
+    local, rows, out.errors = _screen(v, invalid, out.chsh_max)
     out.verdict[local] = _CODE[Verdict.LOCAL]
     if rows.size:
-        terms = _sector_terms(asin)
-        out.residuals[rows] = _selftest_residuals(terms)
-        holds = _criterion_holds(terms)
+        rows, c, bob_failures = _steer_parties(v, rows, out.errors)
+        m = len(rows)
+        terms = _sector_terms(np.arcsin(c))
+        alice = tuple(t[:m] for t in terms)
+        out.residuals[rows] = _selftest_residuals(alice)
+        holds = _criterion_holds(alice)
         extremal = holds.any(axis=1)
         out.pattern[rows] = np.where(extremal, np.argmax(holds, axis=1), -1)
         if not extremal.all():
-            _classify_non_extremal(out, v, rows[~extremal],
-                                   tuple(t[~extremal] for t in terms))
+            non = np.flatnonzero(~extremal)
+            both = np.concatenate([non, non + m])
+            _classify_non_extremal(
+                out, rows[non], tuple(t[both] for t in terms),
+                {int(np.searchsorted(non, k)): exc
+                 for k, exc in bob_failures.items() if not extremal[k]})
         if extremal.any():
-            _classify_extremal(out, v, rows[extremal], c[extremal])
+            _classify_extremal(out, v, rows[extremal], c[:m][extremal])
     return out
 
 
 def classify(p: Behavior) -> Classification:
-    """Compose the certification pipeline into a verdict: ``validate``, then
-    the stages of ``classify_many`` on a batch of one valid row.
+    """Compose the certification pipeline into a verdict: ``classify_many``
+    on a batch of one, validation included, so both parties are steered in
+    one stacked pass and ``validate`` runs only to word the rejection of an
+    invalid behavior.
 
     Local / ExtremalExposed / ExtremalNonExposed / NonExtremalInQ /
     FailsNecessaryQ2Pure, with Indeterminate reserved for the reconstruction
     dead ends listed in Failure.  NonExtremalInQ and FailsNecessaryQ2Pure
     never assert Q-membership; their caveat records that.
     """
-    violations = validate(p)
-    if violations:
-        raise InvalidBehaviorError(violations)
-    return _classify_rows(p.vector[None], np.zeros(1, bool)).classification(0)
+    v = p.vector[None]
+    return _classify_rows(v, invalid_rows(v)).classification(0)

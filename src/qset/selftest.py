@@ -215,9 +215,10 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, asin: np.ndarray) -> Reconstr
     """
     rec = Reconstructions(_selftest_residuals(_sector_terms(asin)))
     errors = rec.errors
-    for i in np.flatnonzero(~(np.max(np.abs(rec.residuals), axis=1) <= TOL_EQ)).tolist():
+    worst = np.max(np.abs(rec.residuals), axis=1)
+    for i in np.flatnonzero(~(worst <= TOL_EQ)).tolist():
         errors[i] = NotSelfTestingError(
-            f"self-test equalities violated (max residual {np.max(np.abs(rec.residuals[i]))!r})",
+            f"self-test equalities violated (max residual {float(worst[i])!r})",
             residuals=rec.residuals[i].copy())
     raw = np.full((len(v), 5), np.nan)
     for i, table in enumerate(c.tolist()):

@@ -124,12 +124,13 @@ def steered_many(v: np.ndarray) -> tuple[np.ndarray, dict[int, QsetError]]:
     unit = np.max(np.abs(v[:, :2]), axis=1)
     failures: dict[int, QsetError] = {}
     for i in np.flatnonzero((unit >= 1.0) | (over > TOL_CLAMP)).tolist():
-        if unit[i] >= 1.0:
+        u, o = float(unit[i]), float(over[i])
+        if u >= 1.0:
             failures[i] = MarginalUnitError(
-                f"|<A_x>| = {unit[i]!r} >= 1; steered correlators undefined (behavior is local)")
+                f"|<A_x>| = {u!r} >= 1; steered correlators undefined (behavior is local)")
         else:
             failures[i] = CorrelatorRangeError(
-                f"steered correlator exceeds [-1,1] by {over[i]!r}; input behavior invalid")
+                f"steered correlator exceeds [-1,1] by {o!r}; input behavior invalid")
     return np.clip(out, -1.0, 1.0), failures
 
 

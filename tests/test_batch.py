@@ -25,15 +25,16 @@ PI = np.pi
 
 def mixed_batch() -> np.ndarray:
     """Grid rows through the a0 = b0 face (Local, NonExtremalInQ, both extremal
-    verdicts, Indeterminate), a FailsNecessaryQ2Pure mixture, seeded cube
-    draws (valid and invalid) and vectors with non-finite or out-of-range
-    components."""
+    verdicts, Indeterminate), the NONALT point, a FailsNecessaryQ2Pure
+    mixture, seeded cube draws (valid and invalid) and vectors with
+    non-finite or out-of-range components."""
     grid = ScanSpec(ranges={"theta": (0.02, 1.5, 12), "a1": (0.3, 2.9, 6), "b0": (0.0, 2.5, 6)},
                     fixed={"a0": 0.0, "b1": 2.7}).grid_points()
     rng = np.random.default_rng(31)
     odd = rng.uniform(-1, 1, (4, 8))
     odd[0, 3], odd[1, 6], odd[2, 0], odd[3, 5] = np.nan, np.inf, 1.5, -1.0 - 1e-7
-    return np.vstack([born_vector(*grid.T), fails_necessary_mixture().vector, rng.uniform(-1, 1, (40, 8)), odd])
+    return np.vstack([born_vector(*grid.T), born_point(NONALT).vector,
+                      fails_necessary_mixture().vector, rng.uniform(-1, 1, (40, 8)), odd])
 
 
 def outcome(fn):

@@ -100,6 +100,8 @@ def test_classify_invalid_behavior_exit_1(tmp_path, capsys):
     code, _, err = run_cli(["classify", "--input", str(path)], capsys)
     assert code == 1
     assert "invalid" in err
+    assert "component <A0B0> = 1.5 out of range" in err
+    assert "np.float64" not in err
 
 
 def test_selftest_roundtrip_pipeline(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qset.extremality
 from qset import (
     Behavior,
     InvalidBehaviorError,
@@ -21,8 +22,10 @@ from qset import (
     sample_realization,
     steered_correlators,
     extremality_criterion_check,
+    validate,
 )
 from qset.errors import DegenerateThetaError
+from qset.steering import steered_many
 from qset.extremality import SignPattern, alternation_margins, pattern_to_reference_relabeling
 from qset.tolerances import TOL_EQ
 from qset.symmetry import group_elements
@@ -86,6 +89,50 @@ def test_masanes_examples():
     assert masanes_check(Behavior.from_vector(np.zeros(8)))
     with pytest.raises(NonzeroMarginalsError):
         masanes_check(born_point(PI8_EDGE))
+
+
+#: Zero-marginal vectors with one bad component: NaN, inf, out of range.
+BAD_COMPONENTS = [(0, math.nan), (3, math.nan), (5, math.inf), (6, -math.inf),
+                  (0, 1.5), (7, -1.0 - 1e-7)]
+
+
+@pytest.mark.parametrize("k, x", BAD_COMPONENTS)
+def test_checks_reject_invalid_behaviors(k, x):
+    v = np.zeros(8)
+    v[k] = x
+    p = Behavior.from_vector(v)
+    with pytest.raises(InvalidBehaviorError) as want:
+        classify(p)
+    for check in (masanes_check, lambda q: necessary_conditions_check(q, "alice"),
+                  lambda q: necessary_conditions_check(q, "bob")):
+        with pytest.raises(InvalidBehaviorError) as got:
+            check(p)
+        assert str(got.value) == str(want.value)
+
+
+def test_error_messages_print_plain_floats():
+    negative = validate(Behavior.from_vector([0.5, 0, 0, 0, -0.75, 0, 0, 0]))
+    _, failures = steered_many(np.array([[1.0, 0, 0, 0, 0, 0, 0, 0],
+                                         [0.5, 0, 0, 0, 0.9, 0, 0, 0]]))
+    messages = negative + [str(exc) for exc in failures.values()]
+    assert messages == ["probability p(-1,-1|0,0) = -0.0625 negative",
+                        "|<A_x>| = 1.0 >= 1; steered correlators undefined (behavior is local)",
+                        "steered correlator exceeds [-1,1] by 0.8; input behavior invalid"]
+
+
+def test_classify_steers_both_parties_in_one_pass(monkeypatch):
+    calls = {"steered_many": 0, "_necessary_slacks": 0}
+    for name in calls:
+        fn = getattr(qset.extremality, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(qset.extremality, name, counted)
+    res = classify(born_point(NONALT))
+    assert res.verdict is Verdict.NON_EXTREMAL_IN_Q
+    assert calls == {"steered_many": 1, "_necessary_slacks": 1}
 
 
 def test_necessary_conditions_equals_masanes_on_zero_marginals():
