@@ -147,28 +147,27 @@ def _alternating(margins: np.ndarray, strict: bool) -> np.ndarray:
     return margins.min(axis=1) >= -TOL_EQ
 
 
-def _screen(v: np.ndarray, invalid: np.ndarray, chsh_max: np.ndarray):
+def _screen(v: np.ndarray, invalid: np.ndarray):
     """Fine's criterion over behavior vectors (N, 8), given the rows
     ``validate`` rejects (``invalid_rows(v)``).
 
-    Writes the max CHSH value of each row into chsh_max (N,) and returns the
-    Local mask, the rows that are valid and nonlocal, and the
-    InvalidBehaviorError of each invalid row.
+    Returns the max CHSH value of each row, the Local mask, the rows that are
+    valid and nonlocal, and the InvalidBehaviorError of each invalid row.
     """
     with np.errstate(invalid="ignore"):
-        chsh_values(v).max(axis=1, out=chsh_max)
+        chsh_max = chsh_values(v).max(axis=1)
     local = ~invalid & (chsh_max <= 2.0 + TOL_EQ)
     errors: dict[int, QsetError] = {
         i: InvalidBehaviorError(validate(Behavior.from_vector(v[i])))
         for i in np.flatnonzero(invalid).tolist()}
-    return local, np.flatnonzero(~invalid & ~local), errors
+    return chsh_max, local, np.flatnonzero(~invalid & ~local), errors
 
 
 def _nonlocal_steered(p: Behavior, local_message: str) -> tuple[np.ndarray, np.ndarray]:
     """Steered correlators (1, 2, 2, 2) of one behavior and their asin; raises
     InvalidBehaviorError, LocalInputError or the steering error."""
     v = p.vector[None]
-    local, _, errors = _screen(v, invalid_rows(v), np.empty(1))
+    _, local, _, errors = _screen(v, invalid_rows(v))
     if errors:
         raise errors[0]
     if local[0]:
@@ -186,20 +185,19 @@ def _steer_parties(v: np.ndarray, rows: np.ndarray, errors: dict):
 
     A row whose Alice side cannot be steered is dropped, its error recorded in
     errors.  Returns the rows kept, their (2M, 2, 2, 2) table and the
-    steering error of each kept row's Bob side (position in the kept rows ->
-    exception), which counts only where the criterion fails.
+    steering error of each kept row's Bob side (row of v -> exception),
+    which counts only where the criterion fails.
     """
     m = len(rows)
     c, failures = steered_many(v[rows[:, None], _PARTIES].reshape(-1, 8))
     if not failures:
         return rows, c, failures
-    alice = [k for k in failures if k < m]
-    for k in alice:
-        errors[int(rows[k])] = failures[k]
     keep = np.ones(m, bool)
-    keep[alice] = False
-    position = np.cumsum(keep) - 1
-    bob = {int(position[k - m]): exc for k, exc in failures.items() if k >= m and keep[k - m]}
+    for k, exc in failures.items():
+        if k < m:
+            errors[int(rows[k])] = exc
+            keep[k] = False
+    bob = {int(rows[k - m]): exc for k, exc in failures.items() if k >= m and keep[k - m]}
     return rows[keep], c[np.tile(keep, 2)], bob
 
 
@@ -501,15 +499,16 @@ def _classify_non_extremal(out: BatchClassification, rows: np.ndarray, terms,
 
     terms are the sector terms of both parties' steered correlators, Alice's
     K rows stacked over Bob's, from the one steering pass of
-    ``_classify_rows``; bob_failures maps a position in rows to the error
+    ``_classify_rows``; bob_failures maps a row of the batch to the error
     that stopped its Bob side.
     """
     slack = _necessary_slacks(terms).min(axis=(1, 2))
     slack_a, slack_b = slack[:len(rows)], slack[len(rows):]
     keep = np.ones(len(rows), bool)
-    for k, exc in bob_failures.items():
-        out.errors[int(rows[k])] = exc
-        keep[k] = False
+    if bob_failures:
+        keep = ~np.isin(rows, list(bob_failures))
+        for i in rows[~keep].tolist():
+            out.errors[i] = bob_failures[i]
     ok_a, ok_b = slack_a >= -TOL_EQ, slack_b >= -TOL_EQ
     done = rows[keep]
     out.necessary[done] = np.column_stack([ok_a, ok_b])[keep]
@@ -575,7 +574,7 @@ def classify_many(v) -> BatchClassification:
 def _classify_rows(v: np.ndarray, invalid: np.ndarray) -> BatchClassification:
     """``classify_many`` given the rows ``validate`` rejects."""
     out = BatchClassification(len(v))
-    local, rows, out.errors = _screen(v, invalid, out.chsh_max)
+    out.chsh_max[:], local, rows, out.errors = _screen(v, invalid)
     out.verdict[local] = _CODE[Verdict.LOCAL]
     if rows.size:
         rows, c, bob_failures = _steer_parties(v, rows, out.errors)
@@ -589,25 +588,22 @@ def _classify_rows(v: np.ndarray, invalid: np.ndarray) -> BatchClassification:
         if not extremal.all():
             non = np.flatnonzero(~extremal)
             both = np.concatenate([non, non + m])
-            _classify_non_extremal(
-                out, rows[non], tuple(t[both] for t in terms),
-                {int(np.searchsorted(non, k)): exc
-                 for k, exc in bob_failures.items() if not extremal[k]})
+            _classify_non_extremal(out, rows[non], tuple(t[both] for t in terms),
+                                   bob_failures)
         if extremal.any():
             _classify_extremal(out, v, rows[extremal], c[:m][extremal])
     return out
 
 
 def classify(p: Behavior) -> Classification:
-    """Compose the certification pipeline into a verdict: ``classify_many``
-    on a batch of one, validation included, so both parties are steered in
-    one stacked pass and ``validate`` runs only to word the rejection of an
-    invalid behavior.
+    """Compose the certification pipeline into a verdict: ``validate``, then
+    ``classify_many`` on a batch of one valid row, so both parties are
+    steered in one stacked pass.
 
     Local / ExtremalExposed / ExtremalNonExposed / NonExtremalInQ /
     FailsNecessaryQ2Pure, with Indeterminate reserved for the reconstruction
     dead ends listed in Failure.  NonExtremalInQ and FailsNecessaryQ2Pure
     never assert Q-membership; their caveat records that.
     """
-    v = p.vector[None]
-    return _classify_rows(v, invalid_rows(v)).classification(0)
+    _require_valid(p)
+    return _classify_rows(p.vector[None], np.zeros(1, bool)).classification(0)

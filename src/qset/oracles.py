@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import Behavior, BellFunctional, validate
-from .errors import InvalidBehaviorError, QsetError
+from .behavior import Behavior, BellFunctional, _require_valid
+from .errors import QsetError
 from .realization import (QubitRealization, born_jacobian, born_vector, apply_relabeling,
                           canonicalize)
 from .symmetry import inverse
@@ -133,9 +133,7 @@ def local_membership_lp(p: Behavior) -> tuple[bool, object]:
     (1e-9, 1e-8]: this LP calls some of them nonlocal where ``is_local``
     calls them local.
     """
-    violations = validate(p)
-    if violations:
-        raise InvalidBehaviorError(violations)
+    _require_valid(p)
     target = p.vector
     rhs = np.concatenate([target, [1.0]])
     obj, weights, dual = _phase1_float(_LP_MATRIX, rhs)
@@ -740,9 +738,7 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
     """
     if trials < 1 or generations < 0 or polish_top < 0:
         raise ValueError("need trials >= 1, generations >= 0 and polish_top >= 0")
-    violations = validate(p)
-    if violations:
-        raise InvalidBehaviorError(violations)
+    _require_valid(p)
     target = p.vector
     rng = np.random.default_rng(seed)
     best = None     # (mixture residual, separation, parameter row)

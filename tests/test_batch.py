@@ -23,18 +23,30 @@ from conftest import NONALT, PI8_EDGE, TSIRELSON, fails_necessary_mixture, rando
 PI = np.pi
 
 
+#: Valid nonlocal behaviors just off the quantum boundary whose steered
+#: correlators leave [-1, 1]: the first on Alice's side only, the second on
+#: Bob's side only (its criterion fails, so Bob's error is the verdict).
+STEERING_FAILS = np.array([
+    [-0.9492718433274033, 0.9636374142412445, 0.9639064968633358, -0.39478791087298326,
+     -0.9840914831464109, 0.4455160687984358, 0.9996550068357416, -0.40291841767490627],
+    [-0.28115549352172625, 0.8692535744467842, 0.877522353228444, -0.8720797252498801,
+     -0.30360479240860844, 0.37096342753963557, 0.9917312220139138, -0.975234205578611]])
+
+
 def mixed_batch() -> np.ndarray:
     """Grid rows through the a0 = b0 face (Local, NonExtremalInQ, both extremal
     verdicts, Indeterminate), the NONALT point, a FailsNecessaryQ2Pure
-    mixture, seeded cube draws (valid and invalid) and vectors with
-    non-finite or out-of-range components."""
+    mixture, two valid nonlocal rows whose steering fails only on Alice's or
+    only on Bob's side, seeded cube draws (valid and invalid) and vectors
+    with non-finite or out-of-range components."""
     grid = ScanSpec(ranges={"theta": (0.02, 1.5, 12), "a1": (0.3, 2.9, 6), "b0": (0.0, 2.5, 6)},
                     fixed={"a0": 0.0, "b1": 2.7}).grid_points()
     rng = np.random.default_rng(31)
     odd = rng.uniform(-1, 1, (4, 8))
     odd[0, 3], odd[1, 6], odd[2, 0], odd[3, 5] = np.nan, np.inf, 1.5, -1.0 - 1e-7
     return np.vstack([born_vector(*grid.T), born_point(NONALT).vector,
-                      fails_necessary_mixture().vector, rng.uniform(-1, 1, (40, 8)), odd])
+                      fails_necessary_mixture().vector, STEERING_FAILS, rng.uniform(-1, 1, (40, 8)),
+                      odd])
 
 
 def outcome(fn):
@@ -64,6 +76,7 @@ def test_mixed_batch_covers_every_outcome():
     labels = set(batch.labels())
     assert {v.value for v in Verdict} <= labels
     assert "Error:InvalidBehaviorError" in labels
+    assert classify_many(STEERING_FAILS).labels() == ["Error:CorrelatorRangeError"] * 2
     indeterminate = batch.verdict == qset.extremality.VERDICTS.index(Verdict.INDETERMINATE)
     assert np.all(batch.failure[indeterminate] != Failure.NONE)
     assert np.all(batch.failure[~indeterminate] == Failure.NONE)
