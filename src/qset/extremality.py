@@ -64,6 +64,10 @@ _T_IDX = np.array([0 if t == 1 else 1 for _, t in SECTOR_PAIRS])
 #: Criterion sign patterns (e00, e01, e10, e11), in the order they are tried.
 _PATTERNS = np.array(SIGN_PATTERNS, dtype=float)[:, :, None]
 
+#: Index in SIGN_PATTERNS of the reference placement (minus on (x=0, y=1)),
+#: whose relabeling is the identity.
+_REFERENCE = SIGN_PATTERNS.index((1, -1, 1, 1))
+
 #: Behavior-vector permutation that exchanges Alice and Bob (its signs are all +1).
 _PARTY_SWAP = signed_permutation(SymmetryElement(party_swap=True))[0]
 
@@ -432,14 +436,18 @@ class BatchClassification:
     row; ``errors`` maps each such row to its exception, and each
     Indeterminate row to the error that stopped its reconstruction.
     ``failure`` is the Failure code of Indeterminate rows (0 elsewhere).
-    ``residuals`` are the self-test residuals of the input rows, NaN where a
-    row is invalid, local or not steerable.  The other arrays hold the
-    details of ``classification(i)``; they are NaN (-1 for ``pattern``) where
-    a row has none.
+    ``residuals`` are the self-test residuals of the input rows and
+    ``steered`` their steered correlators (Alice's side), NaN where a row is
+    invalid, local or not steerable.  ``reconstructions`` holds the
+    reconstructions of the rows whose criterion holds, in row order, each of
+    the row's image under the relabeling of its ``pattern`` (None when there
+    are no such rows).  The other arrays hold the details of
+    ``classification(i)``; they are NaN (-1 for ``pattern``) where a row has
+    none.
     """
 
     def __init__(self, n: int):
-        nan = np.full((n, 24), np.nan)
+        nan = np.full((n, 32), np.nan)
         self.verdict = np.full(n, -1, np.int8)
         self.failure = np.zeros(n, np.int8)
         self.errors: dict[int, Exception] = {}
@@ -452,6 +460,8 @@ class BatchClassification:
         self.alternation_margins = nan[:, 11:19]        # of the reconstruction
         self.ref_residuals = nan[:, 19:23]              # self-test residuals, relabeled row
         self.roundtrip_error = nan[:, 23]
+        self.steered = nan[:, 24:32].reshape(n, 2, 2, 2)
+        self.reconstructions = None
 
     def labels(self) -> list[str]:
         """Verdict names per row; ``Error:<exception class>`` where ``classify`` raises."""
@@ -460,10 +470,11 @@ class BatchClassification:
                 for i, code in enumerate(self.verdict.tolist())]
 
     def classification(self, i: int) -> Classification:
-        """What ``classify`` returns for row ``i``; raises what it raises."""
+        """What ``classify`` returns for row ``i``; raises what it raises,
+        with a fresh traceback on each call."""
         code = int(self.verdict[i])
         if code < 0:
-            raise self.errors[i]
+            raise self.errors[i].with_traceback(None)
         verdict = VERDICTS[code]
         if verdict is Verdict.LOCAL:
             return Classification(verdict, {"chsh_max": float(self.chsh_max[i])})
@@ -528,7 +539,7 @@ def _classify_extremal(out: BatchClassification, v: np.ndarray, rows: np.ndarray
     pats = out.pattern[rows]
     v_ref = v[rows[:, None], perms[pats]] * signs[pats]
     c_ref = _reference_steered(c, pats)
-    rebuilt = reconstruct_rows(v_ref, c_ref, np.arcsin(c_ref))
+    rebuilt = out.reconstructions = reconstruct_rows(v_ref, c_ref, np.arcsin(c_ref))
     out.ref_residuals[rows] = rebuilt.residuals
     out.realization[rows] = rebuilt.canonical
     out.roundtrip_error[rows] = rebuilt.roundtrip
@@ -579,6 +590,7 @@ def _classify_rows(v: np.ndarray, invalid: np.ndarray) -> BatchClassification:
     if rows.size:
         rows, c, bob_failures = _steer_parties(v, rows, out.errors)
         m = len(rows)
+        out.steered[rows] = c[:m]
         terms = _sector_terms(np.arcsin(c))
         alice = tuple(t[:m] for t in terms)
         out.residuals[rows] = _selftest_residuals(alice)
@@ -595,15 +607,30 @@ def _classify_rows(v: np.ndarray, invalid: np.ndarray) -> BatchClassification:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _classify_vector(key: bytes) -> BatchClassification:
+    """``_classify_rows`` on the batch of one behavior vector that ``validate``
+    accepts, given as its float64 bytes.  The last batch is kept; distinct
+    bytes (0.0 and -0.0 included) never share one."""
+    return _classify_rows(np.frombuffer(key)[None], np.zeros(1, bool))
+
+
+def _classified(p: Behavior) -> BatchClassification:
+    """``validate`` p, raising as ``classify`` does, then its batch of one."""
+    _require_valid(p)
+    return _classify_vector(np.asarray(p.vector, dtype=float).tobytes())
+
+
 def classify(p: Behavior) -> Classification:
     """Compose the certification pipeline into a verdict: ``validate``, then
     ``classify_many`` on a batch of one valid row, so both parties are
-    steered in one stacked pass.
+    steered in one stacked pass.  The last batch of one is kept:
+    ``selftest_certificate`` and ``reconstruct_realization`` of the behavior
+    just classified read its reconstruction instead of computing another.
 
     Local / ExtremalExposed / ExtremalNonExposed / NonExtremalInQ /
     FailsNecessaryQ2Pure, with Indeterminate reserved for the reconstruction
     dead ends listed in Failure.  NonExtremalInQ and FailsNecessaryQ2Pure
     never assert Q-membership; their caveat records that.
     """
-    _require_valid(p)
-    return _classify_rows(p.vector[None], np.zeros(1, bool)).classification(0)
+    return _classified(p).classification(0)

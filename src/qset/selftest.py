@@ -25,11 +25,13 @@ from .behavior import Behavior
 from .errors import (
     DegenerateThetaError,
     InconsistentGaugeError,
+    LocalInputError,
     NoThetaBranchError,
     NotSelfTestingError,
     QsetError,
 )
-from .extremality import _nonlocal_steered, _sector_terms, _selftest_residuals
+from .extremality import (_CODE, _REFERENCE, Verdict, _classified, _sector_terms,
+                          _selftest_residuals)
 from .realization import QubitRealization, _canonical_witness, _canonicalize_many, born_vector
 from .symmetry import SymmetryElement
 from .tolerances import TOL_EQ, TOL_RECON
@@ -202,6 +204,12 @@ class Reconstructions:
         )
 
 
+def _not_self_testing(residuals: np.ndarray) -> NotSelfTestingError:
+    worst = float(np.max(np.abs(residuals)))
+    return NotSelfTestingError(f"self-test equalities violated (max residual {worst!r})",
+                               residuals=residuals.copy())
+
+
 def reconstruct_rows(v: np.ndarray, c: np.ndarray, asin: np.ndarray) -> Reconstructions:
     """Reconstruct the realizations behind nonlocal behavior vectors v (K, 8),
     given their steered correlators c (K, 2, 2, 2) and the asin of those.
@@ -217,9 +225,7 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, asin: np.ndarray) -> Reconstr
     errors = rec.errors
     worst = np.max(np.abs(rec.residuals), axis=1)
     for i in np.flatnonzero(~(worst <= TOL_EQ)).tolist():
-        errors[i] = NotSelfTestingError(
-            f"self-test equalities violated (max residual {float(worst[i])!r})",
-            residuals=rec.residuals[i].copy())
+        errors[i] = _not_self_testing(rec.residuals[i])
     raw = np.full((len(v), 5), np.nan)
     for i, table in enumerate(c.tolist()):
         if i in errors:
@@ -243,11 +249,30 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, asin: np.ndarray) -> Reconstr
     return rec
 
 
-def _reconstruct_one(p: Behavior) -> Reconstructions:
-    c, asin = _nonlocal_steered(p, "self-test conditions require a nonlocal behavior")
-    rec = reconstruct_rows(p.vector[None], c, asin)
+def _reconstruction(p: Behavior) -> Reconstructions:
+    """The reconstruction of p itself as a batch of one, read off the batch
+    ``classify(p)`` computes, which is kept.
+
+    Where the row's criterion holds first with the reference placement, the
+    batch reconstructed p itself (the relabeling is the identity).  Otherwise
+    the row's own reference residuals decide: NotSelfTestingError when they
+    fail, else ``reconstruct_rows`` on p with the steered table the batch
+    kept.  Raises what stops the reconstruction.
+    """
+    batch = _classified(p)
+    if batch.verdict[0] == _CODE[Verdict.LOCAL]:
+        raise LocalInputError("self-test conditions require a nonlocal behavior")
+    c = batch.steered[:1]
+    if np.isnan(c).any():  # Alice's side is not steerable
+        raise batch.errors[0].with_traceback(None)
+    if not np.max(np.abs(batch.residuals[0])) <= TOL_EQ:
+        raise _not_self_testing(batch.residuals[0])
+    if batch.pattern[0] == _REFERENCE:
+        rec = batch.reconstructions
+    else:
+        rec = reconstruct_rows(np.asarray(p.vector, dtype=float)[None], c, np.arcsin(c))
     if rec.errors:
-        raise rec.errors[0]
+        raise rec.errors[0].with_traceback(None)
     return rec
 
 
@@ -257,15 +282,20 @@ def reconstruct_realization(p: Behavior) -> tuple[QubitRealization, Reconstructi
     Requires ``p`` nonlocal and satisfying the four reference equalities;
     the returned realization is canonical and reproduces ``p`` up to the
     relabeling element recorded in the trace, componentwise to TOL_RECON.
+    It reads the batch of one that ``classify(p)`` computes and keeps: right
+    after ``classify(p)`` it is a lookup, on its own it costs one classify.
     """
-    rec = _reconstruct_one(p)
+    rec = _reconstruction(p)
     return rec.realization(0), rec.trace(0)
 
 
 def selftest_certificate(p: Behavior) -> SelfTestCertificate:
-    """Bundle the reconstruction with the equality residuals and roundtrip error."""
-    rec = _reconstruct_one(p)
-    residuals = rec.residuals[0]
+    """Bundle the reconstruction with the equality residuals and roundtrip
+    error.  Like ``reconstruct_realization``, it reads the batch of one that
+    ``classify(p)`` computes and keeps: right after ``classify(p)`` it is a
+    lookup, on its own it costs one classify."""
+    rec = _reconstruction(p)
+    residuals = rec.residuals[0].copy()
     trace = rec.trace(0)
     return SelfTestCertificate(
         realization=rec.realization(0),

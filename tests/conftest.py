@@ -3,11 +3,24 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qset
 from qset import Behavior, QubitRealization, born_point, validate
+from qset.extremality import _classify_vector
 
 PI = math.pi
+
+
+@pytest.fixture(autouse=True)
+def fresh_classify_memo():
+    """Start and end each test without a kept batch of one, so a test that
+    counts or patches the pipeline's stages sees them run whatever test came
+    before it."""
+    _classify_vector.cache_clear()
+    yield
+    _classify_vector.cache_clear()
+
 
 #: theta = pi/8, a = (0, pi/2), b = (pi/4, 3pi/4): extremal non-exposed, two
 #: alternation margins exactly zero.
@@ -19,6 +32,19 @@ TSIRELSON = QubitRealization(PI / 4, (0.0, PI / 2), (PI / 4, 3 * PI / 4))
 #: Nonlocal but not fully alternating (atilde_1^+ < b0): non-extremal.
 #: (theta = pi/16 in this family is already local, so tests use theta = 0.3.)
 NONALT = QubitRealization(0.3, (0.0, PI / 2), (PI / 4, 3 * PI / 4))
+
+
+#: The PR box, built from ints: nonlocal beyond Tsirelson's bound.
+PR_BOX = Behavior(marg_a=(0, 0), marg_b=(0, 0), corr=((1, 1), (1, -1)))
+
+#: Valid nonlocal behaviors just off the quantum boundary whose steered
+#: correlators leave [-1, 1]: the first on Alice's side only, the second on
+#: Bob's side only (its criterion fails, so Bob's error is the verdict).
+STEERING_FAILS = np.array([
+    [-0.9492718433274033, 0.9636374142412445, 0.9639064968633358, -0.39478791087298326,
+     -0.9840914831464109, 0.4455160687984358, 0.9996550068357416, -0.40291841767490627],
+    [-0.28115549352172625, 0.8692535744467842, 0.877522353228444, -0.8720797252498801,
+     -0.30360479240860844, 0.37096342753963557, 0.9917312220139138, -0.975234205578611]])
 
 
 #: Pauli matrices of the measurement operators.

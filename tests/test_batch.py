@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import traceback
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import qset
 import qset.cli
 import qset.realization
 from qset import (Behavior, Failure, Verdict, born_point, classify, classify_many,
-                  enumerate_vertices, group_elements, sample_realization)
+                  enumerate_vertices, group_elements, sample_realization, selftest_certificate)
 from qset.cli import ScanSpec, main
 from qset.extremality import (VERDICTS, _reference_relabelings, _reference_steered,
                                alternation_margins)
@@ -18,19 +19,10 @@ from qset.realization import born_vector
 from qset.steering import steered_many
 from qset.symmetry import signed_permutation
 
-from conftest import NONALT, PI8_EDGE, TSIRELSON, fails_necessary_mixture, random_valid_behavior
+from conftest import (NONALT, PI8_EDGE, STEERING_FAILS, TSIRELSON, fails_necessary_mixture,
+                      random_valid_behavior)
 
 PI = np.pi
-
-
-#: Valid nonlocal behaviors just off the quantum boundary whose steered
-#: correlators leave [-1, 1]: the first on Alice's side only, the second on
-#: Bob's side only (its criterion fails, so Bob's error is the verdict).
-STEERING_FAILS = np.array([
-    [-0.9492718433274033, 0.9636374142412445, 0.9639064968633358, -0.39478791087298326,
-     -0.9840914831464109, 0.4455160687984358, 0.9996550068357416, -0.40291841767490627],
-    [-0.28115549352172625, 0.8692535744467842, 0.877522353228444, -0.8720797252498801,
-     -0.30360479240860844, 0.37096342753963557, 0.9917312220139138, -0.975234205578611]])
 
 
 def mixed_batch() -> np.ndarray:
@@ -88,6 +80,21 @@ def test_rows_match_scalar_classify():
     for i, row in enumerate(v):
         assert_same(outcome(lambda: batch.classification(i)),
                     outcome(lambda: classify(Behavior.from_vector(row))))
+
+
+def test_repeated_errors_get_fresh_tracebacks():
+    # the stored exception is raised again on every call; its traceback must
+    # not grow with the calls before it
+    def frames(fn) -> int:
+        with pytest.raises(qset.QsetError) as info:
+            fn()
+        return len(traceback.extract_tb(info.value.__traceback__))
+
+    batch = classify_many(STEERING_FAILS)
+    p = Behavior.from_vector(STEERING_FAILS[0])
+    for fn in (lambda: batch.classification(0), lambda: batch.classification(1),
+               lambda: classify(p), lambda: selftest_certificate(p)):
+        assert len({frames(fn) for _ in range(3)}) == 1
 
 
 def test_rows_independent_of_order():

@@ -30,13 +30,10 @@ from qset.extremality import SignPattern, alternation_margins, pattern_to_refere
 from qset.tolerances import TOL_EQ
 from qset.symmetry import group_elements
 
-from conftest import NONALT, PI8_EDGE, TSIRELSON, fails_necessary_mixture
+from conftest import NONALT, PI8_EDGE, PR_BOX, TSIRELSON, fails_necessary_mixture
 
 PI = math.pi
 SQ2 = math.sqrt(2.0)
-
-PR_BOX = Behavior(marg_a=(0, 0), marg_b=(0, 0), corr=((1, 1), (1, -1)))
-
 
 def test_necessary_conditions_tsirelson_reduces_to_masanes():
     pt = born_point(TSIRELSON)

@@ -1,24 +1,40 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qset.selftest
 from qset import (
     Behavior,
     LocalInputError,
     NotSelfTestingError,
+    QsetError,
     QubitRealization,
+    Verdict,
     born_point,
     canonicalize,
+    classify,
+    group_elements,
+    apply_symmetry,
     selftest_conditions_check,
     reconstruct_realization,
     sample_realization,
     selftest_certificate,
 )
 from qset.behavior import mix
+from qset.extremality import _classify_vector, _nonlocal_steered
+from qset.realization import born_vector
+from qset.selftest import reconstruct_rows
+from qset.symmetry import SymmetryElement
+from qset.errors import InconsistentGaugeError
 from qset.tolerances import TOL_RECON
 
-from conftest import NONALT, PI8_EDGE, TSIRELSON
+from conftest import NONALT, PI8_EDGE, PR_BOX, STEERING_FAILS, TSIRELSON
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "data"))
+from make_golden import path_of, read_golden  # noqa: E402
 
 PI = math.pi
 
@@ -124,3 +140,221 @@ def test_certificate_noisy_input_rejected():
 def test_certificate_local_deterministic():
     with pytest.raises(LocalInputError):
         selftest_certificate(Behavior.from_vector(np.ones(8)))
+
+
+# --- the certificate as a view of the classify batch -------------------------
+
+
+#: A self-testing point pushed along a seeded direction until its reference
+#: residuals sit at TOL_EQ: they hold, but the criterion, summed in another
+#: order, fails by rounding, so ``classify`` calls it NonExtremalInQ and
+#: reconstructs nothing; the certificate's own reconstruction then stops in
+#: the gauge placement.
+RESIDUAL_EDGE = Behavior.from_vector([
+    0.3617332804755463, 0.17562647670957088, 0.33610668193952314, -0.34340842455299625,
+    0.9309646914071924, -0.9477548160847256, 0.7524385607873183, -0.20475227087807915])
+
+
+def direct_reconstruction(p: Behavior):
+    """The reconstruction of p from p alone, the route the views must match:
+    steer p, reconstruct it, raise what stops it."""
+    c, asin = _nonlocal_steered(p, "self-test conditions require a nonlocal behavior")
+    rec = reconstruct_rows(p.vector[None], c, asin)
+    if rec.errors:
+        raise rec.errors[0]
+    return rec
+
+
+def bits(*values) -> bytes:
+    return b"".join(np.asarray(x, dtype=float).tobytes() for x in values)
+
+
+def trace_key(trace):
+    return (bits(trace.w, trace.bgauge, trace.gamma, trace.gamma_x, trace.theta,
+                 trace.theta_branches, trace.gauge_residual, trace.roundtrip_error),
+            trace.relabeling)
+
+
+def certificate_key(cert):
+    return (bits(cert.realization.params(), cert.condition_residuals, cert.max_residual,
+                 cert.roundtrip_error), trace_key(cert.trace))
+
+
+def realization_key(pair):
+    realization, trace = pair
+    return bits(realization.params()), trace_key(trace)
+
+
+def direct_keys(p: Behavior):
+    rec = direct_reconstruction(p)
+    residuals, trace = rec.residuals[0], rec.trace(0)
+    params = rec.realization(0).params()
+    return ((bits(params, residuals, float(np.max(np.abs(residuals))), trace.roundtrip_error),
+             trace_key(trace)),
+            (bits(params), trace_key(trace)))
+
+
+def outcome(fn):
+    """fn's result, or the class, message and residuals of what it raises."""
+    try:
+        return fn()
+    except QsetError as exc:
+        residuals = getattr(exc, "residuals", None)
+        return type(exc), str(exc), None if residuals is None else bits(residuals)
+
+
+def assert_views_match_direct(p: Behavior) -> None:
+    """Certificate and realization bit for bit as the direct route gives them,
+    or the same exception: computed on their own, read back from the kept
+    batch, and read right after ``classify``."""
+    direct = outcome(lambda: direct_keys(p))
+    want_cert, want_pair = (direct, direct) if isinstance(direct[0], type) else direct
+    _classify_vector.cache_clear()
+    assert outcome(lambda: certificate_key(selftest_certificate(p))) == want_cert
+    assert outcome(lambda: realization_key(reconstruct_realization(p))) == want_pair
+    _classify_vector.cache_clear()
+    outcome(lambda: classify(p))
+    assert outcome(lambda: realization_key(reconstruct_realization(p))) == want_pair
+    assert outcome(lambda: certificate_key(selftest_certificate(p))) == want_cert
+
+
+def test_views_match_direct_route_on_named_points():
+    noisy = mix([born_point(PI8_EDGE), Behavior.from_vector(np.zeros(8))], [0.999, 0.001])
+    invalid = Behavior.from_vector([0, 0, 0, 0, 1.5, 0, 0, 0])
+    points = [born_point(TSIRELSON), born_point(PI8_EDGE), born_point(NONALT), noisy,
+              Behavior.from_vector(np.ones(8)), PR_BOX, invalid,
+              *(Behavior.from_vector(v) for v in STEERING_FAILS)]
+    for p in points:
+        assert_views_match_direct(p)
+
+
+def test_certificate_where_classify_reconstructs_nothing(monkeypatch):
+    assert_views_match_direct(RESIDUAL_EDGE)
+    calls = count_reconstructions(monkeypatch)
+    assert classify(RESIDUAL_EDGE).verdict is Verdict.NON_EXTREMAL_IN_Q
+    assert calls == {"reconstruct_rows": 0}
+    with pytest.raises(InconsistentGaugeError, match="gauge placement residual"):
+        selftest_certificate(RESIDUAL_EDGE)
+    assert calls == {"reconstruct_rows": 1}
+
+
+def test_views_match_direct_route_without_the_reference_shortcut(monkeypatch):
+    # no pattern index matches: every certificate reconstructs from the kept table
+    monkeypatch.setattr(qset.selftest, "_REFERENCE", -2)
+    rng = np.random.default_rng(5)
+    for base in (TSIRELSON, PI8_EDGE, sample_realization(rng, {"strictly-alternating"})):
+        for g in group_elements():
+            assert_views_match_direct(apply_symmetry(g, born_point(base)))
+
+
+@pytest.mark.parametrize("base", [TSIRELSON, PI8_EDGE], ids=["tsirelson", "pi8_edge"])
+def test_views_match_direct_route_on_relabeled_images(base):
+    patterns = set()
+    for g in group_elements():
+        p = apply_symmetry(g, born_point(base))
+        assert_views_match_direct(p)
+        patterns.add(int(qset.extremality._classified(p).pattern[0]))
+    # images whose first criterion pattern is not the reference placement too
+    assert len(patterns) > 1
+
+
+def test_views_match_direct_route_on_acceptance_draws():
+    rng = np.random.default_rng(99)
+    for _ in range(1000):
+        assert_views_match_direct(born_point(sample_realization(rng, {"strictly-alternating"})))
+
+
+def test_views_match_direct_route_on_golden_grid():
+    _, body = read_golden(path_of("grid"))
+    rows = [line.split(",") for line in body.splitlines()[1:]]
+    params = np.array([[float(x) for x in r[:5]] for r in rows
+                       if r[5].startswith("Extremal") or r[5] == "Indeterminate"])
+    assert len(params) > 1000
+    for v in born_vector(*params.T):
+        assert_views_match_direct(Behavior.from_vector(v))
+
+
+def count_reconstructions(monkeypatch) -> dict:
+    calls = {"reconstruct_rows": 0}
+    fn = qset.selftest.reconstruct_rows
+
+    def counted(*args):
+        calls["reconstruct_rows"] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(qset.selftest, "reconstruct_rows", counted)
+    return calls
+
+
+def test_certificate_after_classify_reads_the_kept_batch(monkeypatch):
+    calls = count_reconstructions(monkeypatch)
+    p = born_point(PI8_EDGE)
+    assert classify(p).verdict is Verdict.EXTREMAL_NON_EXPOSED
+    cert = selftest_certificate(p)
+    reconstruct_realization(p)
+    assert calls == {"reconstruct_rows": 1}
+    assert certificate_key(cert) == direct_keys(p)[0]
+    # an image off the reference placement: its own residuals refuse it
+    q = apply_symmetry(SymmetryElement(input_swap_a=True), p)
+    assert classify(q).verdict is Verdict.EXTREMAL_NON_EXPOSED
+    with pytest.raises(NotSelfTestingError):
+        selftest_certificate(q)
+    assert calls == {"reconstruct_rows": 2}
+
+
+def test_other_behavior_in_between_forces_recompute(monkeypatch):
+    calls = count_reconstructions(monkeypatch)
+    p, q = born_point(PI8_EDGE), born_point(TSIRELSON)
+    classify(p)
+    classify(q)
+    cert = selftest_certificate(p)
+    assert calls == {"reconstruct_rows": 3}
+    assert certificate_key(cert) == direct_keys(p)[0]
+
+
+def test_zero_signs_and_int_components_get_their_own_batch():
+    v = born_point(TSIRELSON).vector
+    plus, minus = v.copy(), v.copy()
+    plus[:4], minus[:4] = 0.0, -0.0
+    for p in (Behavior.from_vector(plus), Behavior.from_vector(minus)):
+        classify(p)
+        assert_views_match_direct(p)
+    classify(Behavior.from_vector(plus))
+    before = _classify_vector.cache_info().misses
+    classify(Behavior.from_vector(minus))
+    assert _classify_vector.cache_info().misses == before + 1
+    # ints are keyed by their float64 values, not read as raw bytes
+    assert classify(PR_BOX).verdict is Verdict.FAILS_NECESSARY_Q2_PURE
+    assert classify(Behavior.from_vector(PR_BOX.vector)).verdict \
+        is Verdict.FAILS_NECESSARY_Q2_PURE
+    assert_views_match_direct(PR_BOX)
+
+
+def test_mutating_results_leaves_the_kept_batch_alone():
+    p = born_point(PI8_EDGE)
+    res = classify(p)
+    margins, residuals = res.details["alternation_margins"].copy(), \
+        res.details["asin_residuals"].copy()
+    res.details["alternation_margins"][:] = 7.0
+    res.details["asin_residuals"][:] = 7.0
+    again = classify(p)
+    assert np.array_equal(again.details["alternation_margins"], margins)
+    assert np.array_equal(again.details["asin_residuals"], residuals)
+
+    cert = selftest_certificate(p)
+    want = certificate_key(cert)
+    cert.condition_residuals[:] = 7.0
+    cert.trace.w[:] = 7.0
+    assert certificate_key(selftest_certificate(p)) == want
+    _, trace = reconstruct_realization(p)
+    trace.w[:] = 7.0
+    assert certificate_key(selftest_certificate(p)) == want
+
+    noisy = mix([p, Behavior.from_vector(np.zeros(8))], [0.999, 0.001])
+    with pytest.raises(NotSelfTestingError) as first:
+        selftest_certificate(noisy)
+    kept = first.value.residuals.copy()
+    first.value.residuals[:] = 7.0
+    with pytest.raises(NotSelfTestingError) as second:
+        selftest_certificate(noisy)
+    assert np.array_equal(second.value.residuals, kept)
