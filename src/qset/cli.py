@@ -285,7 +285,7 @@ def _functional_from_args(args) -> BellFunctional:
 
 def cmd_oracle_bell_max(args) -> int:
     beta = _functional_from_args(args)
-    value, arg = bell_max_q2(beta, resolution=args.resolution, refinements=args.refinements)
+    value, arg = bell_max_q2(beta)
     doc = {"value": value, "argmax": arg.to_json_dict()}
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
@@ -410,11 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bm.add_argument("--coeffs", type=_finite_float("coeffs"), nargs=8, default=None,
                       metavar=("bA0", "bA1", "bB0", "bB1", "b00", "b10", "b01", "b11"))
     p_bm.add_argument("--offset", type=_finite_float("offset"), default=0.0)
-    p_bm.add_argument("--resolution", type=_int_at_least("resolution", 16), default=16)
-    p_bm.add_argument("--refinements", type=_int_at_least("refinements", 0), default=60,
-                      help="cap on ascent iterations after the grid: the first 6 are "
-                           "block sweeps over every start, the rest Newton steps; "
-                           "0 returns the grid point")
     common(p_bm)
     p_bm.set_defaults(func=cmd_oracle_bell_max)
 

@@ -26,7 +26,6 @@ from .errors import (
     NonzeroMarginalsError,
     NoThetaBranchError,
     NotSelfTestingError,
-    QsetError,
 )
 from .realization import QubitRealization, _in_canonical_range
 from .steering import modified_angles_raw, pi_interval, steered_many
@@ -138,10 +137,13 @@ def _selftest_residuals(terms) -> np.ndarray:
 
 
 def _criterion_holds(terms) -> np.ndarray:
-    """(N, 8): the criterion equality holds in all four sectors, per sign pattern."""
+    """(N, 8): the criterion equality holds in all four sectors, per sign pattern.
+
+    The terms are summed in the order of ``_selftest_residuals``, so the
+    reference pattern holds exactly where those residuals are within TOL_EQ."""
     a00, a01, a10, a11 = (t[:, None, :] for t in terms)
     e = _PATTERNS
-    val = e[:, 0] * a00 + e[:, 1] * a01 + e[:, 2] * a10 + e[:, 3] * a11
+    val = e[:, 0] * a00 + e[:, 2] * a10 + e[:, 1] * a01 + e[:, 3] * a11
     return ~(np.abs(val - math.pi) > TOL_EQ).any(axis=2)
 
 
@@ -149,37 +151,6 @@ def _alternating(margins: np.ndarray, strict: bool) -> np.ndarray:
     if strict:
         return (margins[:, :6].min(axis=1) > TOL_EQ) & (margins[:, 6:].min(axis=1) >= -TOL_EQ)
     return margins.min(axis=1) >= -TOL_EQ
-
-
-def _screen(v: np.ndarray, invalid: np.ndarray):
-    """Fine's criterion over behavior vectors (N, 8), given the rows
-    ``validate`` rejects (``invalid_rows(v)``).
-
-    Returns the max CHSH value of each row, the Local mask, the rows that are
-    valid and nonlocal, and the InvalidBehaviorError of each invalid row.
-    """
-    with np.errstate(invalid="ignore"):
-        chsh_max = chsh_values(v).max(axis=1)
-    local = ~invalid & (chsh_max <= 2.0 + TOL_EQ)
-    errors: dict[int, QsetError] = {
-        i: InvalidBehaviorError(validate(Behavior.from_vector(v[i])))
-        for i in np.flatnonzero(invalid).tolist()}
-    return chsh_max, local, np.flatnonzero(~invalid & ~local), errors
-
-
-def _nonlocal_steered(p: Behavior, local_message: str) -> tuple[np.ndarray, np.ndarray]:
-    """Steered correlators (1, 2, 2, 2) of one behavior and their asin; raises
-    InvalidBehaviorError, LocalInputError or the steering error."""
-    v = p.vector[None]
-    _, local, _, errors = _screen(v, invalid_rows(v))
-    if errors:
-        raise errors[0]
-    if local[0]:
-        raise LocalInputError(local_message)
-    c, failures = steered_many(v)
-    if failures:
-        raise failures[0]
-    return c, np.arcsin(c)
 
 
 def _steer_parties(v: np.ndarray, rows: np.ndarray, errors: dict):
@@ -246,10 +217,11 @@ def selftest_conditions_check(p: Behavior) -> tuple[bool, np.ndarray]:
 
     for all four (s, t).  Returns the verdict and the 4 signed residuals
     (value - pi) in (s,t) order (+,+), (+,-), (-,+), (-,-).
-    Raises LocalInputError for local behaviors.
+    Raises LocalInputError for local behaviors.  Reads the batch of one that
+    ``classify(p)`` computes and keeps.
     """
-    _, asin = _nonlocal_steered(p, "self-test conditions require a nonlocal behavior")
-    res = _selftest_residuals(_sector_terms(asin))[0]
+    batch = _steered_batch(p, "self-test conditions require a nonlocal behavior")
+    res = batch.residuals[0].copy()
     return bool(np.max(np.abs(res)) <= TOL_EQ), res
 
 
@@ -259,13 +231,12 @@ def extremality_criterion_check(p: Behavior) -> tuple[bool, SignPattern | None]:
     True iff a single sign pattern eps with prod(eps) = -1 satisfies
     sum_xy eps_xy asin c[u_x, x, y] = pi for all four u in {+-1}^2.
     The +pi target suffices: the flipped pattern covers -pi.  The first such
-    pattern in SIGN_PATTERNS order is returned.
+    pattern in SIGN_PATTERNS order is returned.  Reads the batch of one that
+    ``classify(p)`` computes and keeps.
     """
-    _, asin = _nonlocal_steered(p, "extremality criterion applies to nonlocal behaviors")
-    holds = _criterion_holds(_sector_terms(asin))[0]
-    if not holds.any():
-        return False, None
-    return True, _pattern(int(np.argmax(holds)))
+    batch = _steered_batch(p, "extremality criterion applies to nonlocal behaviors")
+    k = int(batch.pattern[0])
+    return (False, None) if k < 0 else (True, _pattern(k))
 
 
 def alternation_margins(params) -> tuple[np.ndarray, dict[int, Exception]]:
@@ -585,8 +556,13 @@ def classify_many(v) -> BatchClassification:
 def _classify_rows(v: np.ndarray, invalid: np.ndarray) -> BatchClassification:
     """``classify_many`` given the rows ``validate`` rejects."""
     out = BatchClassification(len(v))
-    out.chsh_max[:], local, rows, out.errors = _screen(v, invalid)
+    with np.errstate(invalid="ignore"):
+        out.chsh_max[:] = chsh_values(v).max(axis=1)
+    local = ~invalid & (out.chsh_max <= 2.0 + TOL_EQ)
     out.verdict[local] = _CODE[Verdict.LOCAL]
+    for i in np.flatnonzero(invalid).tolist():
+        out.errors[i] = InvalidBehaviorError(validate(Behavior.from_vector(v[i])))
+    rows = np.flatnonzero(~invalid & ~local)
     if rows.size:
         rows, c, bob_failures = _steer_parties(v, rows, out.errors)
         m = len(rows)
@@ -621,12 +597,25 @@ def _classified(p: Behavior) -> BatchClassification:
     return _classify_vector(np.asarray(p.vector, dtype=float).tobytes())
 
 
+def _steered_batch(p: Behavior, local_message: str) -> BatchClassification:
+    """The batch of one ``classify(p)`` keeps, for a p that is nonlocal and
+    whose Alice side is steered; raises InvalidBehaviorError, LocalInputError
+    with ``local_message``, or the error that stopped Alice's steering."""
+    batch = _classified(p)
+    if batch.verdict[0] == _CODE[Verdict.LOCAL]:
+        raise LocalInputError(local_message)
+    if np.isnan(batch.steered[0]).any():
+        raise batch.errors[0].with_traceback(None)
+    return batch
+
+
 def classify(p: Behavior) -> Classification:
     """Compose the certification pipeline into a verdict: ``validate``, then
     ``classify_many`` on a batch of one valid row, so both parties are
     steered in one stacked pass.  The last batch of one is kept:
-    ``selftest_certificate`` and ``reconstruct_realization`` of the behavior
-    just classified read its reconstruction instead of computing another.
+    ``selftest_certificate``, ``reconstruct_realization``,
+    ``selftest_conditions_check`` and ``extremality_criterion_check`` of the
+    behavior just classified read it instead of computing another.
 
     Local / ExtremalExposed / ExtremalNonExposed / NonExtremalInQ /
     FailsNecessaryQ2Pure, with Indeterminate reserved for the reconstruction

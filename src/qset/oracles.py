@@ -3,15 +3,14 @@
 Three falsifiers/cross-checks that share no code path with the analytical
 modules: local-polytope membership by a small feasibility simplex over the
 deterministic vertices, Bell maximization over the two-qubit family by a
-grid search plus a multistart exact block-coordinate ascent with a Newton
-finish, and a convex-decomposition search that tries to split a behavior
-into two distinct quantum parts.
+multistart exact block-coordinate ascent with a Newton finish, and a
+convex-decomposition search that tries to split a behavior into two
+distinct quantum parts.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,97 +148,17 @@ def local_membership_lp(p: Behavior) -> tuple[bool, object]:
                           f"{obj:.17g}, dual separation {separation:.17g}")
 
 
-def _grid_value(beta_vec: np.ndarray, res: int) -> tuple[float, np.ndarray]:
-    """Best grid point of the functional over (theta, a0, a1, b0, b1) in [0, pi)^5.
-
-    The result is bit for bit that of one argmax over the whole res^5 grid
-    (the test oracle ``full_grid_value``): its exact maximum value and its
-    first maximum in C order.  It takes 2 res^4 work instead of res^5.
-
-    *Separable form.*  For fixed (theta, a0, a1) the functional is
-    g + sum_y (U_y cos b_y + V_y sin b_y), with c2, s2 = cos, sin of 2 theta,
-    g = c2 (bA0 cos a0 + bA1 cos a1), U_y = bBy c2 + b0y cos a0 + b1y cos a1
-    and V_y = s2 (b0y sin a0 + b1y sin a1).  So the best (b0, b1) is the best
-    b0 plus the best b1, and the separable maximum is
-    M = max over (theta, a0, a1) of (g + max_b0 h_0) + max_b1 h_1, where
-    h_y = U_y cos b_y + V_y sin b_y.  Rounding is monotone, so M is also the
-    largest separable value S = (g + h_0) + h_1 over the grid.  The maxima over
-    b run one grid value of b at a time over all (theta, a0, a1), so the
-    transient arrays hold 2 res^3 values.
-
-    *Slack.*  S and the full-grid value F round differently.  Let
-    B = ||beta||_1.  Every trigonometric factor is at most 1 in magnitude, so
-    each term of F is bounded by its coefficient, and F carries at most 10
-    roundings of relative size eps/2 per term: |F - f| <= 5 eps B for the
-    exact value f.  S carries at most 7 roundings on terms bounded by
-    sqrt(2) times their coefficients: |S - f| <= 5 eps B.  A maximum p* of F
-    then has S(p*) >= M - 2 max |F - S| >= M - 20 eps B, and forming
-    M - slack rounds by at most eps B more.  The slack 64 eps B leaves a
-    factor of three over that sum (the largest gap seen, over about 14,000
-    seeded integer, half-integer and normal functionals, is 1.6 eps B); 64
-    times the smallest subnormal covers gradual underflow.
-
-    *Candidate rows and ties.*  A (theta, a0, a1) row is a candidate when its
-    separable maximum is at least M - slack; every maximum of F lies in one.
-    F is evaluated over the candidate rows' whole (b0, b1) blocks in its
-    exact operation order, that of the test oracle ``full_grid_value``, one
-    theta slice at a time.  ``np.nonzero`` yields each slice's rows in C
-    order and the comparison across slices is strict, so the result is the
-    full grid's first maximum.  A generic functional has a few candidate
-    rows in one or two slices.  Degenerate ones (beta = 0, a single marginal)
-    tie on whole sub-grids and make most rows candidates; each slice then
-    holds at most res^4 values, as one slice of the full grid does.
-    """
-    ax = np.linspace(0.0, math.pi, res, endpoint=False)
-    cos, sin = np.cos(ax), np.sin(ax)
-    c2s, s2s = np.cos(2 * ax), np.sin(2 * ax)
-    # axes (theta, y, a0, a1); e0, e1 hold b0y, b1y over y
-    e0, e1 = beta_vec[4:6, None, None], beta_vec[6:8, None, None]
-    ca0, ca1, sa0, sa1 = cos[:, None], cos[None, :], sin[:, None], sin[None, :]
-    g = c2s[:, None, None] * (beta_vec[0] * ca0 + beta_vec[1] * ca1)
-    u = beta_vec[2:4, None, None] * c2s[:, None, None, None] + (e0 * ca0 + e1 * ca1)
-    v = s2s[:, None, None, None] * (e0 * sa0 + e1 * sa1)
-    hmax = u * cos[0] + v * sin[0]
-    h, tmp = np.empty_like(u), np.empty_like(u)
-    for j in range(1, res):
-        np.multiply(u, cos[j], out=h)
-        np.multiply(v, sin[j], out=tmp)
-        h += tmp
-        np.maximum(hmax, h, out=hmax)
-    top = (g + hmax[:, 0]) + hmax[:, 1]
-    slack = 64.0 * (np.finfo(float).eps * float(np.abs(beta_vec).sum())
-                    + np.finfo(float).smallest_subnormal)
-    candidate = top >= top.max() - slack
-    cb, sb = (cos[:, None], cos[None, :]), (sin[:, None], sin[None, :])
-    best_val, best_idx = -math.inf, None
-    for t in np.flatnonzero(candidate.any(axis=(1, 2))):
-        c2, s2 = c2s[t], s2s[t]
-        a0, a1 = np.nonzero(candidate[t])
-        ca = (cos[a0, None, None], cos[a1, None, None])
-        sa = (sin[a0, None, None], sin[a1, None, None])
-        val = np.zeros((a0.size, res, res))
-        val += beta_vec[0] * (c2 * ca[0]) + beta_vec[1] * (c2 * ca[1])
-        val += beta_vec[2] * (c2 * cb[0]) + beta_vec[3] * (c2 * cb[1])
-        for x in range(2):
-            for y in range(2):
-                w = beta_vec[4 + 2 * x + y]
-                if w != 0.0:
-                    val += w * (ca[x] * cb[y] + s2 * (sa[x] * sb[y]))
-        j = int(np.argmax(val))
-        if val.flat[j] > best_val:
-            r, b0, b1 = np.unravel_index(j, val.shape)
-            best_val, best_idx = float(val.flat[j]), [t, a0[r], a1[r], b0, b1]
-    return best_val, ax[best_idx]
-
-
-#: Further starts of the ascent: (theta, a0, a1, b0, b1) columns, the first
-#: 16 points frac(1/2 + n phi^-k) of Roberts' R_5 sequence (phi^6 = phi + 1)
+#: Starts of the ascent: (theta, a0, a1, b0, b1) columns, the first 32
+#: points frac(1/2 + n phi^-k) of Roberts' R_5 sequence (phi^6 = phi + 1)
 #: scaled to [0, pi)^5.  A closed form: a seeded generator would import
-#: numpy.random with the package.
+#: numpy.random with the package.  On 1200 seeded functionals, 16 such starts
+#: fell short of a search that also started from a 16^5 grid's best point on
+#: 2 (by up to 4% of ||beta||_1), 32 on none.
 _STARTS = math.pi * np.modf(
-    0.5 + np.arange(1, 17) * 1.1347241384015194 ** -np.arange(1.0, 6.0)[:, None])[0]
-#: Block sweeps over every start before the Newton finish.
+    0.5 + np.arange(1, 33) * 1.1347241384015194 ** -np.arange(1.0, 6.0)[:, None])[0]
+#: Block sweeps over every start, then Newton steps on the best swept row.
 _SWEEPS = 6
+_NEWTON_STEPS = 54
 #: Longest Newton step (max norm, radians), and the floor on |eigenvalue|
 #: relative to ||beta||_1.
 _STEP_CAP = 0.5
@@ -354,56 +273,23 @@ def _newton(bv: np.ndarray, rows: np.ndarray, count: int) -> tuple[np.ndarray, n
     return rows, val
 
 
-def _integer(name: str, value) -> int:
-    """``operator.index(value)``, with a TypeError that names the argument."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
-def bell_max_q2(beta: BellFunctional, resolution: int = 16, refinements: int = 60
-                ) -> tuple[float, QubitRealization]:
+def bell_max_q2(beta: BellFunctional) -> tuple[float, QubitRealization]:
     """Maximize a Bell functional over the pure two-qubit family.
 
     Returns (value, realization), where value is the functional at the
     realization plus ``beta.offset``.  The value is a lower bound on the
     maximum from a multistart local search, and the search can still miss.
 
-    The starts are the best point of a ``resolution``^5 grid over
-    (theta, a0, a1, b0, b1) in [0, pi)^5 (``_grid_value``) and 16 fixed
-    points (``_STARTS``).  Exact block-coordinate ascent (``_sweeps``) runs
-    on all of them as one batch; the best swept row then takes saddle-free
-    Newton steps on the closed-form Hessian (``_newton``).
-    ``refinements`` caps the ascent iterations: the first
-    min(refinements, _SWEEPS) are sweeps over every start, the rest Newton
-    steps.  The grid point is kept unless the ascent beats its value, so
-    ``refinements=0`` returns the grid point and value exactly.
-
-    Raises TypeError unless ``resolution`` and ``refinements`` are integers,
-    and ValueError unless ``resolution >= 16`` and ``refinements >= 0``.
+    Exact block-coordinate ascent (``_sweeps``) runs _SWEEPS sweeps from the
+    32 fixed starts ``_STARTS`` as one batch; the best swept row then takes
+    up to _NEWTON_STEPS saddle-free Newton steps on the closed-form Hessian
+    (``_newton``).
     """
-    resolution = _integer("resolution", resolution)
-    refinements = _integer("refinements", refinements)
-    if resolution < 16:
-        raise ValueError("resolution must be at least 16 per axis")
-    if refinements < 0:
-        raise ValueError("refinements must be at least 0")
     bv = beta.vector
-    best_val, params = _grid_value(bv, resolution)
-    if refinements:
-        swept, swept_val = _sweeps(bv, np.column_stack([params, _STARTS]),
-                                   min(refinements, _SWEEPS))
-        top = int(np.argmax(swept_val))
-        rows, val = _newton(bv, swept[:, [top]].T, refinements - min(refinements, _SWEEPS))
-        if val[0] > best_val:
-            best_val, params = float(val[0]), rows[0]
-    realization = QubitRealization(
-        theta=float(params[0]),
-        a=(float(params[1]), float(params[2])),
-        b=(float(params[3]), float(params[4])),
-    )
-    return best_val + beta.offset, realization
+    swept, swept_val = _sweeps(bv, _STARTS, _SWEEPS)
+    rows, val = _newton(bv, swept[:, [int(np.argmax(swept_val))]].T, _NEWTON_STEPS)
+    theta, a0, a1, b0, b1 = rows[0].tolist()
+    return float(val[0]) + beta.offset, QubitRealization(theta=theta, a=(a0, a1), b=(b0, b1))
 
 
 #: A decomposition counts as found only when the convex identity holds far

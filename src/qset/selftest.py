@@ -25,13 +25,11 @@ from .behavior import Behavior
 from .errors import (
     DegenerateThetaError,
     InconsistentGaugeError,
-    LocalInputError,
     NoThetaBranchError,
     NotSelfTestingError,
     QsetError,
 )
-from .extremality import (_CODE, _REFERENCE, Verdict, _classified, _sector_terms,
-                          _selftest_residuals)
+from .extremality import _REFERENCE, _sector_terms, _selftest_residuals, _steered_batch
 from .realization import QubitRealization, _canonical_witness, _canonicalize_many, born_vector
 from .symmetry import SymmetryElement
 from .tolerances import TOL_EQ, TOL_RECON
@@ -259,12 +257,8 @@ def _reconstruction(p: Behavior) -> Reconstructions:
     fail, else ``reconstruct_rows`` on p with the steered table the batch
     kept.  Raises what stops the reconstruction.
     """
-    batch = _classified(p)
-    if batch.verdict[0] == _CODE[Verdict.LOCAL]:
-        raise LocalInputError("self-test conditions require a nonlocal behavior")
+    batch = _steered_batch(p, "self-test conditions require a nonlocal behavior")
     c = batch.steered[:1]
-    if np.isnan(c).any():  # Alice's side is not steerable
-        raise batch.errors[0].with_traceback(None)
     if not np.max(np.abs(batch.residuals[0])) <= TOL_EQ:
         raise _not_self_testing(batch.residuals[0])
     if batch.pattern[0] == _REFERENCE:

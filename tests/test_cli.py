@@ -173,10 +173,22 @@ def test_scan_row_order_lexicographic(capsys):
 
 
 def test_oracle_bell_max_cli(capsys):
-    code, out, _ = run_cli(["oracle", "bell-max", "--refinements", "40"], capsys)
+    code, out, _ = run_cli(["oracle", "bell-max"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["value"] == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+    code, out, _ = run_cli(["oracle", "bell-max", "--coeffs", "1", "0", "0", "0",
+                            "1", "1", "1", "-1"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(math.sqrt(10), abs=1e-9)
+
+
+@pytest.mark.parametrize("flag", ["--resolution", "--refinements"])
+def test_oracle_bell_max_takes_no_search_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "bell-max", flag, "16"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_oracle_local_cli(tmp_path, capsys):
@@ -209,16 +221,13 @@ def test_oracle_decompose_trials_below_one_is_a_usage_error(tmp_path, capsys, tr
 
 
 @pytest.mark.parametrize("args, flag", [
-    (["bell-max", "--resolution", "8"], "resolution"),
-    (["bell-max", "--refinements", "-3"], "refinements"),
     (["decompose", "--seed", "-1"], "seed"),
-], ids=["resolution8", "refinements-3", "seed-1"])
+], ids=["seed-1"])
 def test_oracle_out_of_range_flags_are_usage_errors(tmp_path, capsys, args, flag):
     # the parser rejects them before any library call runs
     path = write_behavior(tmp_path, born_point(TSIRELSON))
-    extra = ["--input", path] if args[0] == "decompose" else []
     with pytest.raises(SystemExit) as exc:
-        main(["oracle", *args, *extra])
+        main(["oracle", *args, "--input", path])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
 
@@ -246,16 +255,12 @@ def test_non_finite_float_flags_are_usage_errors(capsys, args, flag):
 
 
 def test_oracle_bell_max_offset_applies_to_the_default_functional(capsys):
-    code, out, _ = run_cli(["oracle", "bell-max", "--offset", "1.5", "--refinements", "40"],
-                           capsys)
+    code, out, _ = run_cli(["oracle", "bell-max", "--offset", "1.5"], capsys)
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(2 * math.sqrt(2) + 1.5, abs=1e-6)
 
 
 def test_oracle_flags_at_their_bounds_run(tmp_path, capsys):
-    code, out, _ = run_cli(["oracle", "bell-max", "--resolution", "16",
-                            "--refinements", "0"], capsys)
-    assert code == 0 and json.loads(out)["value"] > 2.0
     path = write_behavior(tmp_path, Behavior.from_vector(np.zeros(8)))
     code, out, _ = run_cli(["oracle", "decompose", "--input", path, "--trials", "1",
                             "--seed", "0"], capsys)

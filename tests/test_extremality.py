@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,11 +28,17 @@ from qset import (
 )
 from qset.errors import DegenerateThetaError
 from qset.steering import steered_many
-from qset.extremality import SignPattern, alternation_margins, pattern_to_reference_relabeling
+from qset.extremality import (_REFERENCE, SignPattern, _criterion_holds, _sector_terms,
+                              _selftest_residuals, alternation_margins,
+                              pattern_to_reference_relabeling)
+from qset.realization import born_vector
 from qset.tolerances import TOL_EQ
 from qset.symmetry import group_elements
 
 from conftest import NONALT, PI8_EDGE, PR_BOX, TSIRELSON, fails_necessary_mixture
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "data"))
+from make_golden import path_of, read_golden  # noqa: E402
 
 PI = math.pi
 SQ2 = math.sqrt(2.0)
@@ -127,8 +135,13 @@ def test_classify_steers_both_parties_in_one_pass(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(qset.extremality, name, counted)
-    res = classify(born_point(NONALT))
+    p = born_point(NONALT)
+    res = classify(p)
     assert res.verdict is Verdict.NON_EXTREMAL_IN_Q
+    assert calls == {"steered_many": 1, "_necessary_slacks": 1}
+    # the scalar checks read the batch classify kept
+    assert not selftest_conditions_check(p)[0]
+    assert extremality_criterion_check(p) == (False, None)
     assert calls == {"steered_many": 1, "_necessary_slacks": 1}
 
 
@@ -414,3 +427,49 @@ def test_full_alternation_domain_of_validity():
         sector_form, _ = canonicalize(r, sector=True)
         assert full_alternation_check(sector_form, strict=False)[0] \
             == extremality_criterion_check(p)[0]
+
+
+def reference_criterion_and_worst_residual(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of v: whether the criterion holds with the reference pattern,
+    and the largest |self-test residual| (inf where steering fails)."""
+    c, failures = steered_many(v)
+    terms = _sector_terms(np.arcsin(c))
+    worst = np.max(np.abs(_selftest_residuals(terms)), axis=1)
+    worst[list(failures)] = np.inf
+    return _criterion_holds(terms)[:, _REFERENCE], worst
+
+
+def residual_edge_points(seed: int, count: int) -> np.ndarray:
+    """Strictly alternating points pushed along seeded correlator directions
+    until their largest |self-test residual| crosses TOL_EQ: the last point
+    of each bisection within TOL_EQ and the first beyond it, for the
+    directions that cross it before steering fails."""
+    rng = np.random.default_rng(seed)
+    base = np.array([born_point(sample_realization(rng, {"strictly-alternating"})).vector
+                     for _ in range(count)])
+    step = np.zeros_like(base)
+    step[:, 4:] = rng.normal(size=(count, 4))
+    step /= np.abs(step).max(axis=1, keepdims=True)
+    lo, hi = np.zeros(count), np.full(count, 1e-6)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        over = reference_criterion_and_worst_residual(base + mid[:, None] * step)[1] > TOL_EQ
+        lo, hi = np.where(over, lo, mid), np.where(over, mid, hi)
+    beyond = base + hi[:, None] * step
+    crossed = np.isfinite(reference_criterion_and_worst_residual(beyond)[1])
+    return np.concatenate([base + lo[:, None] * step, beyond])[np.tile(crossed, 2)]
+
+
+def test_reference_criterion_is_the_residual_test():
+    _, body = read_golden(path_of("grid"))
+    rows = [line.split(",") for line in body.splitlines()[1:]]
+    params = np.array([[float(x) for x in r[:5]] for r in rows if r[5] != "Local"])
+    edge = residual_edge_points(17, 400)
+    worst = reference_criterion_and_worst_residual(edge)[1]
+    # both sides of the edge, and points within rounding of it
+    assert (worst <= TOL_EQ).sum() == (worst > TOL_EQ).sum() > 300
+    assert (np.abs(worst - TOL_EQ) < 1e-15).sum() > 100
+    for v in (born_vector(*params.T), edge):
+        holds, worst = reference_criterion_and_worst_residual(v)
+        assert np.isfinite(worst).all()
+        assert np.array_equal(holds, worst <= TOL_EQ)

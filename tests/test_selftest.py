@@ -18,17 +18,20 @@ from qset import (
     classify,
     group_elements,
     apply_symmetry,
+    is_local,
     selftest_conditions_check,
     reconstruct_realization,
     sample_realization,
     selftest_certificate,
+    steered_correlators,
+    validate,
 )
 from qset.behavior import mix
-from qset.extremality import _classify_vector, _nonlocal_steered
+from qset.extremality import _classify_vector
 from qset.realization import born_vector
 from qset.selftest import reconstruct_rows
 from qset.symmetry import SymmetryElement
-from qset.errors import InconsistentGaugeError
+from qset.errors import InconsistentGaugeError, InvalidBehaviorError
 from qset.tolerances import TOL_RECON
 
 from conftest import NONALT, PI8_EDGE, PR_BOX, STEERING_FAILS, TSIRELSON
@@ -146,10 +149,9 @@ def test_certificate_local_deterministic():
 
 
 #: A self-testing point pushed along a seeded direction until its reference
-#: residuals sit at TOL_EQ: they hold, but the criterion, summed in another
-#: order, fails by rounding, so ``classify`` calls it NonExtremalInQ and
-#: reconstructs nothing; the certificate's own reconstruction then stops in
-#: the gauge placement.
+#: residuals sit at TOL_EQ (max 9.99999994e-09): they hold, so the criterion,
+#: summed in the same order, holds with the reference pattern, and the
+#: reconstruction ``classify`` runs stops in the gauge placement.
 RESIDUAL_EDGE = Behavior.from_vector([
     0.3617332804755463, 0.17562647670957088, 0.33610668193952314, -0.34340842455299625,
     0.9309646914071924, -0.9477548160847256, 0.7524385607873183, -0.20475227087807915])
@@ -157,9 +159,15 @@ RESIDUAL_EDGE = Behavior.from_vector([
 
 def direct_reconstruction(p: Behavior):
     """The reconstruction of p from p alone, the route the views must match:
-    steer p, reconstruct it, raise what stops it."""
-    c, asin = _nonlocal_steered(p, "self-test conditions require a nonlocal behavior")
-    rec = reconstruct_rows(p.vector[None], c, asin)
+    validate, screen and steer p through the scalar API (no classify batch),
+    reconstruct it, raise what stops it."""
+    violations = validate(p)
+    if violations:
+        raise InvalidBehaviorError(violations)
+    if is_local(p):
+        raise LocalInputError("self-test conditions require a nonlocal behavior")
+    c = steered_correlators(p).c[None]
+    rec = reconstruct_rows(p.vector[None], c, np.arcsin(c))
     if rec.errors:
         raise rec.errors[0]
     return rec
@@ -228,11 +236,15 @@ def test_views_match_direct_route_on_named_points():
         assert_views_match_direct(p)
 
 
-def test_certificate_where_classify_reconstructs_nothing(monkeypatch):
+def test_certificate_at_the_residual_edge_agrees_with_classify(monkeypatch):
     assert_views_match_direct(RESIDUAL_EDGE)
+    _classify_vector.cache_clear()
     calls = count_reconstructions(monkeypatch)
-    assert classify(RESIDUAL_EDGE).verdict is Verdict.NON_EXTREMAL_IN_Q
-    assert calls == {"reconstruct_rows": 0}
+    res = classify(RESIDUAL_EDGE)
+    assert res.verdict is Verdict.INDETERMINATE
+    assert res.details["pattern"] == (1, -1, 1, 1)
+    assert "InconsistentGaugeError('gauge placement residual" in res.details["error"]
+    assert calls == {"reconstruct_rows": 1}
     with pytest.raises(InconsistentGaugeError, match="gauge placement residual"):
         selftest_certificate(RESIDUAL_EDGE)
     assert calls == {"reconstruct_rows": 1}
@@ -340,6 +352,11 @@ def test_mutating_results_leaves_the_kept_batch_alone():
     again = classify(p)
     assert np.array_equal(again.details["alternation_margins"], margins)
     assert np.array_equal(again.details["asin_residuals"], residuals)
+
+    _, residuals = selftest_conditions_check(p)
+    kept = residuals.copy()
+    residuals[:] = 7.0
+    assert np.array_equal(selftest_conditions_check(p)[1], kept)
 
     cert = selftest_certificate(p)
     want = certificate_key(cert)
