@@ -104,8 +104,15 @@ def test_bell_max_chsh():
     canon, _ = canonicalize(arg, sector=True)
     assert canon.theta == pytest.approx(PI / 4, abs=1e-3)
     assert full_alternation_check(canon, strict=True)[0]
+
+
+def test_bell_max_resolution_gate_and_offset():
+    # the search has no grid: a resolution is not an argument any more
+    with pytest.raises(TypeError):
+        bell_max_q2(CHSH, resolution=8)
     shifted = BellFunctional(coeffs=CHSH.coeffs, offset=1.0)
-    assert bell_max_q2(shifted)[0] == pytest.approx(2 * SQ2 + 1.0, abs=1e-12)
+    value, _ = bell_max_q2(shifted)
+    assert value == pytest.approx(2 * SQ2 + 1.0, abs=1e-12)
 
 
 def test_bell_max_single_correlator():
