@@ -16,9 +16,15 @@ sector subspace L_st has the closed-form solution (theta in (0, pi/4]):
     b = 0,       A0 = a0 + (1-s) pi/2,  A1 = a1 + (1-t) pi/2,
     D = cos((A0-A1)/2) + cos((A0+A1)/2) cos(2 theta),
 
-and the companion point is local exactly when both
+and Bob's marginals of P + v (b = 0; the dP/da0 row has no margB entries) are
 
-    Delta_y = s t sin(atilde_0^s - b_y) sin(atilde_1^t - b_y) >= 0.
+    alpha_y = (cos 2 theta + x sin 2 theta) cos b_y + (y cos theta + z sin theta) sin b_y.
+
+Both |alpha_y| <= 1 exactly when both Delta_y = s t sin(atilde_0^s - b_y)
+sin(atilde_1^t - b_y) >= 0; the companion point is then, with ah = clip(alpha),
+L = (s, t, ah_0, ah_1, s ah_0, s ah_1, t ah_0, t ah_1): deterministic Alice times
+Bob with marginals ah, so valid, local and on the sector face by construction.
+The witness search still runs the validity, Fine and L != P checks on it.
 """
 
 from __future__ import annotations
@@ -114,48 +120,47 @@ def sector_denominator(r: QubitRealization, sector: tuple[int, int]) -> float:
     return math.cos((a0s - a1t) / 2) + math.cos((a0s + a1t) / 2) * math.cos(2 * r.theta)
 
 
+def _check_sector(sector: tuple[int, int]) -> None:
+    if tuple(sector) == (-1, 1):
+        raise ExcludedSectorError("sector (-1, +1) has no solution for theta in (0, pi/4]")
+    if tuple(sector) not in SECTOR_ORDER:
+        raise ValueError(f"sector must be in {{+-1}}^2, got {sector!r}")
+
+
 def solve_sector(r: QubitRealization, sector: tuple[int, int]
                  ) -> tuple[np.ndarray, np.ndarray, float]:
     """Closed-form tangent coefficients landing P + v in the sector subspace.
 
-    Returns (coeffs (x, y, z, a, b), alphas (margB of the companion point),
-    D).  Sector (-1, +1) is excluded for theta in (0, pi/4].
+    Returns (coeffs (x, y, z, a, b), alphas (margB alpha_y of the companion
+    point P + v), D).  Sector (-1, +1) is excluded for theta in (0, pi/4].
     """
     _require_sector_range(r)
-    coeffs, companion, d = _solve_sector_at(r, sector, born_point(r).vector, tangent_basis(r))
-    return coeffs, companion[2:4].copy(), d
+    return _sector_solution(r, sector)
 
 
-def _solve_sector_at(r: QubitRealization, sector: tuple[int, int], p_vec: np.ndarray,
-                     basis: TangentBasis) -> tuple[np.ndarray, np.ndarray, float]:
-    """``solve_sector`` given born_point(r).vector and tangent_basis(r), for a
-    realization in the sector range; returns (coeffs, companion point P + v, D)."""
-    s, t = sector
-    if (s, t) == (-1, 1):
-        raise ExcludedSectorError("sector (-1, +1) has no solution for theta in (0, pi/4]")
-    if (s, t) not in ((1, 1), (1, -1), (-1, -1)):
-        raise ValueError(f"sector must be in {{+-1}}^2, got {sector!r}")
+def _sector_solution(r: QubitRealization, sector: tuple[int, int]
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+    """``solve_sector`` for a realization in the sector range, in ``math``."""
+    _check_sector(sector)
     d = sector_denominator(r, sector)
     if abs(d) < 1e-12:
         raise DegenerateDenominatorError(f"sector denominator D_st = {d!r}")
     a0s, a1t = _shifted_angles(r, sector)
     th = r.theta
-    coeffs = np.array([
-        math.cos((a0s + a1t) / 2) * math.sin(2 * th) / d,
-        2 * math.sin(a0s / 2) * math.cos(a1t / 2) * math.sin(th) / d,
-        2 * math.cos(a0s / 2) * math.sin(a1t / 2) * math.cos(th) / d,
-        -2 * math.sin((a0s - a1t) / 2) / d,
-        0.0,
-    ])
-    return coeffs, p_vec + coeffs @ basis.vecs, d
+    x = math.cos((a0s + a1t) / 2) * math.sin(2 * th) / d
+    y = 2 * math.sin(a0s / 2) * math.cos(a1t / 2) * math.sin(th) / d
+    z = 2 * math.cos(a0s / 2) * math.sin(a1t / 2) * math.cos(th) / d
+    a = -2 * math.sin((a0s - a1t) / 2) / d
+    even, odd = math.cos(2 * th) + x * math.sin(2 * th), y * math.cos(th) + z * math.sin(th)
+    alphas = np.array([even * math.cos(b) + odd * math.sin(b) for b in r.b])
+    return np.array([x, y, z, a, 0.0]), alphas, d
 
 
 def delta_condition(r: QubitRealization, sector: tuple[int, int]) -> np.ndarray:
     """Sign quantities Delta_y = s t sin(atilde_0^s - b_y) sin(atilde_1^t - b_y);
     both nonnegative iff the sector's companion point is local (|alpha_y| <= 1)."""
     _require_sector_range(r)
-    if tuple(sector) == (-1, 1):
-        raise ExcludedSectorError("sector (-1, +1) has no solution for theta in (0, pi/4]")
+    _check_sector(sector)
     return _deltas(r, modified_angles(r), sector)
 
 
@@ -164,9 +169,7 @@ def _deltas(r: QubitRealization, at: np.ndarray, sector: tuple[int, int]) -> np.
     s, t = sector
     a0s = at[0, 0] if s == 1 else at[1, 0]
     a1t = at[0, 1] if t == 1 else at[1, 1]
-    return np.array([
-        s * t * math.sin(a0s - r.b[y]) * math.sin(a1t - r.b[y]) for y in range(2)
-    ])
+    return np.array([s * t * math.sin(a0s - b) * math.sin(a1t - b) for b in r.b])
 
 
 @dataclass(frozen=True)
@@ -188,30 +191,27 @@ def find_witness(r: QubitRealization) -> FlatnessWitness | None:
     Sectors are tried in the fixed order (+,+), (+,-), (-,-); a sector is
     admissible when both alpha_y lie in [-1, 1] (equivalently both Delta_y
     are nonnegative), which happens exactly when the realization is not
-    strictly alternating.
+    strictly alternating.  L is the module docstring's closed form; born_point(r)
+    is built only for the L != P check, and only when |<A0>| of P is 1 to 1e-12.
     """
-    basis = tangent_basis(r)  # also rejects realizations outside the sector range
-    p_vec = born_point(r).vector
+    _require_sector_range(r)
     for sector in SECTOR_ORDER:
         try:
-            coeffs, companion, _ = _solve_sector_at(r, sector, p_vec, basis)
+            coeffs, alphas, _ = _sector_solution(r, sector)
         except DegenerateDenominatorError:
             continue
-        alphas = companion[2:4].copy()
-        if np.max(np.abs(alphas)) > 1.0 + TOL_EQ:
+        if max(abs(alphas[0]), abs(alphas[1])) > 1.0 + TOL_EQ:
             continue
-        local_vec = np.clip(companion, -1.0, 1.0)
+        s, t = sector
+        hat = np.clip(alphas, -1.0, 1.0)
+        local_vec = np.concatenate(((s, t), hat, s * hat, t * hat))
         if invalid_rows(local_vec[None])[0] or not _fine_local(local_vec):
             continue
-        if np.array_equal(local_vec, p_vec):
+        if abs(abs(math.cos(2 * r.theta) * math.cos(r.a[0])) - 1.0) <= 1e-12 \
+                and np.array_equal(local_vec, born_point(r).vector):
             continue  # companion coincides with P; not a witness
-        return FlatnessWitness(
-            sector=sector,
-            coeffs=coeffs,
-            alphas=alphas,
-            local_point=Behavior.from_vector(local_vec),
-            deltas=_deltas(r, modified_angles(r), sector),
-        )
+        return FlatnessWitness(sector, coeffs, alphas, Behavior.from_vector(local_vec),
+                               _deltas(r, modified_angles(r), sector))
     return None
 
 

@@ -18,6 +18,8 @@ from qset import (
     tangent_basis,
     validate,
 )
+from qset.behavior import _fine_local, invalid_rows
+from qset.tolerances import TOL_EQ
 from qset.witness import (
     SECTOR_ORDER,
     behavior_jacobian,
@@ -31,6 +33,8 @@ PI = math.pi
 SQ2 = math.sqrt(2.0)
 
 R16 = QubitRealization(PI / 16, (0.0, PI / 2), (PI / 4, 3 * PI / 4))
+#: cos(2 theta) cos(a0) rounds to within 1e-12 of 1, so find_witness compares L with P.
+R_TINY = QubitRealization(2e-8, (0.0, 1.0), (0.5, 2.0))
 
 
 def central_difference_rows(r: QubitRealization, h: float = 1e-6) -> np.ndarray:
@@ -183,6 +187,13 @@ def test_solve_sector_excluded():
         delta_condition(R16, (-1, 1))
 
 
+def test_delta_condition_rejects_sectors_outside_pm1_squared():
+    for sector in ((0, 1), (2, -3), (1, 0), [1, 2]):
+        for func in (solve_sector, delta_condition):
+            with pytest.raises(ValueError, match="sector must be in"):
+                func(R16, sector)
+
+
 def test_delta_r16_positive():
     deltas = delta_condition(R16, (1, 1))
     expected0 = math.sin(-PI / 4) * math.sin(PI / 8 - PI / 4)
@@ -238,7 +249,7 @@ def test_find_witness_pi8_edge_boundary():
     assert np.max(np.abs(wit.alphas)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_find_witness_builds_point_and_basis_once(monkeypatch):
+def test_find_witness_builds_neither_point_nor_basis(monkeypatch):
     import qset.witness as witness
 
     calls = {"born_point": 0, "tangent_basis": 0}
@@ -253,15 +264,70 @@ def test_find_witness_builds_point_and_basis_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(witness, name, counted(name))
-    # TSIRELSON tries all three sectors; R16 and PI8_EDGE stop at a witness
-    for r in (TSIRELSON, R16, PI8_EDGE):
+    # TSIRELSON tries all three sectors; R16 and PI8_EDGE stop at a witness.
+    # Only at R_TINY, where |<A0>| of P is 1 to 1e-12, is P built for L != P.
+    for r, points in ((TSIRELSON, 0), (R16, 0), (PI8_EDGE, 0), (R_TINY, 1)):
         calls.update(born_point=0, tangent_basis=0)
         wit = witness.find_witness(r)
-        assert calls == {"born_point": 1, "tangent_basis": 1}
+        assert calls == {"born_point": points, "tangent_basis": 0}
         if wit is not None:
             coeffs, alphas, _ = solve_sector(r, wit.sector)
             assert np.array_equal(wit.coeffs, coeffs)
             assert np.array_equal(wit.alphas, alphas)
+
+
+def tangent_route_witness(r: QubitRealization):
+    """Oracle for find_witness in behavior coordinates: the companion point
+    P + coeffs @ tangent_basis(r).vecs clipped to [-1, 1], with the coefficient
+    formulas of the module docstring, the same checks and the same sector order.
+    Returns (sector, coeffs, alphas, local vector) or None."""
+    p_vec = born_point(r).vector
+    vecs = tangent_basis(r).vecs
+    th = r.theta
+    for s, t in SECTOR_ORDER:
+        a0s, a1t = r.a[0] + (1 - s) * math.pi / 2, r.a[1] + (1 - t) * math.pi / 2
+        d = math.cos((a0s - a1t) / 2) + math.cos((a0s + a1t) / 2) * math.cos(2 * th)
+        if abs(d) < 1e-12:
+            continue
+        coeffs = np.array([
+            math.cos((a0s + a1t) / 2) * math.sin(2 * th) / d,
+            2 * math.sin(a0s / 2) * math.cos(a1t / 2) * math.sin(th) / d,
+            2 * math.cos(a0s / 2) * math.sin(a1t / 2) * math.cos(th) / d,
+            -2 * math.sin((a0s - a1t) / 2) / d,
+            0.0,
+        ])
+        companion = p_vec + coeffs @ vecs
+        if np.max(np.abs(companion[2:4])) > 1.0 + TOL_EQ:
+            continue
+        local_vec = np.clip(companion, -1.0, 1.0)
+        if invalid_rows(local_vec[None])[0] or not _fine_local(local_vec):
+            continue
+        if np.array_equal(local_vec, p_vec):
+            continue
+        return (s, t), coeffs, companion[2:4], local_vec
+    return None
+
+
+def matches_tangent_route(r: QubitRealization) -> bool:
+    """Assert find_witness(r) agrees with the oracle; True when both find a witness."""
+    wit, want = find_witness(r), tangent_route_witness(r)
+    assert (wit is None) == (want is None)
+    if wit is None:
+        return False
+    sector, coeffs, alphas, local_vec = want
+    assert wit.sector == sector
+    assert np.array_equal(wit.coeffs, coeffs)
+    assert np.max(np.abs(wit.alphas - alphas)) <= 1e-14
+    assert np.max(np.abs(wit.local_point.vector - local_vec)) <= 1e-12
+    return True
+
+
+def test_find_witness_matches_tangent_route_oracle():
+    rng = np.random.default_rng(555)  # acceptance 4's draws
+    draws = (sample_realization(rng, {"canonical"}, theta_range=(1e-4, PI / 4))
+             for _ in range(10_000))
+    assert sum(matches_tangent_route(r) for r in draws) == 9322
+    assert matches_tangent_route(R_TINY)  # the L != P guard builds P here
 
 
 def test_witness_invariants_and_flatness():
@@ -279,11 +345,10 @@ def test_witness_invariants_and_flatness():
         basis = tangent_basis(r)
         lvec = wit.local_point.vector
         s, t = wit.sector
-        # sector membership: margA = (s, t), product correlation structure
-        assert lvec[0] == pytest.approx(s, abs=1e-9)
-        assert lvec[1] == pytest.approx(t, abs=1e-9)
+        # sector membership, exactly: margA = (s, t), product correlation structure
+        assert lvec[0] == s and lvec[1] == t
         corr = lvec[4:].reshape(2, 2)
-        assert np.allclose(corr, np.outer(lvec[:2], lvec[2:4]), atol=1e-9)
+        assert np.array_equal(corr, np.outer(lvec[:2], lvec[2:4]))
         # L = P + coeffs . basis up to the unit clip
         assert np.max(np.abs(lvec - (p.vector + wit.coeffs @ basis.vecs))) < 1e-8
         assert not np.array_equal(lvec, p.vector)
