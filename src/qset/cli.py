@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -66,8 +67,16 @@ def _read_behavior(path: str) -> Behavior:
 
 def _emit(text: str, output: str | None) -> None:
     if output and output != "-":
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # Overwrite in place and cut the old tail after writing: a truncating
+        # open waits for the writeback that closing the last truncated file
+        # started, which on a disk mounted with discard costs more than the
+        # write.  Only a longer regular file has a tail; /dev/null and FIFOs
+        # report size 0, and /dev/null cannot be truncated.
+        data = text.encode("utf-8")
+        with os.fdopen(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            if os.fstat(fh.fileno()).st_size > len(data):
+                fh.truncate()
     else:
         sys.stdout.write(text)
 

@@ -70,7 +70,14 @@ _LP_MATRIX = np.vstack([_VERTEX_MATRIX, np.ones(16)])  # (9, 16)
 
 def _phase1_float(a_mat: np.ndarray, b: np.ndarray, tol: float = 1e-11,
                   max_iter: int = 800):
-    """Phase-1 simplex (min sum of artificials) with Bland's rule.
+    """Phase-1 simplex (min sum of artificials).
+
+    The entering column is Dantzig's: the most negative reduced cost, the
+    lowest index on a tie.  After 3 consecutive degenerate pivots (ratio 0)
+    it is Bland's, the lowest index with a negative reduced cost, until the
+    next nondegenerate pivot.  Bland's rule never cycles, so every degenerate
+    stretch ends, and the objective strictly falls between stretches.  The
+    leaving row has the least ratio, then the lowest basis index.
 
     Returns (objective, solution over original columns, dual y in the
     original row signs)."""
@@ -85,10 +92,16 @@ def _phase1_float(a_mat: np.ndarray, b: np.ndarray, tol: float = 1e-11,
     tab[m, n:-1] = 1.0
     tab[m, :-1] = tab[m, :-1] - tab[:m, :-1].sum(axis=0)
     basis = list(range(n, n + m))
+    degenerate = 0
     for _ in range(max_iter):
-        # Bland's scans read Python copies: element access on a short numpy
-        # row costs more than the copy
-        ent = next((j for j, v in enumerate(tab[m, :-1].tolist()) if v < -tol), -1)
+        # the scans read Python copies: element access on a short numpy row
+        # costs more than the copy
+        red = tab[m, :-1].tolist()
+        if degenerate < 3:
+            low = min(red)
+            ent = red.index(low) if low < -tol else -1
+        else:
+            ent = next((j for j, v in enumerate(red) if v < -tol), -1)
         if ent < 0:
             break
         best_row, best_key = -1, None
@@ -99,6 +112,7 @@ def _phase1_float(a_mat: np.ndarray, b: np.ndarray, tol: float = 1e-11,
                     best_key, best_row = key, i
         if best_row < 0:
             break
+        degenerate = degenerate + 1 if best_key[0] <= 0.0 else 0
         row = tab[best_row]
         row /= row[ent]
         other = tab[:, ent].copy()

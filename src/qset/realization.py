@@ -321,7 +321,10 @@ def _canonicalize_many(params: np.ndarray, sector: bool = False
     tab = _candidate_tables()
     n = len(params)
     win = np.full(n, -1)
-    images = np.mod(tab.sign * params[:, tab.src] + tab.offset, tab.period)
+    # ``take`` gives C order, so a chunk's gather of its rows copies those
+    # rows only (indexing ``params[:, tab.src]`` gives F order, whose row
+    # gathers copy the whole array)
+    images = np.mod(tab.sign * params.take(tab.src, axis=1) + tab.offset, tab.period)
     fold = images >= tab.fold_at
     np.subtract(images, PI, out=images, where=fold)
     theta = images[:, :4]

@@ -285,6 +285,37 @@ def test_output_file(tmp_path, capsys):
     assert Behavior.from_json_dict(doc)
 
 
+def scan_args(steps):
+    return ["scan", "--range", f"theta=0.1:0.7:{steps}", "--a0", "0", "--a1", "1.2",
+            "--b0", "0.6", "--b1", "2.5"]
+
+
+def test_output_file_rewritten_in_place(tmp_path, capsys):
+    # a shorter scan over a longer file leaves exactly the new text
+    out_path = tmp_path / "scan.csv"
+    code, short, _ = run_cli(scan_args(2), capsys)
+    assert code == 0
+    assert run_cli([*scan_args(9), "--output", str(out_path)], capsys)[0] == 0
+    assert len(out_path.read_bytes()) > len(short.encode())
+    assert run_cli([*scan_args(2), "--output", str(out_path)], capsys)[:2] == (0, "")
+    assert out_path.read_bytes() == short.encode()
+
+
+def test_output_file_created_with_default_permissions(tmp_path, capsys):
+    out_path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    ref.write_text("")
+    assert run_cli([*scan_args(2), "--output", str(out_path)], capsys)[0] == 0
+    assert out_path.stat().st_mode == ref.stat().st_mode
+
+
+def test_output_to_dev_null_and_stdout(capsys):
+    code, out, _ = run_cli([*scan_args(2), "--output", "/dev/null"], capsys)
+    assert (code, out) == (0, "")
+    code, out, _ = run_cli([*scan_args(2), "--output", "-"], capsys)
+    assert code == 0 and out == run_cli(scan_args(2), capsys)[1]
+    assert len(out.splitlines()) == 3
+
+
 def test_scan_column_selection(capsys):
     code, out, _ = run_cli(
         ["scan", "--range", "theta=0.3:0.4:3", "--a0", "0", "--a1", "1.2",

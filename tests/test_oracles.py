@@ -636,9 +636,13 @@ def test_lp_raises_when_no_certificate_verifies(monkeypatch, obj):
         local_membership_lp(born_point(TSIRELSON))
 
 
-def reference_phase1(a_mat, b, tol=1e-11, max_iter=800):
-    """The phase-1 simplex loop as first written: numpy element access in
-    Bland's scans, ``np.outer`` in the pivot."""
+def reference_phase1(a_mat, b, rule="dantzig", tol=1e-11, max_iter=800):
+    """The phase-1 simplex loop in its first style: numpy element access in
+    the scans, ``np.outer`` in the pivot.  ``rule="dantzig"`` enters the most
+    negative reduced cost and falls back to Bland's rule after 3 consecutive
+    degenerate pivots, as ``_phase1_float`` does; ``rule="bland"`` is Bland's
+    rule throughout.  Returns (objective, solution, dual, pivots, pivots
+    chosen by the fallback)."""
     m, n = a_mat.shape
     sign = np.where(b < 0, -1.0, 1.0)
     a_mat = a_mat * sign[:, None]
@@ -647,12 +651,18 @@ def reference_phase1(a_mat, b, tol=1e-11, max_iter=800):
     basis = list(range(n, n + m))
     red = np.concatenate([np.zeros(n), np.ones(m)])
     red = red - tab[:, :-1].sum(axis=0)
+    pivots = fallbacks = degenerate = 0
     for _ in range(max_iter):
         ent = -1
-        for j in range(n + m):
+        if rule == "dantzig" and degenerate < 3:
+            j = int(np.argmin(red))
             if red[j] < -tol:
                 ent = j
-                break
+        else:
+            for j in range(n + m):
+                if red[j] < -tol:
+                    ent = j
+                    break
         if ent < 0:
             break
         col = tab[:, ent]
@@ -664,6 +674,9 @@ def reference_phase1(a_mat, b, tol=1e-11, max_iter=800):
                     best_key, best_row = key, i
         if best_row < 0:
             break
+        pivots += 1
+        fallbacks += rule == "dantzig" and degenerate >= 3
+        degenerate = degenerate + 1 if best_key[0] <= 0.0 else 0
         tab[best_row] /= tab[best_row, ent]
         other = tab[:, ent].copy()
         other[best_row] = 0.0
@@ -674,21 +687,62 @@ def reference_phase1(a_mat, b, tol=1e-11, max_iter=800):
     z = np.zeros(n + m)
     for i in range(m):
         z[basis[i]] = tab[i, -1]
-    return float(obj), z[:n], sign * (1.0 - red[n:])
+    return float(obj), z[:n], sign * (1.0 - red[n:]), pivots, fallbacks
+
+
+def lp_inputs():
+    """Right-hand sides of 600 seeded valid behaviors: realizations, vertex
+    mixtures and cube draws, as in the crosscheck LP calls."""
+    rng = np.random.default_rng(81)
+    return [np.concatenate([random_valid_behavior(rng).vector, [1.0]]) for _ in range(600)]
 
 
 def test_phase1_float_matches_reference_loop_bitwise():
-    # realizations, vertex mixtures and cube draws, as in the crosscheck LP calls
-    rng = np.random.default_rng(81)
     n_local = 0
-    for _ in range(600):
-        rhs = np.concatenate([random_valid_behavior(rng).vector, [1.0]])
+    pivots = {"dantzig": 0, "bland": 0}
+    for rhs in lp_inputs():
         got = _phase1_float(_LP_MATRIX, rhs)
         want = reference_phase1(_LP_MATRIX.copy(), rhs)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
         n_local += got[0] <= 1e-9
+        pivots["dantzig"] += want[3]
+        pivots["bland"] += reference_phase1(_LP_MATRIX.copy(), rhs, rule="bland")[3]
     assert 100 < n_local < 550
+    # a count, not a timing: Dantzig's rule needs fewer pivots than Bland's
+    assert pivots["dantzig"] < pivots["bland"]
+
+
+def test_dantzig_and_bland_loops_agree_on_verdicts(monkeypatch):
+    """The LP's verdict with either pivot rule, on the seeded inputs and on
+    the CHSH facet band outside an exact excess in (0, 2e-9]."""
+    rng = np.random.default_rng(14)
+    facet = VERTICES[VERTICES @ CHSH_VEC == 2.0]
+    points = [Behavior.from_vector(rhs[:8]) for rhs in lp_inputs()]
+    for eps in (0.0, 1e-10, 9e-10, 1e-9, 3e-9, 2e-8):
+        band = [Behavior.from_vector(rng.dirichlet(np.ones(8)) @ facet + eps / 4 * CHSH_VEC)
+                for _ in range(50)]
+        points += [p for p in band
+                   if not 0 < exact_chsh_max(p.vector) - 2 <= Fraction(2e-9)]
+    dantzig = [local_membership_lp(p)[0] for p in points]
+    monkeypatch.setattr("qset.oracles._phase1_float",
+                        lambda a_mat, b: reference_phase1(a_mat, b, rule="bland")[:3])
+    assert [local_membership_lp(p)[0] for p in points] == dantzig
+    assert 0 < sum(dantzig) < len(points)
+
+
+def test_vertices_take_the_bland_fallback_and_weigh_themselves():
+    # a vertex is maximally degenerate: every basis it passes through holds zeros
+    for k, v in enumerate(VERTICES):
+        rhs = np.concatenate([v, [1.0]])
+        got = _phase1_float(_LP_MATRIX, rhs)
+        want = reference_phase1(_LP_MATRIX.copy(), rhs)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        assert want[4] > 0
+        ok, weights = local_membership_lp(Behavior.from_vector(v))
+        assert ok and weights[k] == pytest.approx(1.0, abs=1e-9)
+        assert np.max(np.abs(np.delete(weights, k))) <= 1e-9
 
 
 def lm_step(jac, r, a):

@@ -317,6 +317,22 @@ def test_canonicalize_many_matches_brute_force_across_batches(sector, batch):
     assert_canonicalized_bitwise(params, sector, batch)
 
 
+@pytest.mark.parametrize("sector", [True, False])
+def test_canonicalize_many_large_batch_matches_its_slices(sector):
+    # one 20k-row call (past the sizes where its row gathers once copied the
+    # whole image array) against 8-row calls
+    rng = np.random.default_rng(71)
+    params = np.vstack([rng.uniform(-7, 7, (16000, 5)), tie_rows(rng, 4000)])
+    rng.shuffle(params)
+    got = _canonicalize_many(params, sector)
+    parts = [_canonicalize_many(params[lo:lo + 8], sector) for lo in range(0, len(params), 8)]
+    want = [np.concatenate(arrays) for arrays in zip(*parts)]
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    assert (got[1] < 0).any() == sector
+
+
 def test_sample_determinism():
     r1 = sample_realization(123, {"canonical"})
     r2 = sample_realization(123, {"canonical"})
