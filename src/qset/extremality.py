@@ -51,17 +51,17 @@ __all__ = [
 
 SECTOR_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-#: Sign rows of the necessary-condition block: one minus per position.
-_SIGN_ROWS = ((-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1))
-_SIGN_ROW_ARRAY = np.array(_SIGN_ROWS, dtype=float)
+#: Flat [alpha, x, y] indices of c[s,0,0], c[t,1,0], c[s,0,1], c[t,1,1], the
+#: terms a00, a10, a01, a11, per sector (s, t); alpha = s is at offset 2 - 2s.
+_TERMS = np.array([[2 - 2 * s, 4 - 2 * t, 3 - 2 * s, 5 - 2 * t] for s, t in SECTOR_PAIRS])
 
-#: Steered-correlator index alpha (0: +1, 1: -1) of Alice's input 0 (s) and
-#: input 1 (t) in each sector of SECTOR_PAIRS.
-_S_IDX = np.array([0 if s == 1 else 1 for s, _ in SECTOR_PAIRS])
-_T_IDX = np.array([0 if t == 1 else 1 for _, t in SECTOR_PAIRS])
+#: Single-minus sign rows over (a00, a10, a01, a11): row j negates term j.
+_SIGN_ROWS = 1.0 - 2.0 * np.eye(4)
 
-#: Criterion sign patterns (e00, e01, e10, e11), in the order they are tried.
-_PATTERNS = np.array(SIGN_PATTERNS, dtype=float)[:, :, None]
+#: Each criterion pattern of SIGN_PATTERNS, (e00, e10, e01, e11), is
+#: _PATTERN_SIGN[k] times sign row _PATTERN_ROW[k].
+_PATTERN_ROW = np.array([3, 1, 2, 0, 0, 2, 1, 3])
+_PATTERN_SIGN = np.array([1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
 
 #: Index in SIGN_PATTERNS of the reference placement (minus on (x=0, y=1)),
 #: whose relabeling is the identity.
@@ -73,14 +73,6 @@ _PARTY_SWAP = signed_permutation(SymmetryElement(party_swap=True))[0]
 #: Gather indices (2, 1, 8) of each party's steering input: the behavior
 #: vector for Alice, its party swap for Bob.
 _PARTIES = np.array([np.arange(8), _PARTY_SWAP])[:, None, :]
-
-
-def asin_clamped(x) -> np.ndarray:
-    x = np.asarray(x, float)
-    over = np.max(np.abs(x)) - 1.0
-    if over > TOL_CLAMP:
-        raise CorrelatorRangeError(f"asin argument exceeds [-1,1] by {float(over)!r}")
-    return np.arcsin(np.clip(x, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -114,37 +106,26 @@ def _pattern(k: int) -> SignPattern:
 # batch it is in.
 
 
-def _sector_terms(asin: np.ndarray) -> tuple[np.ndarray, ...]:
-    """asin c[s,0,0], asin c[s,0,1], asin c[t,1,0], asin c[t,1,1] of each sector
-    (s, t) in SECTOR_PAIRS: four (N, 4) arrays from an (N, 2, 2, 2) asin table."""
-    return (asin[:, _S_IDX, 0, 0], asin[:, _S_IDX, 0, 1],
-            asin[:, _T_IDX, 1, 0], asin[:, _T_IDX, 1, 1])
+def _asin_sums(asin: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) signed sums, in the order a00, a10, a01, a11, of an (N, 2, 2, 2)
+    asin table per sector (s, t) and sign row of _SIGN_ROWS.  Self-test
+    residuals: row 2 less pi; criterion pattern k: _PATTERN_SIGN[k] times row
+    _PATTERN_ROW[k]; necessary conditions: |entry| <= pi."""
+    t = asin.reshape(-1, 8)[:, _TERMS][:, :, None, :] * _SIGN_ROWS
+    return t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3]
 
 
-def _necessary_slacks(terms) -> np.ndarray:
+def _necessary_slacks(sums: np.ndarray) -> np.ndarray:
     """(N, 16, 2) slacks (pi - value, value + pi) of the 32 necessary inequalities,
     16 values in sector-major, sign-row-minor order."""
-    a00, a01, a10, a11 = (t[:, :, None] for t in terms)
-    r = _SIGN_ROW_ARRAY
-    val = (r[:, 0] * a00 + r[:, 1] * a10 + r[:, 2] * a01 + r[:, 3] * a11).reshape(-1, 16)
+    val = sums.reshape(-1, 16)
     return np.stack([math.pi - val, val + math.pi], axis=-1)
 
 
-def _selftest_residuals(terms) -> np.ndarray:
-    """(N, 4) residuals of the reference self-test equalities, per sector."""
-    a00, a01, a10, a11 = terms
-    return a00 + a10 - a01 + a11 - math.pi
-
-
-def _criterion_holds(terms) -> np.ndarray:
-    """(N, 8): the criterion equality holds in all four sectors, per sign pattern.
-
-    The terms are summed in the order of ``_selftest_residuals``, so the
-    reference pattern holds exactly where those residuals are within TOL_EQ."""
-    a00, a01, a10, a11 = (t[:, None, :] for t in terms)
-    e = _PATTERNS
-    val = e[:, 0] * a00 + e[:, 2] * a10 + e[:, 1] * a01 + e[:, 3] * a11
-    return ~(np.abs(val - math.pi) > TOL_EQ).any(axis=2)
+def _criterion_holds(sums: np.ndarray) -> np.ndarray:
+    """(N, 8): the criterion equality holds in all four sectors, per sign pattern."""
+    val = sums[:, :, _PATTERN_ROW] * _PATTERN_SIGN
+    return ~(np.abs(val - math.pi) > TOL_EQ).any(axis=1)
 
 
 def _alternating(margins: np.ndarray, strict: bool) -> np.ndarray:
@@ -192,7 +173,7 @@ def necessary_conditions_check(p: Behavior, side: str = "alice") -> tuple[bool, 
     c, failures = steered_many(v[None])
     if failures:
         raise failures[0]
-    residuals = _necessary_slacks(_sector_terms(np.arcsin(c)))[0]
+    residuals = _necessary_slacks(_asin_sums(np.arcsin(c)))[0]
     return bool(residuals.min() >= -TOL_EQ), residuals
 
 
@@ -204,10 +185,12 @@ def masanes_check(p: Behavior) -> bool:
     v = p.vector
     if np.max(np.abs(v[:4])) > TOL_EQ:
         raise NonzeroMarginalsError(f"marginals {v[:4].tolist()!r} are not all zero")
-    asin = asin_clamped(v[4:].reshape(2, 2))
-    terms = np.array([asin[0, 0], asin[1, 0], asin[0, 1], asin[1, 1]])
-    vals = np.array([np.dot(row, terms) for row in _SIGN_ROWS])
-    return bool(np.max(np.abs(vals)) <= math.pi + TOL_EQ)
+    over = np.max(np.abs(v[4:])) - 1.0
+    if over > TOL_CLAMP:
+        raise CorrelatorRangeError(f"asin argument exceeds [-1,1] by {float(over)!r}")
+    # with zero marginals both alpha halves of the steered table are the correlators
+    asin = np.broadcast_to(np.arcsin(np.clip(v[4:], -1.0, 1.0)), (2, 4))
+    return bool(_necessary_slacks(_asin_sums(asin))[0].min() >= -TOL_EQ)
 
 
 def selftest_conditions_check(p: Behavior) -> tuple[bool, np.ndarray]:
@@ -474,17 +457,17 @@ class BatchClassification:
         return Classification(verdict, details)
 
 
-def _classify_non_extremal(out: BatchClassification, rows: np.ndarray, terms,
+def _classify_non_extremal(out: BatchClassification, rows: np.ndarray, sums: np.ndarray,
                            bob_failures: dict) -> None:
     """Necessary conditions on both sides for valid nonlocal rows whose
     criterion fails: NonExtremalInQ, or FailsNecessaryQ2Pure when both fail.
 
-    terms are the sector terms of both parties' steered correlators, Alice's
+    sums are the ``_asin_sums`` of both parties' steered correlators, Alice's
     K rows stacked over Bob's, from the one steering pass of
     ``_classify_rows``; bob_failures maps a row of the batch to the error
     that stopped its Bob side.
     """
-    slack = _necessary_slacks(terms).min(axis=(1, 2))
+    slack = _necessary_slacks(sums).min(axis=(1, 2))
     slack_a, slack_b = slack[:len(rows)], slack[len(rows):]
     keep = np.ones(len(rows), bool)
     if bob_failures:
@@ -539,11 +522,12 @@ def classify_many(v) -> BatchClassification:
 
     Each stage runs once, as array operations over the rows that reach it:
     validation and Fine's criterion; one steering pass for both parties,
-    Alice's rows stacked over their party swaps, and the asin of that table;
-    the criterion on Alice's side over 8 sign patterns x 4 sectors; both
-    sides' necessary conditions, in one stacked call, where it fails; and
-    where it holds, reconstruction of the relabeled behavior,
-    canonicalization and the alternation margins.  Row i gives what
+    Alice's rows stacked over their party swaps, the asin of that table and
+    its one table of signed asin sums (``_asin_sums``); from that table the
+    self-test residuals and the criterion on Alice's side over 8 sign
+    patterns x 4 sectors, and both sides' necessary conditions where the
+    criterion fails; and where it holds, reconstruction of the relabeled
+    behavior, canonicalization and the alternation margins.  Row i gives what
     ``classify(Behavior.from_vector(v[i]))`` gives, through
     ``classification(i)``: ``classify`` is this call on a batch of one.
     """
@@ -567,16 +551,15 @@ def _classify_rows(v: np.ndarray, invalid: np.ndarray) -> BatchClassification:
         rows, c, bob_failures = _steer_parties(v, rows, out.errors)
         m = len(rows)
         out.steered[rows] = c[:m]
-        terms = _sector_terms(np.arcsin(c))
-        alice = tuple(t[:m] for t in terms)
-        out.residuals[rows] = _selftest_residuals(alice)
+        sums = _asin_sums(np.arcsin(c))
+        alice = sums[:m]
+        out.residuals[rows] = alice[:, :, 2] - math.pi
         holds = _criterion_holds(alice)
         extremal = holds.any(axis=1)
         out.pattern[rows] = np.where(extremal, np.argmax(holds, axis=1), -1)
         if not extremal.all():
             non = np.flatnonzero(~extremal)
-            both = np.concatenate([non, non + m])
-            _classify_non_extremal(out, rows[non], tuple(t[both] for t in terms),
+            _classify_non_extremal(out, rows[non], sums[np.concatenate([non, non + m])],
                                    bob_failures)
         if extremal.any():
             _classify_extremal(out, v, rows[extremal], c[:m][extremal])

@@ -66,10 +66,11 @@ _VERTICES = enumerate_vertices()
 _VERTEX_MATRIX = np.array([v.behavior.vector for v in _VERTICES]).T  # (8, 16)
 #: The LP's constraint rows: the 8 vertex coordinates and the weights' sum.
 _LP_MATRIX = np.vstack([_VERTEX_MATRIX, np.ones(16)])  # (9, 16)
+#: Pivot tolerance and pivot limit of the phase-1 simplex.
+_LP_TOL, _LP_MAX_ITER = 1e-11, 800
 
 
-def _phase1_float(a_mat: np.ndarray, b: np.ndarray, tol: float = 1e-11,
-                  max_iter: int = 800):
+def _phase1_float(a_mat: np.ndarray, b: np.ndarray):
     """Phase-1 simplex (min sum of artificials).
 
     The entering column is Dantzig's: the most negative reduced cost, the
@@ -93,20 +94,20 @@ def _phase1_float(a_mat: np.ndarray, b: np.ndarray, tol: float = 1e-11,
     tab[m, :-1] = tab[m, :-1] - tab[:m, :-1].sum(axis=0)
     basis = list(range(n, n + m))
     degenerate = 0
-    for _ in range(max_iter):
+    for _ in range(_LP_MAX_ITER):
         # the scans read Python copies: element access on a short numpy row
         # costs more than the copy
         red = tab[m, :-1].tolist()
         if degenerate < 3:
             low = min(red)
-            ent = red.index(low) if low < -tol else -1
+            ent = red.index(low) if low < -_LP_TOL else -1
         else:
-            ent = next((j for j, v in enumerate(red) if v < -tol), -1)
+            ent = next((j for j, v in enumerate(red) if v < -_LP_TOL), -1)
         if ent < 0:
             break
         best_row, best_key = -1, None
         for i, (c, t) in enumerate(zip(tab[:m, ent].tolist(), tab[:m, -1].tolist())):
-            if c > tol:
+            if c > _LP_TOL:
                 key = (t / c, basis[i])
                 if best_key is None or key < best_key:
                     best_key, best_row = key, i
@@ -136,7 +137,7 @@ def local_membership_lp(p: Behavior) -> tuple[bool, object]:
     when the phase-1 objective is at most 1e-9 and the clipped weights
     verify, and nonlocal when the dual's behavior part separates p from
     every vertex.  At the end of phase 1 the dual is a Farkas certificate
-    (y . A_j <= tol on every column, y . b = objective), so an objective
+    (y . A_j <= _LP_TOL on every column, y . b = objective), so an objective
     just above 1e-9 still separates by about that much.  Raises
     ArithmeticError, naming the objective and the separation, when neither
     certificate verifies; an unverified one is never returned.
@@ -617,10 +618,13 @@ def _structured_seeds(hint: QubitRealization) -> list[np.ndarray]:
     return seeds
 
 
+#: Rounds of Gaussian proposals in ``decomposition_search``'s stochastic
+#: phase, and the number of its best rows that are polished.
+_GENERATIONS, _POLISH_TOP = 120, 3
+
+
 def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
-                         hint: QubitRealization | None = None,
-                         generations: int = 120, polish_top: int = 3
-                         ) -> DecompositionResult:
+                         hint: QubitRealization | None = None) -> DecompositionResult:
     """Seek a proper convex decomposition p = (p1 + p2)/2 with p1 != p2.
 
     Multistart stochastic descent over two 2-component mixtures of pure-qubit
@@ -633,11 +637,10 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
     couple of basin-hopping retries; the first of them to reach a split wins.
     Absence of a decomposition is evidence, not proof.
 
-    Raises ValueError unless ``trials >= 1``, ``generations >= 0`` and
-    ``polish_top >= 0``.
+    Raises ValueError unless ``trials >= 1``.
     """
-    if trials < 1 or generations < 0 or polish_top < 0:
-        raise ValueError("need trials >= 1, generations >= 0 and polish_top >= 0")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     _require_valid(p)
     target = p.vector
     rng = np.random.default_rng(seed)
@@ -675,8 +678,8 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
         # float32 scores only decide which proposals a row accepts
         f = _decomp_objective(x.astype(np.float32), target)
         scale = 0.4
-        decay = (0.004 / scale) ** (1.0 / max(generations, 1))
-        for _ in range(generations):
+        decay = (0.004 / scale) ** (1.0 / max(_GENERATIONS, 1))
+        for _ in range(_GENERATIONS):
             prop = x + rng.normal(0.0, scale, size=x.shape)
             fp = _decomp_objective(prop.astype(np.float32), target)
             better = fp < f
@@ -684,7 +687,7 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
             f[better] = fp[better]
             scale *= decay
         f = _decomp_objective(x, target)
-        top = np.argsort(f)[:polish_top]
+        top = np.argsort(f)[:_POLISH_TOP]
         polish(x[top[f[top] <= 1e-3]], retries=1)
         if best is None:
             i = int(np.argmin(f))

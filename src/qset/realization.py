@@ -177,30 +177,13 @@ def apply_relabeling(g: SymmetryElement, r: QubitRealization) -> QubitRealizatio
 # plus theta mod pi and angles mod 2pi.  Each move is affine:
 #   theta' = et*theta + kt*(pi/2),  a' = ea*a + ka*pi,  b' = eb*b + kb*pi.
 
-_GAUGE_GENERATORS = [
-    (1, 0, 1, 0, 1, 0),
-    (-1, 2, 1, 0, -1, 0),
-    (-1, 1, -1, 1, -1, 1),
-    (1, 0, -1, 0, -1, 0),
-]
-
-
-def _gauge_compose(m2, m1):
-    et2, kt2, ea2, ka2, eb2, kb2 = m2
-    et1, kt1, ea1, ka1, eb1, kb1 = m1
-    return (et2 * et1, (et2 * kt1 + kt2) % 2,
-            ea2 * ea1, (ea2 * ka1 + ka2) % 2,
-            eb2 * eb1, (eb2 * kb1 + kb2) % 2)
-
-
-@functools.lru_cache(maxsize=1)
-def _gauge_moves() -> tuple[tuple, ...]:
-    moves = {(1, 0, 1, 0, 1, 0)}
-    frontier = {_gauge_compose(m, (1, 0, 1, 0, 1, 0)) for m in _GAUGE_GENERATORS}
-    while frontier - moves:
-        moves |= frontier
-        frontier = {_gauge_compose(g, m) for g in _GAUGE_GENERATORS for m in moves}
-    return tuple(sorted(moves))
+#: The group the three moves and theta mod pi generate, as (et, kt, ea, ka,
+#: eb, kb) with kt, ka, kb mod 2, in sorted order: the order fixes the
+#: candidate indices of ``_candidate_tables``.
+_GAUGE_MOVES = (
+    (-1, 0, -1, 0, 1, 0), (-1, 0, 1, 0, -1, 0), (-1, 1, -1, 1, -1, 1), (-1, 1, 1, 1, 1, 1),
+    (1, 0, -1, 0, -1, 0), (1, 0, 1, 0, 1, 0), (1, 1, -1, 1, 1, 1), (1, 1, 1, 1, -1, 1),
+)
 
 
 #: Images per row that ``_canonicalize_many`` evaluates: 4 theta images,
@@ -247,7 +230,7 @@ def _candidate_tables() -> _Candidates:
     theta_maps: dict[tuple, int] = {}
     angle_maps: dict[tuple, int] = {}
     ti, ai, ridx = [], [], []
-    for emt, kmt, ea, ka, eb, kb in _gauge_moves():
+    for emt, kmt, ea, ka, eb, kb in _GAUGE_MOVES:
         for ri, g in enumerate(group_elements()):
             perm, sign = signed_permutation(g)
             perm, flip = perm[:4].tolist(), (sign[:4] < 0).tolist()

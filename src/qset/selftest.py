@@ -29,7 +29,7 @@ from .errors import (
     NotSelfTestingError,
     QsetError,
 )
-from .extremality import _REFERENCE, _sector_terms, _selftest_residuals, _steered_batch
+from .extremality import _REFERENCE, _asin_sums, _steered_batch
 from .realization import QubitRealization, _canonical_witness, _canonicalize_many, born_vector
 from .symmetry import SymmetryElement
 from .tolerances import TOL_EQ, TOL_RECON
@@ -219,7 +219,7 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, asin: np.ndarray) -> Reconstr
     Indeterminate.  The round trip and ``canonicalize`` then run over the
     rows that reached them.
     """
-    rec = Reconstructions(_selftest_residuals(_sector_terms(asin)))
+    rec = Reconstructions(_asin_sums(asin)[:, :, 2] - math.pi)
     errors = rec.errors
     worst = np.max(np.abs(rec.residuals), axis=1)
     for i in np.flatnonzero(~(worst <= TOL_EQ)).tolist():

@@ -1,9 +1,39 @@
-"""Numerical tolerances shared across the package.
+"""Numerical tolerances shared across the package, and the table of every cut
+the package decides by: its value, where it is applied and the decision it
+serves.  Cuts other than these three and ``oracles``' named ones are literals.
 
-TOL_EQ is the slack for every equality / positivity comparison; TOL_CLAMP
-bounds how far an asin/acos argument may stray past [-1, 1] before it is
-treated as invalid data rather than float noise; TOL_RECON is the
-componentwise accuracy contract of the self-testing reconstruction.
+=================  ================================  ===========================================
+cut                applied in                        decides
+=================  ================================  ===========================================
+TOL_EQ 1e-8        behavior.validate, invalid_rows   invalid: a component past [-1, 1], or a
+                                                     probability below 0, by more
+                   _fine_local, _classify_rows       Local (Fine): max CHSH <= 2 + TOL_EQ
+                   extremality._criterion_holds,     asin-sum equalities (criterion, self-test
+                   the self-test residual checks     residuals): |sum - pi| <= TOL_EQ
+                   _necessary_slacks readers,        necessary inequalities: slack >= -TOL_EQ;
+                   masanes_check                     Masanes: every |marginal| <= TOL_EQ
+                   extremality._alternating          margins >= -TOL_EQ; exposed: inner > TOL_EQ
+                   realization._in_canonical_range,  canonical range and image ties widened by
+                   _canonicalize_many, witness       it; sector theta in (TOL_EQ, pi/4 + TOL_EQ]
+                   witness.find_witness              a sector's |alpha_y| <= 1 + TOL_EQ
+                   _gauge_placement, _solve_gauge    gauge residual, degenerate pair collapse
+TOL_CLAMP 1e-9     steered_many, masanes_check       correlator past [-1, 1] by more: error
+TOL_RECON 1e-6     selftest.reconstruct_rows         round trip beyond it: InconsistentGaugeError
+1e-9, 1e-12        oracles.local_membership_lp       local: objective and weight fit <= 1e-9;
+                                                     nonlocal: dual separation > 1e-12
+_LP_TOL 1e-11      oracles._phase1_float             pivot: entering cost, leaving column entry
+FOUND_RESIDUAL,    oracles._found                    decomposition found: mixture residual <=
+FOUND_SEPARATION                                     1e-10 and separation >= 1e-3
+1e-12              alternation_margins,              |sin 2 theta| < 1e-12: DegenerateThetaError
+                   steering.modified_angles
+1e-9               realization.sample_realization    |sin 2 theta| < 1e-9: draw again
+1e-11              selftest._solve_gauge             |det| = |sin(s1 - s0)| < 1e-11: degenerate
+1e-9, 1e-7, 1e-12  _gauge_placement, _solve_gauge    skip bgauge with sin < 1e-9; no theta past
+                                                     |cos 2 theta| = 1 + 1e-7 or pi/4 + 1e-12;
+                                                     theta = pi/4 below |cos 2 theta| = 1e-9
+1e-12, 1e-10       witness._sector_solution,         |D_st| < 1e-12: degenerate; |<A0>| = 1 to
+                   find_witness, orthocomplement     1e-12: compare L with P; pivot 1e-10
+=================  ================================  ===========================================
 """
 
 TOL_EQ = 1e-8

@@ -26,13 +26,14 @@ from qset import (
     extremality_criterion_check,
     validate,
 )
-from qset.errors import DegenerateThetaError
+from qset.behavior import _require_valid
+from qset.errors import CorrelatorRangeError, DegenerateThetaError
 from qset.steering import steered_many
-from qset.extremality import (_REFERENCE, SignPattern, _criterion_holds, _sector_terms,
-                              _selftest_residuals, alternation_margins,
+from qset.extremality import (_REFERENCE, SignPattern, _asin_sums, _criterion_holds,
+                              _necessary_slacks, alternation_margins,
                               pattern_to_reference_relabeling)
 from qset.realization import born_vector
-from qset.tolerances import TOL_EQ
+from qset.tolerances import TOL_CLAMP, TOL_EQ
 from qset.symmetry import group_elements
 
 from conftest import NONALT, PI8_EDGE, PR_BOX, TSIRELSON, fails_necessary_mixture
@@ -126,7 +127,7 @@ def test_error_messages_print_plain_floats():
 
 
 def test_classify_steers_both_parties_in_one_pass(monkeypatch):
-    calls = {"steered_many": 0, "_necessary_slacks": 0}
+    calls = {"steered_many": 0, "_asin_sums": 0}
     for name in calls:
         fn = getattr(qset.extremality, name)
 
@@ -138,11 +139,13 @@ def test_classify_steers_both_parties_in_one_pass(monkeypatch):
     p = born_point(NONALT)
     res = classify(p)
     assert res.verdict is Verdict.NON_EXTREMAL_IN_Q
-    assert calls == {"steered_many": 1, "_necessary_slacks": 1}
+    # one table of asin sums serves the residuals, the criterion and both
+    # parties' necessary conditions
+    assert calls == {"steered_many": 1, "_asin_sums": 1}
     # the scalar checks read the batch classify kept
     assert not selftest_conditions_check(p)[0]
     assert extremality_criterion_check(p) == (False, None)
-    assert calls == {"steered_many": 1, "_necessary_slacks": 1}
+    assert calls == {"steered_many": 1, "_asin_sums": 1}
 
 
 def test_necessary_conditions_equals_masanes_on_zero_marginals():
@@ -155,6 +158,135 @@ def test_necessary_conditions_equals_masanes_on_zero_marginals():
         except Exception:
             continue
         assert necessary_conditions_check(p)[0] == m
+
+
+# --- oracles for _asin_sums: each check gathers and sums its own asin terms ----
+
+#: Single-minus sign rows over (a00, a10, a01, a11).
+ORACLE_SIGN_ROWS = ((-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1))
+ORACLE_PATTERNS = np.array(qset.extremality.SIGN_PATTERNS, dtype=float)[:, :, None]
+
+
+def oracle_sector_terms(asin):
+    """asin c[s,0,0], asin c[s,0,1], asin c[t,1,0], asin c[t,1,1], each (N, 4)."""
+    s_idx, t_idx = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    return (asin[:, s_idx, 0, 0], asin[:, s_idx, 0, 1],
+            asin[:, t_idx, 1, 0], asin[:, t_idx, 1, 1])
+
+
+def oracle_necessary_slacks(terms):
+    a00, a01, a10, a11 = (t[:, :, None] for t in terms)
+    r = np.array(ORACLE_SIGN_ROWS, dtype=float)
+    val = (r[:, 0] * a00 + r[:, 1] * a10 + r[:, 2] * a01 + r[:, 3] * a11).reshape(-1, 16)
+    return np.stack([PI - val, val + PI], axis=-1)
+
+
+def oracle_selftest_residuals(terms):
+    a00, a01, a10, a11 = terms
+    return a00 + a10 - a01 + a11 - PI
+
+
+def oracle_criterion_holds(terms):
+    a00, a01, a10, a11 = (t[:, None, :] for t in terms)
+    e = ORACLE_PATTERNS
+    val = e[:, 0] * a00 + e[:, 2] * a10 + e[:, 1] * a01 + e[:, 3] * a11
+    return ~(np.abs(val - PI) > TOL_EQ).any(axis=2)
+
+
+def oracle_masanes_check(p: Behavior) -> bool:
+    _require_valid(p)
+    v = p.vector
+    if np.max(np.abs(v[:4])) > TOL_EQ:
+        raise NonzeroMarginalsError(f"marginals {v[:4].tolist()!r} are not all zero")
+    x = v[4:].reshape(2, 2)
+    over = np.max(np.abs(x)) - 1.0
+    if over > TOL_CLAMP:
+        raise CorrelatorRangeError(f"asin argument exceeds [-1,1] by {float(over)!r}")
+    asin = np.arcsin(np.clip(x, -1.0, 1.0))
+    terms = np.array([asin[0, 0], asin[1, 0], asin[0, 1], asin[1, 1]])
+    vals = np.array([np.dot(row, terms) for row in ORACLE_SIGN_ROWS])
+    return bool(np.max(np.abs(vals)) <= PI + TOL_EQ)
+
+
+def asin_edge_tables(rng, n: int) -> np.ndarray:
+    """(n, 2, 2, 2) asin tables whose sign-pattern sum sits on pi or -pi, or
+    TOL_EQ off it, in every sector, up to a few ulps: both alpha halves
+    equal, and a00 solved from the other three terms."""
+    half = rng.uniform(-PI / 2, PI / 2, (n, 4))
+    e = ORACLE_PATTERNS[rng.integers(8, size=n), :, 0]          # (e00, e01, e10, e11)
+    target = rng.choice([-PI, PI], n) + rng.choice([-TOL_EQ, 0.0, TOL_EQ], n)
+    half[:, 0] = e[:, 0] * (target - e[:, 2] * half[:, 2] - e[:, 1] * half[:, 1]
+                            - e[:, 3] * half[:, 3])
+    ulps = rng.integers(-3, 4, n)
+    half[:, 0] = half[:, 0] + ulps * np.spacing(half[:, 0])
+    half = half[np.abs(half[:, 0]) <= PI / 2]
+    return np.repeat(half.reshape(-1, 1, 2, 2), 2, axis=1)
+
+
+def test_asin_sums_match_the_per_check_sums():
+    rng = np.random.default_rng(20)
+    uniform = rng.uniform(-PI / 2, PI / 2, (40000, 2, 2, 2))
+    # correlators on a 0.1 grid: asin(+-1) = +-pi/2 puts sums exactly on +-pi
+    grid = np.arcsin(np.round(rng.uniform(-1, 1, (40000, 2, 2, 2)), 1))
+    edge = asin_edge_tables(rng, 40000)
+    for asin in (uniform, grid, edge):
+        terms, sums = oracle_sector_terms(asin), _asin_sums(asin)
+        assert np.array_equal(sums[:, :, 2] - PI, oracle_selftest_residuals(terms))
+        assert np.array_equal(_criterion_holds(sums), oracle_criterion_holds(terms))
+        assert np.array_equal(_necessary_slacks(sums), oracle_necessary_slacks(terms))
+    # every pattern is met somewhere, and on the grid some sums are exactly +-pi
+    assert oracle_criterion_holds(oracle_sector_terms(edge)).any(axis=0).all()
+    assert (np.abs(_asin_sums(grid)) == PI).any()
+
+
+def masanes_points(rng, n: int) -> list[np.ndarray]:
+    """Zero-marginal vectors around Masanes' bound: uniform correlators, and
+    correlators bisected along seeded directions onto the largest |sum|
+    = pi + TOL_EQ (the last point within and the first beyond).  Marginals
+    are 0, within 1e-8 or just beyond; some correlators pass 1 by up to
+    2e-9, on both sides of TOL_CLAMP."""
+    def worst(corr):
+        asin = np.arcsin(np.clip(corr, -1.0, 1.0))
+        terms = asin[:, [0, 2, 1, 3]]
+        return np.abs(terms @ np.array(ORACLE_SIGN_ROWS, dtype=float).T).max(axis=1)
+
+    direction = rng.uniform(-1, 1, (n, 4))
+    direction /= np.abs(direction).max(axis=1, keepdims=True)
+    lo, hi = np.zeros(n), np.ones(n)
+    crossing = worst(direction) > PI + TOL_EQ
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        over = worst(mid[:, None] * direction) > PI + TOL_EQ
+        lo, hi = np.where(over, lo, mid), np.where(over, mid, hi)
+    corr = np.concatenate([rng.uniform(-1, 1, (n, 4)),
+                           (lo[:, None] * direction)[crossing],
+                           (hi[:, None] * direction)[crossing]])
+    past = rng.random(len(corr)) < 0.05
+    corr[past, 0] = np.sign(corr[past, 0]) * (1 + rng.uniform(0, 2e-9, past.sum()))
+    marg = np.zeros((len(corr), 4))
+    some = rng.random(len(corr)) < 0.5
+    marg[some] = rng.uniform(-1e-8, 1e-8, (some.sum(), 4))
+    edge = rng.random(len(corr)) < 0.1
+    marg[edge, rng.integers(4, size=edge.sum())] = rng.choice(
+        [-1e-8, 1e-8, np.nextafter(1e-8, 1), -np.nextafter(1e-8, 1)], edge.sum())
+    return [np.concatenate([m, c]) for m, c in zip(marg, corr)]
+
+
+def test_masanes_check_matches_the_per_check_sums():
+    outcomes = set()
+    for v in masanes_points(np.random.default_rng(21), 3000):
+        p = Behavior.from_vector(v)
+        try:
+            want = oracle_masanes_check(p)
+        except Exception as exc:  # the same error class and message
+            with pytest.raises(type(exc)) as got:
+                masanes_check(p)
+            assert str(got.value) == str(exc)
+            outcomes.add(type(exc).__name__)
+            continue
+        assert masanes_check(p) is want
+        outcomes.add(want)
+    assert outcomes == {True, False, "NonzeroMarginalsError", "CorrelatorRangeError"}
 
 
 def test_selftest_conditions_pi8_edge_terms():
@@ -433,10 +565,10 @@ def reference_criterion_and_worst_residual(v: np.ndarray) -> tuple[np.ndarray, n
     """Per row of v: whether the criterion holds with the reference pattern,
     and the largest |self-test residual| (inf where steering fails)."""
     c, failures = steered_many(v)
-    terms = _sector_terms(np.arcsin(c))
-    worst = np.max(np.abs(_selftest_residuals(terms)), axis=1)
+    sums = _asin_sums(np.arcsin(c))
+    worst = np.max(np.abs(sums[:, :, 2] - PI), axis=1)
     worst[list(failures)] = np.inf
-    return _criterion_holds(terms)[:, _REFERENCE], worst
+    return _criterion_holds(sums)[:, _REFERENCE], worst
 
 
 def residual_edge_points(seed: int, count: int) -> np.ndarray:

@@ -454,10 +454,13 @@ def test_stochastic_phase_deterministic_given_seed(p, hint, found):
         assert getattr(runs[0], field) == getattr(runs[1], field)
 
 
-@pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -1}, {"generations": -1},
-                                    {"polish_top": -1}])
+@pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -1}, {"generations": 120},
+                                    {"polish_top": 3}])
 def test_decomposition_rejects_bad_arguments(kwargs):
-    with pytest.raises(ValueError):
+    # the stochastic phase's length and the polish width are module constants,
+    # so passing either is the TypeError of an unknown keyword
+    error = ValueError if "trials" in kwargs else TypeError
+    with pytest.raises(error):
         decomposition_search(born_point(TSIRELSON), **kwargs)
 
 
@@ -478,7 +481,8 @@ def record_objective(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
 @pytest.mark.parametrize("generations", [0, 7, 120])
 def test_stochastic_phase_scores_in_float32_and_ranks_once_in_float64(monkeypatch, generations):
     calls = record_objective(monkeypatch)
-    decomposition_search(born_point(TSIRELSON), trials=50, seed=3, generations=generations)
+    monkeypatch.setattr("qset.oracles._GENERATIONS", generations)
+    decomposition_search(born_point(TSIRELSON), trials=50, seed=3)
     dtypes = [x.dtype for x, _ in calls]
     assert dtypes == [np.float32] * (generations + 1) + [np.float64]
     assert all(f.dtype == x.dtype for x, f in calls)

@@ -19,7 +19,7 @@ from qset import (
 )
 import qset.selftest
 from qset.cli import main
-from qset.realization import (CANONICALIZE_CHUNK, _canonicalize_many, _gauge_moves,
+from qset.realization import (CANONICALIZE_CHUNK, _GAUGE_MOVES, _canonicalize_many,
                               apply_relabeling, born_jacobian, born_vector)
 from qset.symmetry import group_elements, signed_permutation
 from qset.tolerances import TOL_EQ
@@ -213,6 +213,37 @@ def test_canonicalize_sector_rejects_product_state():
         canonicalize(QubitRealization(0.0, (0.3, 1.0), (0.5, 2.0)), sector=True)
 
 
+#: Generators of the gauge moves (et, kt, ea, ka, eb, kb), each the affine map
+#: theta' = et*theta + kt*(pi/2), a' = ea*a + ka*pi, b' = eb*b + kb*pi: the
+#: identity, pi - theta with b -> -b, the X (x) X basis flip and the
+#: sigma_z (x) sigma_z reflection.
+GAUGE_GENERATORS = [
+    (1, 0, 1, 0, 1, 0),
+    (-1, 2, 1, 0, -1, 0),
+    (-1, 1, -1, 1, -1, 1),
+    (1, 0, -1, 0, -1, 0),
+]
+
+
+def gauge_compose(m2, m1):
+    """The move m2 after m1, offsets mod 2 (theta mod pi, angles mod 2 pi)."""
+    et2, kt2, ea2, ka2, eb2, kb2 = m2
+    et1, kt1, ea1, ka1, eb1, kb1 = m1
+    return (et2 * et1, (et2 * kt1 + kt2) % 2,
+            ea2 * ea1, (ea2 * ka1 + ka2) % 2,
+            eb2 * eb1, (eb2 * kb1 + kb2) % 2)
+
+
+def test_gauge_moves_are_the_generated_closure_in_sorted_order():
+    moves = {(1, 0, 1, 0, 1, 0)}
+    frontier = {gauge_compose(m, (1, 0, 1, 0, 1, 0)) for m in GAUGE_GENERATORS}
+    while frontier - moves:
+        moves |= frontier
+        frontier = {gauge_compose(g, m) for g in GAUGE_GENERATORS for m in moves}
+    assert _GAUGE_MOVES == tuple(sorted(moves))
+    assert len(_GAUGE_MOVES) == 8
+
+
 def brute_force_canonicalize(params: np.ndarray, sector: bool, chunk: int = 64):
     """Oracle for ``_canonicalize_many``: every row expands to all 1024
     gauge x relabeling images, and the winner is the first lexicographic
@@ -220,7 +251,7 @@ def brute_force_canonicalize(params: np.ndarray, sector: bool, chunk: int = 64):
     stable).  The images are the same floating-point expressions, so the
     results must agree bit for bit."""
     tsgn, toff, asrc, asgn, aoff = [], [], [], [], []
-    for et, kt, ea, ka, eb, kb in _gauge_moves():
+    for et, kt, ea, ka, eb, kb in _GAUGE_MOVES:
         for g in group_elements():
             perm, sign = signed_permutation(g)
             src = perm[:4].tolist()
