@@ -28,7 +28,7 @@ from .errors import (
     NotSelfTestingError,
 )
 from .realization import QubitRealization, _in_canonical_range
-from .steering import modified_angles_raw, pi_interval, steered_many
+from .steering import _steered_c, modified_angles_raw, pi_interval, steered_many
 from .symmetry import SymmetryElement, signed_permutation
 from .tolerances import TOL_CLAMP, TOL_EQ
 
@@ -134,29 +134,6 @@ def _alternating(margins: np.ndarray, strict: bool) -> np.ndarray:
     return margins.min(axis=1) >= -TOL_EQ
 
 
-def _steer_parties(v: np.ndarray, rows: np.ndarray, errors: dict):
-    """Steered correlators of the given rows for both parties in one
-    ``steered_many`` call: Alice's (M, 2, 2, 2) stacked over Bob's, which are
-    those of the party-swapped rows.
-
-    A row whose Alice side cannot be steered is dropped, its error recorded in
-    errors.  Returns the rows kept, their (2M, 2, 2, 2) table and the
-    steering error of each kept row's Bob side (row of v -> exception),
-    which counts only where the criterion fails.
-    """
-    m = len(rows)
-    c, failures = steered_many(v[rows[:, None], _PARTIES].reshape(-1, 8))
-    if not failures:
-        return rows, c, failures
-    keep = np.ones(m, bool)
-    for k, exc in failures.items():
-        if k < m:
-            errors[int(rows[k])] = exc
-            keep[k] = False
-    bob = {int(rows[k - m]): exc for k, exc in failures.items() if k >= m and keep[k - m]}
-    return rows[keep], c[np.tile(keep, 2)], bob
-
-
 def necessary_conditions_check(p: Behavior, side: str = "alice") -> tuple[bool, np.ndarray]:
     """Necessary condition for pure projective two-qubit realizations.
 
@@ -169,10 +146,7 @@ def necessary_conditions_check(p: Behavior, side: str = "alice") -> tuple[bool, 
     if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
     _require_valid(p)
-    v = p.vector if side == "alice" else p.vector[_PARTY_SWAP]
-    c, failures = steered_many(v[None])
-    if failures:
-        raise failures[0]
+    c = _steered_c(p.vector if side == "alice" else p.vector[_PARTY_SWAP])
     residuals = _necessary_slacks(_asin_sums(np.arcsin(c)))[0]
     return bool(residuals.min() >= -TOL_EQ), residuals
 
@@ -201,7 +175,8 @@ def selftest_conditions_check(p: Behavior) -> tuple[bool, np.ndarray]:
     for all four (s, t).  Returns the verdict and the 4 signed residuals
     (value - pi) in (s,t) order (+,+), (+,-), (-,+), (-,-).
     Raises LocalInputError for local behaviors.  Reads the batch of one that
-    ``classify(p)`` computes and keeps.
+    ``classify(p)`` keeps, which needs only its stages up to the sums: on its
+    own it reconstructs nothing.
     """
     batch = _steered_batch(p, "self-test conditions require a nonlocal behavior")
     res = batch.residuals[0].copy()
@@ -215,7 +190,8 @@ def extremality_criterion_check(p: Behavior) -> tuple[bool, SignPattern | None]:
     sum_xy eps_xy asin c[u_x, x, y] = pi for all four u in {+-1}^2.
     The +pi target suffices: the flipped pattern covers -pi.  The first such
     pattern in SIGN_PATTERNS order is returned.  Reads the batch of one that
-    ``classify(p)`` computes and keeps.
+    ``classify(p)`` keeps, which needs only its stages up to the sums: on its
+    own it reconstructs nothing.
     """
     batch = _steered_batch(p, "extremality criterion applies to nonlocal behaviors")
     k = int(batch.pattern[0])
@@ -384,7 +360,8 @@ def _reference_steered(c: np.ndarray, pats: np.ndarray) -> np.ndarray:
 
 
 class BatchClassification:
-    """Per-row outcome of ``classify_many``.
+    """Per-row outcome of ``classify_many``: the input rows ``vectors``, the
+    arrays the stages write, and ``stage``, the furthest stage run.
 
     ``verdict`` indexes VERDICTS, or is -1 where ``classify`` raises for the
     row; ``errors`` maps each such row to its exception, and each
@@ -397,11 +374,18 @@ class BatchClassification:
     the row's image under the relabeling of its ``pattern`` (None when there
     are no such rows).  The other arrays hold the details of
     ``classification(i)``; they are NaN (-1 for ``pattern``) where a row has
-    none.
+    none.  ``classify_many`` runs every stage.  The batch of one ``classify``
+    keeps stops after the sums (``stage`` is ``SUMS``), which is all the
+    scalar checks and a certificate refused by its own residuals read; there
+    the rows whose criterion holds have verdict -1 and no reconstruction
+    until ``_decide`` runs the last stage.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, v: np.ndarray):
+        n = len(v)
         nan = np.full((n, 32), np.nan)
+        self.vectors = v
+        self.stage = 0
         self.verdict = np.full(n, -1, np.int8)
         self.failure = np.zeros(n, np.int8)
         self.errors: dict[int, Exception] = {}
@@ -457,18 +441,72 @@ class BatchClassification:
         return Classification(verdict, details)
 
 
-def _classify_non_extremal(out: BatchClassification, rows: np.ndarray, sums: np.ndarray,
-                           bob_failures: dict) -> None:
-    """Necessary conditions on both sides for valid nonlocal rows whose
-    criterion fails: NonExtremalInQ, or FailsNecessaryQ2Pure when both fail.
+# --- the stages of a batch: screen, steer, sums, then reconstruct and decide --
 
-    sums are the ``_asin_sums`` of both parties' steered correlators, Alice's
-    K rows stacked over Bob's, from the one steering pass of
-    ``_classify_rows``; bob_failures maps a row of the batch to the error
-    that stopped its Bob side.
+#: ``BatchClassification.stage`` after the sums, and after the last stage.
+SUMS, DECIDE = 3, 4
+
+
+def _screen(v: np.ndarray, invalid: np.ndarray) -> tuple[BatchClassification, np.ndarray]:
+    """Stage 1: the InvalidBehaviorError of each row ``validate`` rejects
+    (given as invalid), and Fine's criterion on the others.  Returns the batch
+    and its valid nonlocal rows."""
+    out = BatchClassification(v)
+    with np.errstate(invalid="ignore"):
+        out.chsh_max[:] = chsh_values(v).max(axis=1)
+    local = ~invalid & (out.chsh_max <= 2.0 + TOL_EQ)
+    out.verdict[local] = _CODE[Verdict.LOCAL]
+    for i in np.flatnonzero(invalid).tolist():
+        out.errors[i] = InvalidBehaviorError(validate(Behavior.from_vector(v[i])))
+    return out, np.flatnonzero(~invalid & ~local)
+
+
+def _steer(out: BatchClassification, rows: np.ndarray):
+    """Stage 2: steered correlators of the given rows for both parties in one
+    ``steered_many`` call: Alice's (M, 2, 2, 2) stacked over Bob's, which are
+    those of the party-swapped rows.
+
+    A row whose Alice side cannot be steered is dropped, its error recorded;
+    Alice's tables of the rows kept go to ``out.steered``.  Returns the rows
+    kept, their (2M, 2, 2, 2) table and the steering error of each kept row's
+    Bob side (row of the batch -> exception), which counts only where the
+    criterion fails.
     """
-    slack = _necessary_slacks(sums).min(axis=(1, 2))
-    slack_a, slack_b = slack[:len(rows)], slack[len(rows):]
+    m = len(rows)
+    c, failures = steered_many(out.vectors[rows[:, None], _PARTIES].reshape(-1, 8))
+    if failures:
+        keep = np.ones(m, bool)
+        for k, exc in failures.items():
+            if k < m:
+                out.errors[int(rows[k])] = exc
+                keep[k] = False
+        failures = {int(rows[k - m]): exc for k, exc in failures.items()
+                    if k >= m and keep[k - m]}
+        rows, c = rows[keep], c[np.tile(keep, 2)]
+    out.steered[rows] = c[:len(rows)]
+    return rows, c, failures
+
+
+def _sums(out: BatchClassification, rows: np.ndarray, c: np.ndarray,
+          bob_failures: dict) -> None:
+    """Stage 3: one ``_asin_sums`` table over the steered table c of
+    ``_steer``.  Alice's half gives the self-test residuals and each row's
+    first criterion pattern.  Where no pattern holds, both halves' necessary
+    conditions decide NonExtremalInQ, or FailsNecessaryQ2Pure when both fail;
+    there a row in bob_failures gets its Bob side's error instead.
+    """
+    m = len(rows)
+    sums = _asin_sums(np.arcsin(c))
+    out.residuals[rows] = sums[:m, :, 2] - math.pi
+    holds = _criterion_holds(sums[:m])
+    extremal = holds.any(axis=1)
+    out.pattern[rows] = np.where(extremal, np.argmax(holds, axis=1), -1)
+    non = np.flatnonzero(~extremal)
+    if not non.size:
+        return
+    slack = _necessary_slacks(sums[np.concatenate([non, non + m])]).min(axis=(1, 2))
+    slack_a, slack_b = slack[:len(non)], slack[len(non):]
+    rows = rows[non]
     keep = np.ones(len(rows), bool)
     if bob_failures:
         keep = ~np.isin(rows, list(bob_failures))
@@ -482,18 +520,26 @@ def _classify_non_extremal(out: BatchClassification, rows: np.ndarray, sums: np.
                                  _CODE[Verdict.FAILS_NECESSARY_Q2_PURE])[keep]
 
 
-def _classify_extremal(out: BatchClassification, v: np.ndarray, rows: np.ndarray,
-                       c: np.ndarray) -> None:
-    """Rows whose criterion holds, with their steered correlators c: relabel
-    onto the reference placement, reconstruct, and decide by the alternation
-    margins of the result."""
+def _reconstruct(out: BatchClassification, rows: np.ndarray) -> None:
+    """Stage 4 on the rows whose criterion holds: relabel onto the reference
+    placement, reconstruct, and decide by the alternation margins of the
+    result.
+
+    The self-test residuals of the relabeled rows are a second
+    ``_asin_sums`` table, over their relabeled steered table c_ref.  A gather
+    of the first table equals it bit for bit only on reference-pattern rows:
+    elsewhere the relabeling sums the same terms in another order, which
+    moves the last bits (up to 8.9e-16) and so can move a residual across
+    TOL_EQ.
+    """
     from .selftest import reconstruct_rows
 
     _, perms, signs = _reference_relabelings()
     pats = out.pattern[rows]
-    v_ref = v[rows[:, None], perms[pats]] * signs[pats]
-    c_ref = _reference_steered(c, pats)
-    rebuilt = out.reconstructions = reconstruct_rows(v_ref, c_ref, np.arcsin(c_ref))
+    v_ref = out.vectors[rows[:, None], perms[pats]] * signs[pats]
+    c_ref = _reference_steered(out.steered[rows], pats)
+    residuals = _asin_sums(np.arcsin(c_ref))[:, :, 2] - math.pi
+    rebuilt = out.reconstructions = reconstruct_rows(v_ref, c_ref, residuals)
     out.ref_residuals[rows] = rebuilt.residuals
     out.realization[rows] = rebuilt.canonical
     out.roundtrip_error[rows] = rebuilt.roundtrip
@@ -517,60 +563,53 @@ def _classify_extremal(out: BatchClassification, v: np.ndarray, rows: np.ndarray
         out.errors[i] = exc
 
 
+def _decide(out: BatchClassification) -> BatchClassification:
+    """Run stage 4 (``_reconstruct``) on a batch that has not run it; returns
+    the batch, whose verdicts are then final."""
+    if out.stage < DECIDE:
+        rows = np.flatnonzero(out.pattern >= 0)
+        if rows.size:
+            _reconstruct(out, rows)
+        out.stage = DECIDE
+    return out
+
+
+def _classify_rows(v: np.ndarray, invalid: np.ndarray) -> BatchClassification:
+    """Stages 1 to 3 of ``classify_many``, given the rows ``validate`` rejects."""
+    out, rows = _screen(v, invalid)
+    if rows.size:
+        _sums(out, *_steer(out, rows))
+    out.stage = SUMS
+    return out
+
+
 def classify_many(v) -> BatchClassification:
     """Classify the behaviors given as the rows of an (N, 8) array.
 
-    Each stage runs once, as array operations over the rows that reach it:
-    validation and Fine's criterion; one steering pass for both parties,
-    Alice's rows stacked over their party swaps, the asin of that table and
-    its one table of signed asin sums (``_asin_sums``); from that table the
+    The four stages each run once, as array operations over the rows that
+    reach them: validation and Fine's criterion; one steering pass for both
+    parties, Alice's rows stacked over their party swaps; the asin of that
+    table and its one table of signed asin sums (``_asin_sums``), giving the
     self-test residuals and the criterion on Alice's side over 8 sign
     patterns x 4 sectors, and both sides' necessary conditions where the
     criterion fails; and where it holds, reconstruction of the relabeled
-    behavior, canonicalization and the alternation margins.  Row i gives what
-    ``classify(Behavior.from_vector(v[i]))`` gives, through
+    behavior, canonicalization and the alternation margins.  The batch
+    returned has run every stage, so its verdicts are final.  Row i gives
+    what ``classify(Behavior.from_vector(v[i]))`` gives, through
     ``classification(i)``: ``classify`` is this call on a batch of one.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != 8:
         raise ValueError(f"behavior vectors must have shape (N, 8), got {v.shape}")
-    return _classify_rows(v, invalid_rows(v))
-
-
-def _classify_rows(v: np.ndarray, invalid: np.ndarray) -> BatchClassification:
-    """``classify_many`` given the rows ``validate`` rejects."""
-    out = BatchClassification(len(v))
-    with np.errstate(invalid="ignore"):
-        out.chsh_max[:] = chsh_values(v).max(axis=1)
-    local = ~invalid & (out.chsh_max <= 2.0 + TOL_EQ)
-    out.verdict[local] = _CODE[Verdict.LOCAL]
-    for i in np.flatnonzero(invalid).tolist():
-        out.errors[i] = InvalidBehaviorError(validate(Behavior.from_vector(v[i])))
-    rows = np.flatnonzero(~invalid & ~local)
-    if rows.size:
-        rows, c, bob_failures = _steer_parties(v, rows, out.errors)
-        m = len(rows)
-        out.steered[rows] = c[:m]
-        sums = _asin_sums(np.arcsin(c))
-        alice = sums[:m]
-        out.residuals[rows] = alice[:, :, 2] - math.pi
-        holds = _criterion_holds(alice)
-        extremal = holds.any(axis=1)
-        out.pattern[rows] = np.where(extremal, np.argmax(holds, axis=1), -1)
-        if not extremal.all():
-            non = np.flatnonzero(~extremal)
-            _classify_non_extremal(out, rows[non], sums[np.concatenate([non, non + m])],
-                                   bob_failures)
-        if extremal.any():
-            _classify_extremal(out, v, rows[extremal], c[:m][extremal])
-    return out
+    return _decide(_classify_rows(v, invalid_rows(v)))
 
 
 @functools.lru_cache(maxsize=1)
 def _classify_vector(key: bytes) -> BatchClassification:
     """``_classify_rows`` on the batch of one behavior vector that ``validate``
-    accepts, given as its float64 bytes.  The last batch is kept; distinct
-    bytes (0.0 and -0.0 included) never share one."""
+    accepts, given as its float64 bytes.  The last batch is kept, and
+    ``_decide`` completes it in place; distinct bytes (0.0 and -0.0
+    included) never share one."""
     return _classify_rows(np.frombuffer(key)[None], np.zeros(1, bool))
 
 
@@ -594,15 +633,17 @@ def _steered_batch(p: Behavior, local_message: str) -> BatchClassification:
 
 def classify(p: Behavior) -> Classification:
     """Compose the certification pipeline into a verdict: ``validate``, then
-    ``classify_many`` on a batch of one valid row, so both parties are
-    steered in one stacked pass.  The last batch of one is kept:
-    ``selftest_certificate``, ``reconstruct_realization``,
-    ``selftest_conditions_check`` and ``extremality_criterion_check`` of the
-    behavior just classified read it instead of computing another.
+    the stages of ``classify_many`` on a batch of one valid row, so both
+    parties are steered in one stacked pass.  The last batch of one is kept
+    and shared with ``selftest_conditions_check``,
+    ``extremality_criterion_check``, ``selftest_certificate`` and
+    ``reconstruct_realization`` of the same behavior, whichever comes first:
+    the checks run it through the sums, and ``classify`` continues from
+    there with the reconstruction, once.
 
     Local / ExtremalExposed / ExtremalNonExposed / NonExtremalInQ /
     FailsNecessaryQ2Pure, with Indeterminate reserved for the reconstruction
     dead ends listed in Failure.  NonExtremalInQ and FailsNecessaryQ2Pure
     never assert Q-membership; their caveat records that.
     """
-    return _classified(p).classification(0)
+    return _decide(_classified(p)).classification(0)

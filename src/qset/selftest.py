@@ -29,7 +29,7 @@ from .errors import (
     NotSelfTestingError,
     QsetError,
 )
-from .extremality import _REFERENCE, _asin_sums, _steered_batch
+from .extremality import _REFERENCE, _decide, _steered_batch
 from .realization import QubitRealization, _canonical_witness, _canonicalize_many, born_vector
 from .symmetry import SymmetryElement
 from .tolerances import TOL_EQ, TOL_RECON
@@ -208,9 +208,10 @@ def _not_self_testing(residuals: np.ndarray) -> NotSelfTestingError:
                                residuals=residuals.copy())
 
 
-def reconstruct_rows(v: np.ndarray, c: np.ndarray, asin: np.ndarray) -> Reconstructions:
+def reconstruct_rows(v: np.ndarray, c: np.ndarray, residuals: np.ndarray) -> Reconstructions:
     """Reconstruct the realizations behind nonlocal behavior vectors v (K, 8),
-    given their steered correlators c (K, 2, 2, 2) and the asin of those.
+    given their steered correlators c (K, 2, 2, 2) and the (K, 4) self-test
+    residuals of c, which ``extremality`` reads off its ``_asin_sums`` table.
 
     Rows that violate the reference self-test equalities stop with
     NotSelfTestingError.  The gauge solve runs per row in ``math`` (libm):
@@ -219,7 +220,7 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, asin: np.ndarray) -> Reconstr
     Indeterminate.  The round trip and ``canonicalize`` then run over the
     rows that reached them.
     """
-    rec = Reconstructions(_asin_sums(asin)[:, :, 2] - math.pi)
+    rec = Reconstructions(residuals)
     errors = rec.errors
     worst = np.max(np.abs(rec.residuals), axis=1)
     for i in np.flatnonzero(~(worst <= TOL_EQ)).tolist():
@@ -249,22 +250,24 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, asin: np.ndarray) -> Reconstr
 
 def _reconstruction(p: Behavior) -> Reconstructions:
     """The reconstruction of p itself as a batch of one, read off the batch
-    ``classify(p)`` computes, which is kept.
+    of one ``classify(p)`` keeps.
 
-    Where the row's criterion holds first with the reference placement, the
-    batch reconstructed p itself (the relabeling is the identity).  Otherwise
-    the row's own reference residuals decide: NotSelfTestingError when they
-    fail, else ``reconstruct_rows`` on p with the steered table the batch
-    kept.  Raises what stops the reconstruction.
+    The row's own self-test residuals decide first: NotSelfTestingError when
+    they fail, with nothing reconstructed.  Where the row's criterion holds
+    first with the reference placement, the batch's last stage reconstructs
+    p itself (the relabeling is the identity).  Otherwise
+    ``reconstruct_rows`` runs on p with the steered table and residuals the
+    batch kept.  Raises what stops the reconstruction.
     """
     batch = _steered_batch(p, "self-test conditions require a nonlocal behavior")
-    c = batch.steered[:1]
-    if not np.max(np.abs(batch.residuals[0])) <= TOL_EQ:
-        raise _not_self_testing(batch.residuals[0])
+    residuals = batch.residuals[:1]
+    if not np.max(np.abs(residuals)) <= TOL_EQ:
+        raise _not_self_testing(residuals[0])
     if batch.pattern[0] == _REFERENCE:
-        rec = batch.reconstructions
+        rec = _decide(batch).reconstructions
     else:
-        rec = reconstruct_rows(np.asarray(p.vector, dtype=float)[None], c, np.arcsin(c))
+        rec = reconstruct_rows(np.asarray(p.vector, dtype=float)[None], batch.steered[:1],
+                               residuals)
     if rec.errors:
         raise rec.errors[0].with_traceback(None)
     return rec
@@ -276,8 +279,10 @@ def reconstruct_realization(p: Behavior) -> tuple[QubitRealization, Reconstructi
     Requires ``p`` nonlocal and satisfying the four reference equalities;
     the returned realization is canonical and reproduces ``p`` up to the
     relabeling element recorded in the trace, componentwise to TOL_RECON.
-    It reads the batch of one that ``classify(p)`` computes and keeps: right
-    after ``classify(p)`` it is a lookup, on its own it costs one classify.
+    It reads the batch of one that ``classify(p)`` keeps: right after
+    ``classify(p)`` it is a lookup.  On its own it runs that batch through
+    the sums, then reconstructs p once, or not at all when p's own residuals
+    refuse it.
     """
     rec = _reconstruction(p)
     return rec.realization(0), rec.trace(0)
@@ -286,8 +291,7 @@ def reconstruct_realization(p: Behavior) -> tuple[QubitRealization, Reconstructi
 def selftest_certificate(p: Behavior) -> SelfTestCertificate:
     """Bundle the reconstruction with the equality residuals and roundtrip
     error.  Like ``reconstruct_realization``, it reads the batch of one that
-    ``classify(p)`` computes and keeps: right after ``classify(p)`` it is a
-    lookup, on its own it costs one classify."""
+    ``classify(p)`` keeps and costs what that costs."""
     rec = _reconstruction(p)
     residuals = rec.residuals[0].copy()
     trace = rec.trace(0)

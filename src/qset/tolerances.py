@@ -7,7 +7,7 @@ cut                applied in                        decides
 =================  ================================  ===========================================
 TOL_EQ 1e-8        behavior.validate, invalid_rows   invalid: a component past [-1, 1], or a
                                                      probability below 0, by more
-                   _fine_local, _classify_rows       Local (Fine): max CHSH <= 2 + TOL_EQ
+                   _fine_local, extremality._screen  Local (Fine): max CHSH <= 2 + TOL_EQ
                    extremality._criterion_holds,     asin-sum equalities (criterion, self-test
                    the self-test residual checks     residuals): |sum - pi| <= TOL_EQ
                    _necessary_slacks readers,        necessary inequalities: slack >= -TOL_EQ;

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qset.extremality
+import qset.selftest
 from qset import (
     Behavior,
     InvalidBehaviorError,
@@ -126,26 +127,49 @@ def test_error_messages_print_plain_floats():
                         "steered correlator exceeds [-1,1] by 0.8; input behavior invalid"]
 
 
+def classification_bits(res) -> tuple:
+    """A Classification with its floats, arrays and realization as bytes."""
+    return res.verdict, {
+        k: np.asarray(v.params() if isinstance(v, QubitRealization) else v).tobytes()
+        if isinstance(v, (float, np.ndarray, QubitRealization)) else v
+        for k, v in res.details.items()}
+
+
 def test_classify_steers_both_parties_in_one_pass(monkeypatch):
-    calls = {"steered_many": 0, "_asin_sums": 0}
-    for name in calls:
-        fn = getattr(qset.extremality, name)
+    calls = {"steered_many": 0, "_asin_sums": 0, "reconstruct_rows": 0}
+    for module, name in ((qset.extremality, "steered_many"), (qset.extremality, "_asin_sums"),
+                         (qset.selftest, "reconstruct_rows")):
+        fn = getattr(module, name)
 
         def counted(*args, _fn=fn, _name=name):
             calls[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(qset.extremality, name, counted)
+        monkeypatch.setattr(module, name, counted)
     p = born_point(NONALT)
     res = classify(p)
     assert res.verdict is Verdict.NON_EXTREMAL_IN_Q
     # one table of asin sums serves the residuals, the criterion and both
     # parties' necessary conditions
-    assert calls == {"steered_many": 1, "_asin_sums": 1}
+    assert calls == {"steered_many": 1, "_asin_sums": 1, "reconstruct_rows": 0}
     # the scalar checks read the batch classify kept
     assert not selftest_conditions_check(p)[0]
     assert extremality_criterion_check(p) == (False, None)
-    assert calls == {"steered_many": 1, "_asin_sums": 1}
+    assert calls == {"steered_many": 1, "_asin_sums": 1, "reconstruct_rows": 0}
+
+    for base in (TSIRELSON, PI8_EDGE):
+        p = born_point(base)
+        cold = classification_bits(classify(p))
+        qset.extremality._classify_vector.cache_clear()
+        calls.update(dict.fromkeys(calls, 0))
+        # the checks read the batch through its sums and reconstruct nothing
+        assert selftest_conditions_check(p)[0]
+        assert extremality_criterion_check(p)[0]
+        assert calls == {"steered_many": 1, "_asin_sums": 1, "reconstruct_rows": 0}
+        # classify continues from the kept sums: one reconstruction, whose
+        # residuals over the relabeled steered table are the only new sums
+        assert classification_bits(classify(p)) == cold
+        assert calls == {"steered_many": 1, "_asin_sums": 2, "reconstruct_rows": 1}
 
 
 def test_necessary_conditions_equals_masanes_on_zero_marginals():

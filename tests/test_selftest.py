@@ -27,7 +27,7 @@ from qset import (
     validate,
 )
 from qset.behavior import mix
-from qset.extremality import _classify_vector
+from qset.extremality import _asin_sums, _classify_vector
 from qset.realization import born_vector
 from qset.selftest import reconstruct_rows
 from qset.symmetry import SymmetryElement
@@ -167,7 +167,7 @@ def direct_reconstruction(p: Behavior):
     if is_local(p):
         raise LocalInputError("self-test conditions require a nonlocal behavior")
     c = steered_correlators(p).c[None]
-    rec = reconstruct_rows(p.vector[None], c, np.arcsin(c))
+    rec = reconstruct_rows(p.vector[None], c, _asin_sums(np.arcsin(c))[:, :, 2] - PI)
     if rec.errors:
         raise rec.errors[0]
     return rec
@@ -286,15 +286,19 @@ def test_views_match_direct_route_on_golden_grid():
         assert_views_match_direct(Behavior.from_vector(v))
 
 
-def count_reconstructions(monkeypatch) -> dict:
-    calls = {"reconstruct_rows": 0}
-    fn = qset.selftest.reconstruct_rows
+def count_reconstructions(monkeypatch, *stages) -> dict:
+    """Count ``reconstruct_rows`` calls, and those of the named functions of
+    ``qset.extremality``."""
+    calls = dict.fromkeys(("reconstruct_rows", *stages), 0)
+    for module, name in [(qset.selftest, "reconstruct_rows")] + [
+            (qset.extremality, stage) for stage in stages]:
+        fn = getattr(module, name)
 
-    def counted(*args):
-        calls["reconstruct_rows"] += 1
-        return fn(*args)
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
 
-    monkeypatch.setattr(qset.selftest, "reconstruct_rows", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -312,6 +316,18 @@ def test_certificate_after_classify_reads_the_kept_batch(monkeypatch):
     with pytest.raises(NotSelfTestingError):
         selftest_certificate(q)
     assert calls == {"reconstruct_rows": 2}
+
+
+def test_certificate_refused_by_its_own_residuals_reconstructs_nothing(monkeypatch):
+    q = apply_symmetry(SymmetryElement(input_swap_a=True), born_point(PI8_EDGE))
+    calls = count_reconstructions(monkeypatch, "steered_many", "_asin_sums")
+    with pytest.raises(NotSelfTestingError):
+        selftest_certificate(q)
+    assert int(qset.extremality._classified(q).pattern[0]) == 0
+    assert calls == {"reconstruct_rows": 0, "steered_many": 1, "_asin_sums": 1}
+    # classify then continues the kept batch: its pattern-0 image reconstructs
+    assert classify(q).verdict is Verdict.EXTREMAL_NON_EXPOSED
+    assert calls == {"reconstruct_rows": 1, "steered_many": 1, "_asin_sums": 2}
 
 
 def test_other_behavior_in_between_forces_recompute(monkeypatch):
