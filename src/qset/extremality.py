@@ -27,7 +27,7 @@ from .errors import (
     NoThetaBranchError,
     NotSelfTestingError,
 )
-from .realization import QubitRealization, _in_canonical_range
+from .realization import QubitRealization
 from .steering import _steered_c, modified_angles_raw, pi_interval, steered_many
 from .symmetry import SymmetryElement, signed_permutation
 from .tolerances import TOL_CLAMP, TOL_EQ
@@ -128,10 +128,10 @@ def _criterion_holds(sums: np.ndarray) -> np.ndarray:
     return ~(np.abs(val - math.pi) > TOL_EQ).any(axis=1)
 
 
-def _alternating(margins: np.ndarray, strict: bool) -> np.ndarray:
-    if strict:
-        return (margins[:, :6].min(axis=1) > TOL_EQ) & (margins[:, 6:].min(axis=1) >= -TOL_EQ)
-    return margins.min(axis=1) >= -TOL_EQ
+def _alternating(margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strict and non-strict alternation of (N, 8) margins, one min per block."""
+    inner, outer = margins[:, :6].min(axis=1), margins[:, 6:].min(axis=1) >= -TOL_EQ
+    return outer & (inner > TOL_EQ), outer & (inner >= -TOL_EQ)
 
 
 def necessary_conditions_check(p: Behavior, side: str = "alice") -> tuple[bool, np.ndarray]:
@@ -180,7 +180,7 @@ def selftest_conditions_check(p: Behavior) -> tuple[bool, np.ndarray]:
     """
     batch = _steered_batch(p, "self-test conditions require a nonlocal behavior")
     res = batch.residuals[0].copy()
-    return bool(np.max(np.abs(res)) <= TOL_EQ), res
+    return bool(np.abs(res).max() <= TOL_EQ), res
 
 
 def extremality_criterion_check(p: Behavior) -> tuple[bool, SignPattern | None]:
@@ -206,17 +206,26 @@ def alternation_margins(params) -> tuple[np.ndarray, dict[int, Exception]]:
     raises for each row it rejects (ValueError for a non-canonical row,
     DegenerateThetaError for theta = 0 mod pi/2); those rows' margins are NaN.
     The degenerate test is |sin 2 theta| < 1e-12 in ``math`` (libm): numpy's
-    sin only screens for the rows to test, with twice the bound.
+    sin only screens for the rows to test, with twice the bound.  Each block
+    is one subtraction written in place (``out=``), so no bit moves.
     """
     params = np.asarray(params, dtype=float)
-    theta, b0, b1 = params[:, :1], params[:, 3:4], params[:, 4:5]
-    at = pi_interval(modified_angles_raw(theta, params[:, 1:3]))  # [alpha, row, x]
-    margins = np.concatenate(
-        [b0 - at[:, :, 0].T, at[:, :, 1].T - b0, b1 - at[:, :, 1].T, b0, math.pi - b1], axis=1)
-    canonical = _in_canonical_range(*params.T)
+    theta, a0, a1, b0, b1 = params.T[:, :, None]  # (N, 1) columns
+    at = pi_interval(modified_angles_raw(theta, params[:, 1:3])).T  # [x, row, alpha]
+    margins = np.empty((len(params), 8))
+    np.subtract(b0, at[0], out=margins[:, 0:2])
+    np.subtract(at[1], b0, out=margins[:, 2:4])
+    np.subtract(b1, at[1], out=margins[:, 4:6])
+    margins[:, 6:7] = b0
+    np.subtract(math.pi, b1, out=margins[:, 7:8])
+    # ``QubitRealization.is_canonical``, its bounds grouped by np.minimum and
+    # np.maximum: exact, as rounding is monotone
+    canonical = ((-TOL_EQ <= np.minimum(theta, a0))
+                 & (np.maximum(np.maximum(theta, a1), b1) < math.pi + TOL_EQ)
+                 & (a0 <= np.minimum(b0, a1) + TOL_EQ) & (b0 <= b1 + TOL_EQ))[:, 0]
     suspect = ~canonical | (np.abs(np.sin(2 * theta[:, 0])) < 2e-12)
     errors: dict[int, Exception] = {}
-    for i in np.flatnonzero(suspect).tolist():
+    for i in suspect.nonzero()[0].tolist():
         t = float(params[i, 0])
         if not canonical[i]:
             errors[i] = ValueError("full_alternation_check requires a canonical realization")
@@ -248,7 +257,7 @@ def full_alternation_check(r: QubitRealization, strict: bool) -> tuple[bool, np.
     margins, errors = alternation_margins(np.array([r.params()]))
     if errors:
         raise errors[0]
-    return bool(_alternating(margins, strict)[0]), margins[0]
+    return bool(_alternating(margins)[0 if strict else 1][0]), margins[0]
 
 
 class Verdict(enum.Enum):
@@ -456,9 +465,9 @@ def _screen(v: np.ndarray, invalid: np.ndarray) -> tuple[BatchClassification, np
         out.chsh_max[:] = chsh_values(v).max(axis=1)
     local = ~invalid & (out.chsh_max <= 2.0 + TOL_EQ)
     out.verdict[local] = _CODE[Verdict.LOCAL]
-    for i in np.flatnonzero(invalid).tolist():
+    for i in invalid.nonzero()[0].tolist():
         out.errors[i] = InvalidBehaviorError(validate(Behavior.from_vector(v[i])))
-    return out, np.flatnonzero(~invalid & ~local)
+    return out, (~invalid & ~local).nonzero()[0]
 
 
 def _steer(out: BatchClassification, rows: np.ndarray):
@@ -494,30 +503,31 @@ def _sums(out: BatchClassification, rows: np.ndarray, c: np.ndarray,
     first criterion pattern.  Where no pattern holds, both halves' necessary
     conditions decide NonExtremalInQ, or FailsNecessaryQ2Pure when both fail;
     there a row in bob_failures gets its Bob side's error instead.
+    A side's slack min(pi - max v, min v + pi) over its 16 sums v is, as
+    rounding is monotone, the least entry of ``_necessary_slacks`` exactly.
     """
     m = len(rows)
     sums = _asin_sums(np.arcsin(c))
     out.residuals[rows] = sums[:m, :, 2] - math.pi
     holds = _criterion_holds(sums[:m])
     extremal = holds.any(axis=1)
-    out.pattern[rows] = np.where(extremal, np.argmax(holds, axis=1), -1)
-    non = np.flatnonzero(~extremal)
+    out.pattern[rows] = np.where(extremal, holds.argmax(axis=1), -1)
+    non = (~extremal).nonzero()[0]
     if not non.size:
         return
-    slack = _necessary_slacks(sums[np.concatenate([non, non + m])]).min(axis=(1, 2))
-    slack_a, slack_b = slack[:len(non)], slack[len(non):]
+    val = sums.reshape(2, m, 16)[:, non]
+    slack = np.minimum(math.pi - val.max(axis=2), val.min(axis=2) + math.pi)  # (2, K)
     rows = rows[non]
-    keep = np.ones(len(rows), bool)
     if bob_failures:
         keep = ~np.isin(rows, list(bob_failures))
         for i in rows[~keep].tolist():
             out.errors[i] = bob_failures[i]
-    ok_a, ok_b = slack_a >= -TOL_EQ, slack_b >= -TOL_EQ
-    done = rows[keep]
-    out.necessary[done] = np.column_stack([ok_a, ok_b])[keep]
-    out.necessary_min_slack[done] = np.minimum(slack_a, slack_b)[keep]
-    out.verdict[done] = np.where(ok_a | ok_b, _CODE[Verdict.NON_EXTREMAL_IN_Q],
-                                 _CODE[Verdict.FAILS_NECESSARY_Q2_PURE])[keep]
+        rows, slack = rows[keep], slack[:, keep]
+    ok = slack >= -TOL_EQ
+    out.necessary[rows] = ok.T
+    out.necessary_min_slack[rows] = slack.min(axis=0)
+    out.verdict[rows] = np.where(ok[0] | ok[1], _CODE[Verdict.NON_EXTREMAL_IN_Q],
+                                 _CODE[Verdict.FAILS_NECESSARY_Q2_PURE])
 
 
 def _reconstruct(out: BatchClassification, rows: np.ndarray) -> None:
@@ -525,12 +535,11 @@ def _reconstruct(out: BatchClassification, rows: np.ndarray) -> None:
     placement, reconstruct, and decide by the alternation margins of the
     result.
 
-    The self-test residuals of the relabeled rows are a second
-    ``_asin_sums`` table, over their relabeled steered table c_ref.  A gather
-    of the first table equals it bit for bit only on reference-pattern rows:
-    elsewhere the relabeling sums the same terms in another order, which
-    moves the last bits (up to 8.9e-16) and so can move a residual across
-    TOL_EQ.
+    Reference-pattern rows keep their residuals: their relabeling is the
+    identity, so their relabeled steered table c_ref is the kept one.  Other
+    rows take a second ``_asin_sums`` table over their c_ref: a gather of the
+    first sums the same terms in another order, which moves the last bits
+    (up to 8.9e-16) and so can move a residual across TOL_EQ.
     """
     from .selftest import reconstruct_rows
 
@@ -538,7 +547,10 @@ def _reconstruct(out: BatchClassification, rows: np.ndarray) -> None:
     pats = out.pattern[rows]
     v_ref = out.vectors[rows[:, None], perms[pats]] * signs[pats]
     c_ref = _reference_steered(out.steered[rows], pats)
-    residuals = _asin_sums(np.arcsin(c_ref))[:, :, 2] - math.pi
+    residuals = out.residuals[rows]
+    other = (pats != _REFERENCE).nonzero()[0]
+    if other.size:
+        residuals[other] = _asin_sums(np.arcsin(c_ref[other]))[:, :, 2] - math.pi
     rebuilt = out.reconstructions = reconstruct_rows(v_ref, c_ref, residuals)
     out.ref_residuals[rows] = rebuilt.residuals
     out.realization[rows] = rebuilt.canonical
@@ -546,12 +558,12 @@ def _reconstruct(out: BatchClassification, rows: np.ndarray) -> None:
     stopped = dict(rebuilt.errors)
     reached = np.ones(len(rows), bool)
     reached[list(stopped)] = False
-    done = np.flatnonzero(reached)
+    done = reached.nonzero()[0]
     margins, rejected = alternation_margins(rebuilt.canonical[done])
     out.alternation_margins[rows[done]] = margins
-    verdict = np.where(_alternating(margins, strict=True), _CODE[Verdict.EXTREMAL_EXPOSED],
-                       np.where(_alternating(margins, strict=False),
-                                _CODE[Verdict.EXTREMAL_NON_EXPOSED],
+    strict, alternating = _alternating(margins)
+    verdict = np.where(strict, _CODE[Verdict.EXTREMAL_EXPOSED],
+                       np.where(alternating, _CODE[Verdict.EXTREMAL_NON_EXPOSED],
                                 _CODE[Verdict.INDETERMINATE]))
     out.verdict[rows[done]] = verdict
     out.failure[rows[done[verdict == _CODE[Verdict.INDETERMINATE]]]] = Failure.NOT_ALTERNATING
@@ -567,7 +579,7 @@ def _decide(out: BatchClassification) -> BatchClassification:
     """Run stage 4 (``_reconstruct``) on a batch that has not run it; returns
     the batch, whose verdicts are then final."""
     if out.stage < DECIDE:
-        rows = np.flatnonzero(out.pattern >= 0)
+        rows = (out.pattern >= 0).nonzero()[0]
         if rows.size:
             _reconstruct(out, rows)
         out.stage = DECIDE

@@ -58,8 +58,11 @@ class QubitRealization:
 
     def is_canonical(self, tol: float = TOL_EQ) -> bool:
         """True when the parameters lie in the reduced range
-        theta in [0, pi), 0 <= a0 <= b0 <= b1 < pi, a0 <= a1 < pi."""
-        return _in_canonical_range(*self.params(), tol)
+        theta in [0, pi), 0 <= a0 <= b0 <= b1 < pi, a0 <= a1 < pi, each bound
+        widened by ``tol`` (``alternation_margins`` has the array form)."""
+        theta, a0, a1, b0, b1 = self.params()
+        return (-tol <= theta < PI + tol and -tol <= a0 <= b0 + tol and b0 <= b1 + tol
+                and b1 < PI + tol and a0 <= a1 + tol and a1 < PI + tol)
 
     def params(self) -> tuple[float, float, float, float, float]:
         return (self.theta, self.a[0], self.a[1], self.b[0], self.b[1])
@@ -74,15 +77,6 @@ class QubitRealization:
             a=(float(d["a"][0]), float(d["a"][1])),
             b=(float(d["b"][0]), float(d["b"][1])),
         )
-
-
-def _in_canonical_range(theta, a0, a1, b0, b1, tol: float = TOL_EQ):
-    """True when theta in [0, pi), 0 <= a0 <= b0 <= b1 < pi and a0 <= a1 < pi,
-    each bound widened by ``tol``; elementwise over array arguments."""
-    return ((-tol <= theta) & (theta < PI + tol)
-            & (-tol <= a0) & (a0 <= b0 + tol)
-            & (b0 <= b1 + tol) & (b1 < PI + tol)
-            & (a0 <= a1 + tol) & (a1 < PI + tol))
 
 
 def born_vector(theta, a0, a1, b0, b1):

@@ -203,7 +203,7 @@ class Reconstructions:
 
 
 def _not_self_testing(residuals: np.ndarray) -> NotSelfTestingError:
-    worst = float(np.max(np.abs(residuals)))
+    worst = float(np.abs(residuals).max())
     return NotSelfTestingError(f"self-test equalities violated (max residual {worst!r})",
                                residuals=residuals.copy())
 
@@ -222,8 +222,8 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, residuals: np.ndarray) -> Rec
     """
     rec = Reconstructions(residuals)
     errors = rec.errors
-    worst = np.max(np.abs(rec.residuals), axis=1)
-    for i in np.flatnonzero(~(worst <= TOL_EQ)).tolist():
+    worst = np.abs(rec.residuals).max(axis=1)
+    for i in (~(worst <= TOL_EQ)).nonzero()[0].tolist():
         errors[i] = _not_self_testing(rec.residuals[i])
     raw = np.full((len(v), 5), np.nan)
     for i, table in enumerate(c.tolist()):
@@ -235,7 +235,7 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, residuals: np.ndarray) -> Rec
             errors[i] = exc
 
     solved = np.array(sorted(rec.gauge), dtype=int)
-    rec.roundtrip[solved] = np.max(np.abs(born_vector(*raw[solved].T) - v[solved]), axis=1)
+    rec.roundtrip[solved] = np.abs(born_vector(*raw[solved].T) - v[solved]).max(axis=1)
     for i in solved[rec.roundtrip[solved] > TOL_RECON].tolist():
         errors[i] = InconsistentGaugeError(
             f"reconstructed realization misses the behavior by {float(rec.roundtrip[i])!r}")
@@ -261,7 +261,7 @@ def _reconstruction(p: Behavior) -> Reconstructions:
     """
     batch = _steered_batch(p, "self-test conditions require a nonlocal behavior")
     residuals = batch.residuals[:1]
-    if not np.max(np.abs(residuals)) <= TOL_EQ:
+    if not np.abs(residuals).max() <= TOL_EQ:
         raise _not_self_testing(residuals[0])
     if batch.pattern[0] == _REFERENCE:
         rec = _decide(batch).reconstructions
@@ -299,6 +299,6 @@ def selftest_certificate(p: Behavior) -> SelfTestCertificate:
         realization=rec.realization(0),
         trace=trace,
         condition_residuals=residuals,
-        max_residual=float(np.max(np.abs(residuals))),
+        max_residual=float(np.abs(residuals).max()),
         roundtrip_error=trace.roundtrip_error,
     )

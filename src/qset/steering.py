@@ -113,17 +113,18 @@ _ALPHA = np.array([1.0, -1.0])[:, None, None]
 
 def steered_many(v: np.ndarray) -> tuple[np.ndarray, dict[int, QsetError]]:
     """Steered correlators of behavior vectors, (N, 8) -> (N, 2, 2, 2), clipped
-    to [-1, 1], and the error ``steered_correlators`` raises for each row it
-    rejects (row index -> exception; those rows' correlators are meaningless)."""
+    to [-1, 1] in place by np.maximum and np.minimum (which pass NaN, as np.clip
+    does), and the error ``steered_correlators`` raises for each row it rejects
+    (row index -> exception; those rows' correlators are meaningless)."""
     ma = v[:, None, :2, None]
     mb = v[:, None, None, 2:4]
     corr = v[:, None, 4:].reshape(-1, 1, 2, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (corr + _ALPHA * mb) / (1.0 + _ALPHA * ma)
-        over = np.max(np.abs(out), axis=(1, 2, 3)) - 1.0
-    unit = np.max(np.abs(v[:, :2]), axis=1)
+        over = np.abs(out).max(axis=(1, 2, 3)) - 1.0
+    unit = np.abs(v[:, :2]).max(axis=1)
     failures: dict[int, QsetError] = {}
-    for i in np.flatnonzero((unit >= 1.0) | (over > TOL_CLAMP)).tolist():
+    for i in ((unit >= 1.0) | (over > TOL_CLAMP)).nonzero()[0].tolist():
         u, o = float(unit[i]), float(over[i])
         if u >= 1.0:
             failures[i] = MarginalUnitError(
@@ -131,7 +132,7 @@ def steered_many(v: np.ndarray) -> tuple[np.ndarray, dict[int, QsetError]]:
         else:
             failures[i] = CorrelatorRangeError(
                 f"steered correlator exceeds [-1,1] by {o!r}; input behavior invalid")
-    return np.clip(out, -1.0, 1.0), failures
+    return np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out), failures
 
 
 def _steered_c(vec: np.ndarray) -> np.ndarray:

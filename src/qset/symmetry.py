@@ -23,7 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .behavior import Behavior
+from .behavior import Behavior, validate
+from .errors import InvalidBehaviorError
 
 __all__ = [
     "SymmetryElement",
@@ -123,10 +124,16 @@ def canonical_behavior(p: Behavior) -> tuple[Behavior, SymmetryElement]:
 
     The witness g satisfies apply_symmetry(g, p) == returned behavior, exactly
     (signed permutations involve no rounding); among elements reaching the
-    minimum it is the first in ``group_elements()`` order.
+    minimum it is the first in ``group_elements()`` order; a non-finite
+    component raises InvalidBehaviorError.  Only the images tied on the least
+    first component are lexsorted, stably: ``==`` ties +0 and -0 as lexsort does.
     """
+    v = p.vector
+    if not np.isfinite(v).all():
+        raise InvalidBehaviorError(validate(p))
     elems, _, perm, sign, _ = _tables()
-    orbit = sign * p.vector[perm]
-    # lexsort is stable and its last key is the primary one
-    k = np.lexsort(orbit.T[::-1])[0]
+    orbit = sign * v[perm]
+    tied = (orbit[:, 0] == orbit[:, 0].min()).nonzero()[0]
+    # lexsort's last key is the primary one; the tied first column needs none
+    k = tied[np.lexsort(orbit[tied, :0:-1].T)[0]]
     return Behavior.from_vector(orbit[k]), elems[k]

@@ -13,8 +13,8 @@ TOL_EQ 1e-8        behavior.validate, invalid_rows   invalid: a component past [
                    _necessary_slacks readers,        necessary inequalities: slack >= -TOL_EQ;
                    masanes_check                     Masanes: every |marginal| <= TOL_EQ
                    extremality._alternating          margins >= -TOL_EQ; exposed: inner > TOL_EQ
-                   realization._in_canonical_range,  canonical range and image ties widened by
-                   _canonicalize_many, witness       it; sector theta in (TOL_EQ, pi/4 + TOL_EQ]
+                   alternation_margins, witness,     canonical range and image ties widened by
+                   is_canonical, _canonicalize_many  it; sector theta in (TOL_EQ, pi/4 + TOL_EQ]
                    witness.find_witness              a sector's |alpha_y| <= 1 + TOL_EQ
                    _gauge_placement, _solve_gauge    gauge residual, degenerate pair collapse
 TOL_CLAMP 1e-9     steered_many, masanes_check       correlator past [-1, 1] by more: error

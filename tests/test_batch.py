@@ -11,7 +11,8 @@ import qset
 import qset.cli
 import qset.realization
 from qset import (Behavior, Failure, Verdict, born_point, classify, classify_many,
-                  enumerate_vertices, group_elements, sample_realization, selftest_certificate)
+                  enumerate_vertices, group_elements, necessary_conditions_check,
+                  sample_realization, selftest_certificate)
 from qset.cli import ScanSpec, main
 from qset.extremality import (VERDICTS, _reference_relabelings, _reference_steered,
                                alternation_margins)
@@ -19,8 +20,8 @@ from qset.realization import born_vector
 from qset.steering import steered_many
 from qset.symmetry import signed_permutation
 
-from conftest import (NONALT, PI8_EDGE, STEERING_FAILS, TSIRELSON, fails_necessary_mixture,
-                      random_valid_behavior)
+from conftest import (NONALT, PI8_EDGE, PR_BOX, STEERING_FAILS, TSIRELSON,
+                      fails_necessary_mixture, random_valid_behavior)
 
 PI = np.pi
 
@@ -130,6 +131,33 @@ def test_programming_error_in_a_stage_raises(monkeypatch):
     monkeypatch.setattr(qset.selftest, "_gauge_placement", broken)
     with pytest.raises(TypeError, match="broken stage"):
         classify(born_point(TSIRELSON))
+
+
+def test_necessary_details_equal_the_standalone_check_bitwise():
+    # seeded mixtures of local points with the PR box or its negation (sums
+    # past pi or past -pi), NonExtremalInQ and FailsNecessaryQ2Pure rows, with
+    # a row whose Bob side cannot be steered between them: the batch's
+    # one-reduction slacks are the least entries of necessary_conditions_check's
+    # tables on both sides
+    rng = np.random.default_rng(41)
+    vertices = np.array([x.behavior.vector for x in enumerate_vertices()])
+    t = rng.uniform(0.5, 1.0, (200, 1)) * rng.choice([-1.0, 1.0], (200, 1))
+    mixed = t * PR_BOX.vector + (1 - abs(t)) * rng.dirichlet(np.ones(16), 200) @ vertices
+    v = np.vstack([mixed[:100], STEERING_FAILS[1], mixed[100:]])
+    batch = classify_many(v)
+    labels = batch.labels()
+    assert labels[100] == "Error:CorrelatorRangeError"
+    assert {"NonExtremalInQ", "FailsNecessaryQ2Pure"} <= set(labels[:100]) & set(labels[101:])
+    for i, row in enumerate(v):
+        if labels[i] not in ("NonExtremalInQ", "FailsNecessaryQ2Pure"):
+            continue
+        p = Behavior.from_vector(row)
+        (ok_a, table_a), (ok_b, table_b) = (necessary_conditions_check(p, side)
+                                            for side in ("alice", "bob"))
+        least = np.minimum(table_a.min(), table_b.min()).tobytes()
+        for details in (batch.classification(i).details, classify(p).details):
+            assert (details["necessary_alice"], details["necessary_bob"]) == (ok_a, ok_b)
+            assert np.float64(details["necessary_min_slack"]).tobytes() == least
 
 
 def test_classify_many_rejects_bad_shape():

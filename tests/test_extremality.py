@@ -157,19 +157,22 @@ def test_classify_steers_both_parties_in_one_pass(monkeypatch):
     assert extremality_criterion_check(p) == (False, None)
     assert calls == {"steered_many": 1, "_asin_sums": 1, "reconstruct_rows": 0}
 
-    for base in (TSIRELSON, PI8_EDGE):
-        p = born_point(base)
+    a = 0.7071067811865476
+    cases = ((born_point(TSIRELSON), (1, -1, 1, 1), 1), (born_point(PI8_EDGE), (1, -1, 1, 1), 1),
+             (Behavior.from_vector([0, 0, 0, 0, -a, -a, -a, a]), (-1, -1, -1, 1), 2))
+    for p, pattern, sums in cases:
         cold = classification_bits(classify(p))
         qset.extremality._classify_vector.cache_clear()
         calls.update(dict.fromkeys(calls, 0))
         # the checks read the batch through its sums and reconstruct nothing
-        assert selftest_conditions_check(p)[0]
-        assert extremality_criterion_check(p)[0]
+        assert selftest_conditions_check(p)[0] is (sums == 1)
+        assert extremality_criterion_check(p)[1].flat == pattern
         assert calls == {"steered_many": 1, "_asin_sums": 1, "reconstruct_rows": 0}
-        # classify continues from the kept sums: one reconstruction, whose
-        # residuals over the relabeled steered table are the only new sums
+        # classify continues from the kept sums with one reconstruction: a
+        # reference-pattern row keeps its residuals, and only another
+        # pattern's relabeled steered table needs new sums
         assert classification_bits(classify(p)) == cold
-        assert calls == {"steered_many": 1, "_asin_sums": 2, "reconstruct_rows": 1}
+        assert calls == {"steered_many": 1, "_asin_sums": sums, "reconstruct_rows": 1}
 
 
 def test_necessary_conditions_equals_masanes_on_zero_marginals():
@@ -482,15 +485,17 @@ def test_alternation_margins_rejects_rows_as_full_alternation_check():
     margins, errors = alternation_margins(np.array(rows))
     want = {}
     for i, row in enumerate(rows):
+        r = QubitRealization(row[0], (row[1], row[2]), (row[3], row[4]))
         try:
-            _, row_margins = full_alternation_check(
-                QubitRealization(row[0], (row[1], row[2]), (row[3], row[4])), strict=False)
+            _, row_margins = full_alternation_check(r, strict=False)
         except (ValueError, DegenerateThetaError) as exc:
             want[i] = exc
         else:
             assert np.array_equal(margins[i], row_margins)
         ref = scalar_rejection(row)
         assert (type(ref), str(ref)) == (type(want.get(i)), str(want.get(i)))
+        # the scalar form of the canonical range agrees with the array form
+        assert r.is_canonical() is (type(ref) is not ValueError)
     assert list(errors) == list(want)
     assert [(type(e), str(e)) for e in errors.values()] == [(type(e), str(e)) for e in want.values()]
     assert {type(e) for e in errors.values()} == {ValueError, DegenerateThetaError}

@@ -1,7 +1,10 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
-from qset import Behavior, born_point, chsh_all, validate
+from qset import Behavior, InvalidBehaviorError, born_point, chsh_all, validate
 from qset.symmetry import (
     SymmetryElement,
     apply_symmetry,
@@ -203,6 +206,58 @@ def test_canonical_behavior_matches_reference_loop():
             ref, ref_g = _canonical_behavior_reference(q)
             assert got.vector.tobytes() == ref.vector.tobytes()
             assert got_g == ref_g
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_composites() -> tuple[tuple[int, ...], ...]:
+    """[g][h]: the index of the element acting as h after g, read off the
+    reference action on a probe whose components differ in magnitude."""
+    elems = group_elements()
+    probe = Behavior.from_vector(np.arange(1.0, 9.0) / 10)
+    images = [_apply_symmetry_reference(g, probe) for g in elems]
+    index = {tuple(q.vector): i for i, q in enumerate(images)}
+    return tuple(tuple(index[tuple(_apply_symmetry_reference(h, q).vector)] for h in elems)
+                 for q in images)
+
+
+def _reference_canonical_of_every_image(p: Behavior) -> list[tuple[Behavior, SymmetryElement]]:
+    """``_canonical_behavior_reference(g . p)`` for every element g, in order.
+    h . (g . p) is p's reference image under the composite, exactly (signed
+    permutations do not round), so the loop over h reads p's 128 images."""
+    elems = group_elements()
+    images = [_apply_symmetry_reference(k, p) for k in elems]
+    keys = [tuple(q.vector) for q in images]
+    out = []
+    for row in _reference_composites():
+        best = 0
+        for h in range(1, len(elems)):
+            if keys[row[h]] < keys[row[best]]:
+                best = h
+        out.append((images[row[best]], elems[best]))
+    return out
+
+
+def test_canonical_behavior_matches_reference_on_every_image():
+    # the table-driven loop gives what the reference loop gives
+    for v in _tie_vectors()[:4]:
+        p = Behavior.from_vector(v)
+        for g, (want, want_g) in zip(group_elements(), _reference_canonical_of_every_image(p)):
+            ref, ref_g = _canonical_behavior_reference(apply_symmetry(g, p))
+            assert ref.vector.tobytes() == want.vector.tobytes() and ref_g == want_g
+    rng = np.random.default_rng(23)
+    for v in _tie_vectors() + [random_valid_behavior(rng).vector for _ in range(300)]:
+        p = Behavior.from_vector(v)
+        for g, (want, want_g) in zip(group_elements(), _reference_canonical_of_every_image(p)):
+            got, got_g = canonical_behavior(apply_symmetry(g, p))
+            assert got.vector.tobytes() == want.vector.tobytes() and got_g == want_g
+
+
+@pytest.mark.parametrize("k, x", [(0, math.nan), (5, math.nan), (2, math.inf), (7, -math.inf)])
+def test_canonical_behavior_rejects_non_finite(k, x):
+    v = np.full(8, 0.25)
+    v[k] = x
+    with pytest.raises(InvalidBehaviorError, match="not finite"):
+        canonical_behavior(Behavior.from_vector(v))
 
 
 def test_compose_and_inverse_act_as_the_composite():
