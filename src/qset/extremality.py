@@ -122,6 +122,12 @@ def _necessary_slacks(sums: np.ndarray) -> np.ndarray:
     return np.stack([math.pi - val, val + math.pi], axis=-1)
 
 
+def _least_slack(val: np.ndarray) -> np.ndarray:
+    """min(pi - max v, min v + pi) over the last axis of the sums v: as
+    rounding is monotone, exactly the least entry of ``_necessary_slacks``."""
+    return np.minimum(math.pi - val.max(axis=-1), val.min(axis=-1) + math.pi)
+
+
 def _criterion_holds(sums: np.ndarray) -> np.ndarray:
     """(N, 8): the criterion equality holds in all four sectors, per sign pattern."""
     val = sums[:, :, _PATTERN_ROW] * _PATTERN_SIGN
@@ -164,7 +170,7 @@ def masanes_check(p: Behavior) -> bool:
         raise CorrelatorRangeError(f"asin argument exceeds [-1,1] by {float(over)!r}")
     # with zero marginals both alpha halves of the steered table are the correlators
     asin = np.broadcast_to(np.arcsin(np.clip(v[4:], -1.0, 1.0)), (2, 4))
-    return bool(_necessary_slacks(_asin_sums(asin))[0].min() >= -TOL_EQ)
+    return bool(_least_slack(_asin_sums(asin).reshape(16)) >= -TOL_EQ)
 
 
 def selftest_conditions_check(p: Behavior) -> tuple[bool, np.ndarray]:
@@ -369,8 +375,8 @@ def _reference_steered(c: np.ndarray, pats: np.ndarray) -> np.ndarray:
 
 
 class BatchClassification:
-    """Per-row outcome of ``classify_many``: the input rows ``vectors``, the
-    arrays the stages write, and ``stage``, the furthest stage run.
+    """Per-row outcome of ``classify_many``: the input rows ``vectors`` and
+    the arrays the stages write.
 
     ``verdict`` indexes VERDICTS, or is -1 where ``classify`` raises for the
     row; ``errors`` maps each such row to its exception, and each
@@ -378,23 +384,22 @@ class BatchClassification:
     ``failure`` is the Failure code of Indeterminate rows (0 elsewhere).
     ``residuals`` are the self-test residuals of the input rows and
     ``steered`` their steered correlators (Alice's side), NaN where a row is
-    invalid, local or not steerable.  ``reconstructions`` holds the
-    reconstructions of the rows whose criterion holds, in row order, each of
-    the row's image under the relabeling of its ``pattern`` (None when there
-    are no such rows).  The other arrays hold the details of
+    invalid, local or not steerable.  ``reconstructions`` holds stage 4,
+    once: the ``selftest.Reconstructions`` of the rows whose criterion holds,
+    in row order, each of the row's image under the relabeling of its
+    ``pattern``, with its alternation margins (None until ``_decide`` runs,
+    and where there are no such rows).  The other arrays hold the details of
     ``classification(i)``; they are NaN (-1 for ``pattern``) where a row has
     none.  ``classify_many`` runs every stage.  The batch of one ``classify``
-    keeps stops after the sums (``stage`` is ``SUMS``), which is all the
-    scalar checks and a certificate refused by its own residuals read; there
-    the rows whose criterion holds have verdict -1 and no reconstruction
-    until ``_decide`` runs the last stage.
+    keeps stops after the sums, which is all the scalar checks and a
+    certificate refused by its own residuals read; there the rows whose
+    criterion holds have verdict -1 until ``_decide`` runs the last stage.
     """
 
     def __init__(self, v: np.ndarray):
         n = len(v)
-        nan = np.full((n, 32), np.nan)
+        nan = np.full((n, 14), np.nan)
         self.vectors = v
-        self.stage = 0
         self.verdict = np.full(n, -1, np.int8)
         self.failure = np.zeros(n, np.int8)
         self.errors: dict[int, Exception] = {}
@@ -403,11 +408,7 @@ class BatchClassification:
         self.pattern = np.full(n, -1, np.int8)         # index into SIGN_PATTERNS
         self.necessary = np.zeros((n, 2), bool)         # Alice's and Bob's conditions
         self.necessary_min_slack = nan[:, 5]
-        self.realization = nan[:, 6:11]                 # canonical reconstruction
-        self.alternation_margins = nan[:, 11:19]        # of the reconstruction
-        self.ref_residuals = nan[:, 19:23]              # self-test residuals, relabeled row
-        self.roundtrip_error = nan[:, 23]
-        self.steered = nan[:, 24:32].reshape(n, 2, 2, 2)
+        self.steered = nan[:, 6:14].reshape(n, 2, 2, 2)
         self.reconstructions = None
 
     def labels(self) -> list[str]:
@@ -438,12 +439,13 @@ class BatchClassification:
         if failure not in (Failure.NONE, Failure.NOT_ALTERNATING):
             details["error"] = repr(self.errors[i])
             return Classification(verdict, details)
-        theta, a0, a1, b0, b1 = self.realization[i].tolist()
+        rec = self.reconstructions
+        j = int(np.searchsorted((self.pattern >= 0).nonzero()[0], i))  # row i's entry in rec
         details.update({
-            "realization": QubitRealization(theta=theta, a=(a0, a1), b=(b0, b1)),
-            "alternation_margins": self.alternation_margins[i].copy(),
-            "asin_residuals": self.ref_residuals[i].copy(),
-            "roundtrip_error": float(self.roundtrip_error[i]),
+            "realization": rec.realization(j),
+            "alternation_margins": rec.margins[j].copy(),
+            "asin_residuals": rec.residuals[j].copy(),
+            "roundtrip_error": float(rec.roundtrip[j]),
         })
         if failure is Failure.NOT_ALTERNATING:
             details["error"] = "criterion holds but reconstruction is not alternating"
@@ -451,9 +453,6 @@ class BatchClassification:
 
 
 # --- the stages of a batch: screen, steer, sums, then reconstruct and decide --
-
-#: ``BatchClassification.stage`` after the sums, and after the last stage.
-SUMS, DECIDE = 3, 4
 
 
 def _screen(v: np.ndarray, invalid: np.ndarray) -> tuple[BatchClassification, np.ndarray]:
@@ -501,10 +500,9 @@ def _sums(out: BatchClassification, rows: np.ndarray, c: np.ndarray,
     """Stage 3: one ``_asin_sums`` table over the steered table c of
     ``_steer``.  Alice's half gives the self-test residuals and each row's
     first criterion pattern.  Where no pattern holds, both halves' necessary
-    conditions decide NonExtremalInQ, or FailsNecessaryQ2Pure when both fail;
-    there a row in bob_failures gets its Bob side's error instead.
-    A side's slack min(pi - max v, min v + pi) over its 16 sums v is, as
-    rounding is monotone, the least entry of ``_necessary_slacks`` exactly.
+    conditions decide NonExtremalInQ, or FailsNecessaryQ2Pure when both fail,
+    each side by the ``_least_slack`` of its 16 sums; there a row in
+    bob_failures gets its Bob side's error instead.
     """
     m = len(rows)
     sums = _asin_sums(np.arcsin(c))
@@ -515,8 +513,7 @@ def _sums(out: BatchClassification, rows: np.ndarray, c: np.ndarray,
     non = (~extremal).nonzero()[0]
     if not non.size:
         return
-    val = sums.reshape(2, m, 16)[:, non]
-    slack = np.minimum(math.pi - val.max(axis=2), val.min(axis=2) + math.pi)  # (2, K)
+    slack = _least_slack(sums.reshape(2, m, 16)[:, non])  # (2, K)
     rows = rows[non]
     if bob_failures:
         keep = ~np.isin(rows, list(bob_failures))
@@ -552,15 +549,12 @@ def _reconstruct(out: BatchClassification, rows: np.ndarray) -> None:
     if other.size:
         residuals[other] = _asin_sums(np.arcsin(c_ref[other]))[:, :, 2] - math.pi
     rebuilt = out.reconstructions = reconstruct_rows(v_ref, c_ref, residuals)
-    out.ref_residuals[rows] = rebuilt.residuals
-    out.realization[rows] = rebuilt.canonical
-    out.roundtrip_error[rows] = rebuilt.roundtrip
     stopped = dict(rebuilt.errors)
     reached = np.ones(len(rows), bool)
     reached[list(stopped)] = False
     done = reached.nonzero()[0]
     margins, rejected = alternation_margins(rebuilt.canonical[done])
-    out.alternation_margins[rows[done]] = margins
+    rebuilt.margins[done] = margins
     strict, alternating = _alternating(margins)
     verdict = np.where(strict, _CODE[Verdict.EXTREMAL_EXPOSED],
                        np.where(alternating, _CODE[Verdict.EXTREMAL_NON_EXPOSED],
@@ -576,13 +570,12 @@ def _reconstruct(out: BatchClassification, rows: np.ndarray) -> None:
 
 
 def _decide(out: BatchClassification) -> BatchClassification:
-    """Run stage 4 (``_reconstruct``) on a batch that has not run it; returns
-    the batch, whose verdicts are then final."""
-    if out.stage < DECIDE:
+    """Run stage 4 (``_reconstruct``) unless it has run or no row's
+    criterion holds; returns the batch, whose verdicts are then final."""
+    if out.reconstructions is None:
         rows = (out.pattern >= 0).nonzero()[0]
         if rows.size:
             _reconstruct(out, rows)
-        out.stage = DECIDE
     return out
 
 
@@ -591,7 +584,6 @@ def _classify_rows(v: np.ndarray, invalid: np.ndarray) -> BatchClassification:
     out, rows = _screen(v, invalid)
     if rows.size:
         _sums(out, *_steer(out, rows))
-    out.stage = SUMS
     return out
 
 
@@ -616,19 +608,22 @@ def classify_many(v) -> BatchClassification:
     return _decide(_classify_rows(v, invalid_rows(v)))
 
 
-@functools.lru_cache(maxsize=1)
-def _classify_vector(key: bytes) -> BatchClassification:
-    """``_classify_rows`` on the batch of one behavior vector that ``validate``
-    accepts, given as its float64 bytes.  The last batch is kept, and
-    ``_decide`` completes it in place; distinct bytes (0.0 and -0.0
-    included) never share one."""
-    return _classify_rows(np.frombuffer(key)[None], np.zeros(1, bool))
+#: The last batch of one ``_classified`` built, keyed by its vector's bytes.
+_kept: dict[bytes, BatchClassification] = {}
 
 
 def _classified(p: Behavior) -> BatchClassification:
-    """``validate`` p, raising as ``classify`` does, then its batch of one."""
-    _require_valid(p)
-    return _classify_vector(np.asarray(p.vector, dtype=float).tobytes())
+    """Stages 1 to 3 on the batch of one p, kept until another behavior's
+    batch replaces it; ``_decide`` completes it in place.  Distinct float64
+    bytes (0.0 and -0.0 included) never share a batch.  Only a new batch
+    ``validate``s p, raising as ``classify`` does: a kept one was valid."""
+    key = np.asarray(p.vector, dtype=float).tobytes()
+    batch = _kept.get(key)
+    if batch is None:
+        _require_valid(p)
+        _kept.clear()
+        batch = _kept[key] = _classify_rows(np.frombuffer(key)[None], np.zeros(1, bool))
+    return batch
 
 
 def _steered_batch(p: Behavior, local_message: str) -> BatchClassification:
@@ -644,14 +639,14 @@ def _steered_batch(p: Behavior, local_message: str) -> BatchClassification:
 
 
 def classify(p: Behavior) -> Classification:
-    """Compose the certification pipeline into a verdict: ``validate``, then
-    the stages of ``classify_many`` on a batch of one valid row, so both
-    parties are steered in one stacked pass.  The last batch of one is kept
-    and shared with ``selftest_conditions_check``,
-    ``extremality_criterion_check``, ``selftest_certificate`` and
-    ``reconstruct_realization`` of the same behavior, whichever comes first:
-    the checks run it through the sums, and ``classify`` continues from
-    there with the reconstruction, once.
+    """Compose the certification pipeline into a verdict: the stages of
+    ``classify_many`` on a batch of one row, so both parties are steered in
+    one stacked pass.  The last batch of one is kept and shared with
+    ``selftest_conditions_check``, ``extremality_criterion_check``,
+    ``selftest_certificate`` and ``reconstruct_realization`` of the same
+    behavior, whichever comes first: it ``validate``s p once, when it is
+    built, the checks run it through the sums, and ``classify`` continues
+    from there with the reconstruction, once.
 
     Local / ExtremalExposed / ExtremalNonExposed / NonExtremalInQ /
     FailsNecessaryQ2Pure, with Indeterminate reserved for the reconstruction

@@ -56,11 +56,12 @@ class QubitRealization:
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("realization angles must be finite")
 
-    def is_canonical(self, tol: float = TOL_EQ) -> bool:
+    def is_canonical(self) -> bool:
         """True when the parameters lie in the reduced range
         theta in [0, pi), 0 <= a0 <= b0 <= b1 < pi, a0 <= a1 < pi, each bound
-        widened by ``tol`` (``alternation_margins`` has the array form)."""
+        widened by TOL_EQ (``alternation_margins`` has the array form)."""
         theta, a0, a1, b0, b1 = self.params()
+        tol = TOL_EQ
         return (-tol <= theta < PI + tol and -tol <= a0 <= b0 + tol and b0 <= b1 + tol
                 and b1 < PI + tol and a0 <= a1 + tol and a1 < PI + tol)
 

@@ -169,12 +169,15 @@ class Reconstructions:
     ``canonical`` holds the canonical parameters (k, 5), NaN where the row
     stopped; ``errors`` maps each such row to its error (NotSelfTestingError,
     InconsistentGaugeError, NoThetaBranchError or DegenerateThetaError).
+    ``margins`` are the (k, 8) alternation margins of ``canonical``, which
+    ``extremality`` writes where it decides by them (NaN elsewhere).
     """
 
     def __init__(self, residuals: np.ndarray):
         k = len(residuals)
         self.residuals = residuals                # (k, 4) self-test residuals
         self.canonical = np.full((k, 5), np.nan)
+        self.margins = np.full((k, 8), np.nan)
         self.roundtrip = np.full(k, np.nan)       # NaN where not reached
         self.win = np.full(k, -1)                 # _canonicalize_many candidate
         self.folds = np.zeros((k, 4), bool)

@@ -48,9 +48,6 @@ class SymmetryElement:
     def identity() -> "SymmetryElement":
         return SymmetryElement()
 
-    def is_identity(self) -> bool:
-        return self == SymmetryElement()
-
 
 def apply_symmetry(g: SymmetryElement, p: Behavior) -> Behavior:
     """Relabeled behavior g . p."""

@@ -10,8 +10,8 @@ TOL_EQ 1e-8        behavior.validate, invalid_rows   invalid: a component past [
                    _fine_local, extremality._screen  Local (Fine): max CHSH <= 2 + TOL_EQ
                    extremality._criterion_holds,     asin-sum equalities (criterion, self-test
                    the self-test residual checks     residuals): |sum - pi| <= TOL_EQ
-                   _necessary_slacks readers,        necessary inequalities: slack >= -TOL_EQ;
-                   masanes_check                     Masanes: every |marginal| <= TOL_EQ
+                   _sums, masanes_check,             necessary inequalities: slack >= -TOL_EQ;
+                   necessary_conditions_check        Masanes: every |marginal| <= TOL_EQ
                    extremality._alternating          margins >= -TOL_EQ; exposed: inner > TOL_EQ
                    alternation_margins, witness,     canonical range and image ties widened by
                    is_canonical, _canonicalize_many  it; sector theta in (TOL_EQ, pi/4 + TOL_EQ]
@@ -32,7 +32,7 @@ FOUND_SEPARATION                                     1e-10 and separation >= 1e-
                                                      |cos 2 theta| = 1 + 1e-7 or pi/4 + 1e-12;
                                                      theta = pi/4 below |cos 2 theta| = 1e-9
 1e-12, 1e-10       witness._sector_solution,         |D_st| < 1e-12: degenerate; |<A0>| = 1 to
-                   find_witness, orthocomplement     1e-12: compare L with P; pivot 1e-10
+                   find_witness, _orthonormalize     1e-12: compare L with P; pivot 1e-10
 =================  ================================  ===========================================
 """
 

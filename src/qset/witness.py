@@ -24,7 +24,7 @@ Both |alpha_y| <= 1 exactly when both Delta_y = s t sin(atilde_0^s - b_y)
 sin(atilde_1^t - b_y) >= 0; the companion point is then, with ah = clip(alpha),
 L = (s, t, ah_0, ah_1, s ah_0, s ah_1, t ah_0, t ah_1): deterministic Alice times
 Bob with marginals ah, so valid, local and on the sector face by construction.
-The witness search still runs the validity, Fine and L != P checks on it.
+The witness search checks only that L differs from P.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import Behavior, _fine_local, invalid_rows
+from .behavior import Behavior
 from .errors import DegenerateDenominatorError, DegenerateThetaError, ExcludedSectorError
 from .realization import QubitRealization, born_jacobian, born_point
 from .steering import modified_angles
@@ -205,8 +205,6 @@ def find_witness(r: QubitRealization) -> FlatnessWitness | None:
         s, t = sector
         hat = np.clip(alphas, -1.0, 1.0)
         local_vec = np.concatenate(((s, t), hat, s * hat, t * hat))
-        if invalid_rows(local_vec[None])[0] or not _fine_local(local_vec):
-            continue
         if abs(abs(math.cos(2 * r.theta) * math.cos(r.a[0])) - 1.0) <= 1e-12 \
                 and np.array_equal(local_vec, born_point(r).vector):
             continue  # companion coincides with P; not a witness
@@ -215,8 +213,8 @@ def find_witness(r: QubitRealization) -> FlatnessWitness | None:
     return None
 
 
-def _orthonormalize(rows: np.ndarray, against: list[np.ndarray], tol: float) -> list[np.ndarray]:
-    """Pivoted modified Gram-Schmidt: repeatedly take the largest residual row."""
+def _orthonormalize(rows: np.ndarray, against: list[np.ndarray]) -> list[np.ndarray]:
+    """Pivoted modified Gram-Schmidt: take the largest residual row until none exceeds 1e-10."""
     work = rows.astype(float).copy()
     for q in against:
         work -= np.outer(work @ q, q)
@@ -224,24 +222,23 @@ def _orthonormalize(rows: np.ndarray, against: list[np.ndarray], tol: float) -> 
     while True:
         norms = np.linalg.norm(work, axis=1)
         i = int(np.argmax(norms))
-        if norms[i] <= tol:
+        if norms[i] <= 1e-10:
             return picked
         q = work[i] / norms[i]
         picked.append(q)
         work -= np.outer(work @ q, q)
 
 
-def orthocomplement(basis: TangentBasis, pivot_tol: float = 1e-10
-                    ) -> tuple[np.ndarray, int]:
+def orthocomplement(basis: TangentBasis) -> tuple[np.ndarray, int]:
     """Orthonormal basis of the complement of the tangent space in R^8.
 
     Returns (complement rows, rank of the tangent basis).  Generic rank is 5,
     giving a 3-dimensional complement; rank deficiency is reported through
     the rank value and simply enlarges the complement.
     """
-    q_rows = _orthonormalize(basis.vecs, [], pivot_tol)
+    q_rows = _orthonormalize(basis.vecs, [])
     rank = len(q_rows)
-    comp = _orthonormalize(np.eye(8), q_rows, pivot_tol)
+    comp = _orthonormalize(np.eye(8), q_rows)
     return np.array(comp[: 8 - rank]), rank
 
 

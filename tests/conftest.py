@@ -7,7 +7,7 @@ import pytest
 
 import qset
 from qset import Behavior, QubitRealization, born_point, validate
-from qset.extremality import _classify_vector
+from qset.extremality import _kept
 
 PI = math.pi
 
@@ -17,9 +17,9 @@ def fresh_classify_memo():
     """Start and end each test without a kept batch of one, so a test that
     counts or patches the pipeline's stages sees them run whatever test came
     before it."""
-    _classify_vector.cache_clear()
+    _kept.clear()
     yield
-    _classify_vector.cache_clear()
+    _kept.clear()
 
 
 #: theta = pi/8, a = (0, pi/2), b = (pi/4, 3pi/4): extremal non-exposed, two

@@ -75,6 +75,26 @@ def test_mixed_batch_covers_every_outcome():
     assert np.all(batch.failure[~indeterminate] == Failure.NONE)
 
 
+def test_stage_four_lives_only_in_the_reconstructions():
+    v = mixed_batch()
+    batch = classify_many(v)
+    # one float block: residuals, chsh_max, necessary_min_slack and steered
+    assert batch.residuals.base.shape == (len(v), 14)
+    for name in ("stage", "realization", "alternation_margins", "ref_residuals",
+                 "roundtrip_error"):
+        assert not hasattr(batch, name)
+    rows = (batch.pattern >= 0).nonzero()[0]
+    rec = batch.reconstructions
+    assert len(rec.canonical) == len(rec.margins) == len(rows)
+    for j, i in enumerate(rows.tolist()):
+        details = batch.classification(i).details
+        if "realization" in details:
+            assert details["realization"] == rec.realization(j)
+            assert np.array_equal(details["alternation_margins"], rec.margins[j])
+    # no row's criterion holds: stage 4 has nothing to keep
+    assert classify_many(born_vector(*np.array([NONALT.params()]).T)).reconstructions is None
+
+
 def test_rows_match_scalar_classify():
     v = mixed_batch()
     batch = classify_many(v)

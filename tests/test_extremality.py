@@ -162,7 +162,7 @@ def test_classify_steers_both_parties_in_one_pass(monkeypatch):
              (Behavior.from_vector([0, 0, 0, 0, -a, -a, -a, a]), (-1, -1, -1, 1), 2))
     for p, pattern, sums in cases:
         cold = classification_bits(classify(p))
-        qset.extremality._classify_vector.cache_clear()
+        qset.extremality._kept.clear()
         calls.update(dict.fromkeys(calls, 0))
         # the checks read the batch through its sums and reconstruct nothing
         assert selftest_conditions_check(p)[0] is (sums == 1)
@@ -185,6 +185,16 @@ def test_necessary_conditions_equals_masanes_on_zero_marginals():
         except Exception:
             continue
         assert necessary_conditions_check(p)[0] == m
+    # at the TOL_EQ edge: one single-minus sum is pi + e, e around TOL_EQ
+    a = PI / 4
+    seen = set()
+    for k in range(-50, 50):
+        c11 = -math.sin(a + TOL_EQ + k * 1e-13)
+        p = Behavior.from_vector([0, 0, 0, 0, math.sin(a), math.sin(a), math.sin(a), c11])
+        m = masanes_check(p)
+        assert necessary_conditions_check(p)[0] == m
+        seen.add(m)
+    assert seen == {True, False}
 
 
 # --- oracles for _asin_sums: each check gathers and sums its own asin terms ----

@@ -16,6 +16,7 @@ from qset import (
     born_point,
     canonicalize,
     classify,
+    extremality_criterion_check,
     group_elements,
     apply_symmetry,
     is_local,
@@ -27,12 +28,13 @@ from qset import (
     validate,
 )
 from qset.behavior import mix
-from qset.extremality import _asin_sums, _classify_vector
+from qset.extremality import _asin_sums, _kept
 from qset.realization import born_vector
-from qset.selftest import reconstruct_rows
+from qset.selftest import _gauge_placement, _solve_gauge, reconstruct_rows
 from qset.symmetry import SymmetryElement
-from qset.errors import InconsistentGaugeError, InvalidBehaviorError
-from qset.tolerances import TOL_RECON
+from qset.errors import (DegenerateThetaError, InconsistentGaugeError, InvalidBehaviorError,
+                         NoThetaBranchError)
+from qset.tolerances import TOL_EQ, TOL_RECON
 
 from conftest import NONALT, PI8_EDGE, PR_BOX, STEERING_FAILS, TSIRELSON
 
@@ -145,6 +147,74 @@ def test_certificate_local_deterministic():
         selftest_certificate(Behavior.from_vector(np.ones(8)))
 
 
+# --- reconstruction dead ends on crafted steered tables ----------------------
+
+
+def gauge_table(w, bgauge: float) -> list:
+    """Steered table [alpha][x][y] whose gauge placement puts the projector of
+    (alpha, x) at angle w[alpha][x], B1 at 0 and B0 at bgauge."""
+    return [[[math.cos(angle - bgauge), math.cos(angle)] for angle in row] for row in w]
+
+
+def mid_angle_table(s: tuple[float, float], u: float, v: float) -> list:
+    """Gauge table with mid-angles s_x = (w+x + w-x)/2 whose theta solve reads
+    (u, v) = cos(2 theta) (cos 2gamma, sin 2gamma)."""
+    d = [math.asin(math.sin(sx) * u - math.cos(sx) * v) for sx in s]
+    return gauge_table([[s[0] - d[0], s[1] - d[1]], [s[0] + d[0], s[1] + d[1]]], 2.0)
+
+
+def test_gauge_placement_refuses_coinciding_bob_measurements():
+    # both bgauge candidates are 0, so no placement separates B0 from B1
+    with pytest.raises(InconsistentGaugeError,
+                       match="^Bob's two measurements coincide on the circle$"):
+        _gauge_placement(gauge_table([[0.0, 0.0], [0.0, 0.0]], 0.0))
+
+
+def test_solve_gauge_degenerate_mid_angles():
+    # both Alice inputs steer to mid-angle 0.7: only a zero pair collapse,
+    # the maximally entangled signature, is consistent
+    with pytest.raises(InconsistentGaugeError, match="^degenerate gauge mid-angles with a "
+                                                     "non-maximally-entangled signature$"):
+        _solve_gauge(gauge_table([[0.3, 0.3], [1.1, 1.1]], 2.0))
+    raw, gauge = _solve_gauge(gauge_table([[0.7, 0.7], [0.7, 0.7]], 2.0))
+    assert raw[0] == PI / 4 and gauge[4] == 0.0
+
+
+def test_solve_gauge_without_theta_branch():
+    with pytest.raises(NoThetaBranchError,
+                       match=r"^\|cos 2theta\| = 1\.5\d* > 1; no branch in \(0, pi/4\]$"):
+        _solve_gauge(mid_angle_table((0.2, 0.5), 1.5, 0.0))
+    # |cos 2theta| within 1e-7 above 1 is clipped to 1, and theta = 0 is no branch
+    with pytest.raises(NoThetaBranchError, match=r"^theta branch 0\.0 outside \(0, pi/4\]$"):
+        _solve_gauge(mid_angle_table((0.3, 1.0), 1 + 5e-8, 0.0))
+
+
+def test_reconstruct_rows_refuses_a_missed_round_trip():
+    table = gauge_table([[0.7, 0.7], [0.7, 0.7]], 2.0)
+    v = born_vector(*np.array([_solve_gauge(table)[0]]).T)
+    v[0, 4] += 1e-5
+    rec = reconstruct_rows(v, np.array([table]), np.zeros((1, 4)))
+    assert TOL_RECON < rec.roundtrip[0] < 2e-5
+    assert isinstance(rec.errors[0], InconsistentGaugeError)
+    assert str(rec.errors[0]) == \
+        f"reconstructed realization misses the behavior by {float(rec.roundtrip[0])!r}"
+    assert np.isnan(rec.canonical[0]).all()
+
+
+def test_reconstruct_rows_refuses_theta_outside_the_sector():
+    # |cos 2theta| = 1 - 2**-53 gives theta = 7.45e-9 <= TOL_EQ: a branch of
+    # the solve, but no image of it lies in the sector (TOL_EQ, pi/4]
+    table = mid_angle_table((0.2, 1.0), 1 - 2.0 ** -53, 0.0)
+    raw = _solve_gauge(table)[0]
+    assert 0.0 < raw[0] <= TOL_EQ
+    rec = reconstruct_rows(born_vector(*np.array([raw]).T), np.array([table]), np.zeros((1, 4)))
+    assert rec.roundtrip[0] <= TOL_RECON
+    assert isinstance(rec.errors[0], DegenerateThetaError)
+    assert str(rec.errors[0]) == \
+        f"no image of theta={raw[0]!r} lies in the requested sector"
+    assert rec.win[0] == -1 and np.isnan(rec.canonical[0]).all()
+
+
 # --- the certificate as a view of the classify batch -------------------------
 
 
@@ -217,10 +287,10 @@ def assert_views_match_direct(p: Behavior) -> None:
     batch, and read right after ``classify``."""
     direct = outcome(lambda: direct_keys(p))
     want_cert, want_pair = (direct, direct) if isinstance(direct[0], type) else direct
-    _classify_vector.cache_clear()
+    _kept.clear()
     assert outcome(lambda: certificate_key(selftest_certificate(p))) == want_cert
     assert outcome(lambda: realization_key(reconstruct_realization(p))) == want_pair
-    _classify_vector.cache_clear()
+    _kept.clear()
     outcome(lambda: classify(p))
     assert outcome(lambda: realization_key(reconstruct_realization(p))) == want_pair
     assert outcome(lambda: certificate_key(selftest_certificate(p))) == want_cert
@@ -238,7 +308,7 @@ def test_views_match_direct_route_on_named_points():
 
 def test_certificate_at_the_residual_edge_agrees_with_classify(monkeypatch):
     assert_views_match_direct(RESIDUAL_EDGE)
-    _classify_vector.cache_clear()
+    _kept.clear()
     calls = count_reconstructions(monkeypatch)
     res = classify(RESIDUAL_EDGE)
     assert res.verdict is Verdict.INDETERMINATE
@@ -340,6 +410,32 @@ def test_other_behavior_in_between_forces_recompute(monkeypatch):
     assert certificate_key(cert) == direct_keys(p)[0]
 
 
+def test_classify_and_its_views_validate_once(monkeypatch):
+    calls = []
+    original = qset.behavior.validate
+    monkeypatch.setattr(qset.behavior, "validate", lambda p: calls.append(p) or original(p))
+    p, q = born_point(PI8_EDGE), born_point(TSIRELSON)
+    classify(p)
+    selftest_certificate(p)
+    reconstruct_realization(p)
+    selftest_conditions_check(p)
+    extremality_criterion_check(p)
+    assert calls == [p]
+    # a batch of another behavior in between: the next call builds p's again
+    classify(q)
+    selftest_certificate(p)
+    assert calls == [p, q, p]
+    # an invalid behavior is never kept, so every call validates and raises
+    invalid = Behavior.from_vector([0, 0, 0, 0, 1.5, 0, 0, 0])
+    views = (classify, selftest_certificate, reconstruct_realization,
+             selftest_conditions_check, extremality_criterion_check)
+    for view in views + views:
+        with pytest.raises(InvalidBehaviorError,
+                           match=r"^component <A0B0> = 1\.5 out of range \[-1, 1\]$"):
+            view(invalid)
+    assert calls == [p, q, p] + [invalid] * 10
+
+
 def test_zero_signs_and_int_components_get_their_own_batch():
     v = born_point(TSIRELSON).vector
     plus, minus = v.copy(), v.copy()
@@ -348,9 +444,9 @@ def test_zero_signs_and_int_components_get_their_own_batch():
         classify(p)
         assert_views_match_direct(p)
     classify(Behavior.from_vector(plus))
-    before = _classify_vector.cache_info().misses
+    assert list(_kept) == [plus.tobytes()]
     classify(Behavior.from_vector(minus))
-    assert _classify_vector.cache_info().misses == before + 1
+    assert list(_kept) == [minus.tobytes()]
     # ints are keyed by their float64 values, not read as raw bytes
     assert classify(PR_BOX).verdict is Verdict.FAILS_NECESSARY_Q2_PURE
     assert classify(Behavior.from_vector(PR_BOX.vector)).verdict \

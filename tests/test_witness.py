@@ -250,26 +250,33 @@ def test_find_witness_pi8_edge_boundary():
 
 
 def test_find_witness_builds_neither_point_nor_basis(monkeypatch):
+    import qset.behavior as behavior
     import qset.witness as witness
 
-    calls = {"born_point": 0, "tangent_basis": 0}
+    calls = dict.fromkeys(("born_point", "tangent_basis", "invalid_rows", "_fine_local"), 0)
 
-    def counted(name):
-        original = getattr(witness, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(witness, name, counted(name))
+    for name in ("born_point", "tangent_basis"):
+        monkeypatch.setattr(witness, name, counted(witness, name))
+    # L is valid and local by construction, so neither check runs on it
+    for name in ("invalid_rows", "_fine_local"):
+        wrapper = counted(behavior, name)
+        monkeypatch.setattr(behavior, name, wrapper)
+        monkeypatch.setattr(witness, name, wrapper, raising=False)
     # TSIRELSON tries all three sectors; R16 and PI8_EDGE stop at a witness.
     # Only at R_TINY, where |<A0>| of P is 1 to 1e-12, is P built for L != P.
     for r, points in ((TSIRELSON, 0), (R16, 0), (PI8_EDGE, 0), (R_TINY, 1)):
-        calls.update(born_point=0, tangent_basis=0)
+        calls.update(dict.fromkeys(calls, 0))
         wit = witness.find_witness(r)
-        assert calls == {"born_point": points, "tangent_basis": 0}
+        assert calls == {"born_point": points, "tangent_basis": 0,
+                         "invalid_rows": 0, "_fine_local": 0}
         if wit is not None:
             coeffs, alphas, _ = solve_sector(r, wit.sector)
             assert np.array_equal(wit.coeffs, coeffs)
@@ -309,11 +316,14 @@ def tangent_route_witness(r: QubitRealization):
 
 
 def matches_tangent_route(r: QubitRealization) -> bool:
-    """Assert find_witness(r) agrees with the oracle; True when both find a witness."""
+    """Assert find_witness(r) agrees with the oracle, and that its L passes the
+    validity and Fine checks it skips; True when both find a witness."""
     wit, want = find_witness(r), tangent_route_witness(r)
     assert (wit is None) == (want is None)
     if wit is None:
         return False
+    assert not invalid_rows(wit.local_point.vector[None])[0]
+    assert _fine_local(wit.local_point.vector)
     sector, coeffs, alphas, local_vec = want
     assert wit.sector == sector
     assert np.array_equal(wit.coeffs, coeffs)
