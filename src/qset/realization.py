@@ -181,20 +181,15 @@ _GAUGE_MOVES = (
 )
 
 
-#: Images per row that ``_canonicalize_many`` evaluates: 4 theta images,
-#: then 24 angle images.
-_IMAGES = 28
-
-
 class _Candidates(NamedTuple):
     """Tables of the 1024 gauge x relabeling candidates.
 
     Image column m of a row is mod(sign[m] * params[src[m]] + offset[m],
     period[m]), less pi where it is at least fold_at[m].  ``cols`` (5, 1024)
-    holds the image columns of each candidate's (theta, a0, a1, b0, b1).
-    ``lists`` gives the first candidate and the (4, K) comparison-table
-    entries of the K consecutive candidates of each theta map, then of all
-    1024.  ``ridx`` is each candidate's relabeling in ``group_elements()``.
+    holds the image columns of each candidate's (theta, a0, a1, b0, b1); the
+    256 candidates of theta map k are columns 256 k to 256 k + 255, and their
+    theta column is k.  ``ridx`` is each candidate's relabeling in
+    ``group_elements()``.
     """
 
     sign: np.ndarray
@@ -203,7 +198,6 @@ class _Candidates(NamedTuple):
     period: np.ndarray
     fold_at: np.ndarray
     cols: np.ndarray
-    lists: tuple
     ridx: tuple
 
 
@@ -216,11 +210,6 @@ def _candidate_tables() -> _Candidates:
     1024 candidates share 4 theta images (mod pi) and 24 angle images (mod
     2pi, folded into [0, pi)), so each row evaluates those 28 images once and
     a candidate's (theta, a0, a1, b0, b1) are 5 of its columns.
-
-    A candidate reads 4 entries (p, q) of a row's 28 x 28 comparison table:
-    (theta, theta), (a0, a1), (b0, b1) and (a0, b0); see ``_canonicalize_many``.
-    ``lists[k]`` covers the 256 candidates of theta map k, ``lists[4]`` all
-    1024.
     """
     theta_maps: dict[tuple, int] = {}
     angle_maps: dict[tuple, int] = {}
@@ -239,36 +228,26 @@ def _candidate_tables() -> _Candidates:
     tmap = np.array(list(theta_maps), dtype=float)
     amap = np.array(list(angle_maps))
     nt, na = len(tmap), len(amap)
-    assert nt + na == _IMAGES
     ti = np.array(ti)
     # moves are sorted, so the candidates of each theta map are consecutive
-    size = len(ti) // nt
-    assert np.array_equal(ti, np.repeat(np.arange(nt), size))
-    cols = np.vstack([ti, nt + np.array(ai).T])
-    t, a0, a1, b0, b1 = cols
-    entries = np.vstack([t * _IMAGES + t, a0 * _IMAGES + a1,
-                         b0 * _IMAGES + b1, a0 * _IMAGES + b0])
+    assert np.array_equal(ti, np.repeat(np.arange(nt), len(ti) // nt))
     return _Candidates(
         sign=np.concatenate([tmap[:, 0], amap[:, 1]]),
         src=np.concatenate([np.zeros(nt, int), 1 + amap[:, 0]]),
         offset=np.concatenate([tmap[:, 1] * (PI / 2), amap[:, 2] * PI]),
         period=np.repeat([PI, 2 * PI], [nt, na]),
         fold_at=np.repeat([np.inf, PI], [nt, na]),
-        cols=cols,
-        lists=tuple((k * size, entries[:, k * size:(k + 1) * size].copy()) for k in range(nt))
-        + ((0, entries),),
+        cols=np.vstack([ti, nt + np.array(ai).T]),
         ridx=tuple(ridx),
     )
 
 
 #: Rows per ``_canonicalize_many`` chunk searched over one theta map's 256
 #: candidates; a chunk searched over all 1024 holds a quarter as many (at
-#: least one).  A chunk gathers 4 comparison-table entries per candidate, so
-#: no chunk array exceeds CANONICALIZE_CHUNK x 1024 elements.
-CANONICALIZE_CHUNK = 8
-
-#: Place values of a candidate's 4 comparison-table entries in its key.
-_KEY_WEIGHTS = (float(_IMAGES * _IMAGES) ** np.arange(3, -1, -1))[:, None]
+#: least one).  A chunk's arrays then hold 32 x 256 float64 (64 KiB), half
+#: glibc's 128 KiB mmap threshold: from 56 rows on, 200-row calls page-fault
+#: afresh, and with 8 rows they take about twice as long.
+CANONICALIZE_CHUNK = 32
 
 
 def _canonicalize_many(params: np.ndarray, sector: bool = False
@@ -285,16 +264,12 @@ def _canonicalize_many(params: np.ndarray, sector: bool = False
     so a row whose least admissible theta image comes from a single theta
     map is searched over that map's 256 candidates only.  A row where two
     theta maps give that image bit for bit (theta = 0, pi/4, ...) and a row
-    whose 256 candidates admit none are searched over all 1024.  Both
-    searches take the first candidate, in index order, with the least key.
+    whose 256 candidates admit none are searched over all 1024.
 
-    A candidate's key is exact: each row ranks its 28 images (equal images
-    share a rank), and entry (p, q) of its comparison table is
-    28 rank(p) + rank(q) where image p <= image q + TOL_EQ and inf elsewhere.
-    The (theta, theta) entry is inf for a theta image outside the sector, so
-    the weighted sum of a candidate's 4 entries is finite exactly when it is
-    admissible and orders the admissible ones as (theta, a0, a1, b0, b1) do
-    ((a0, b0) comes last and repeats a0 and b0).
+    A search keeps the admissible candidates (theta in the sector, and
+    a0 <= a1, b0 <= b1, a0 <= b0, each to TOL_EQ).  Then, column by column in
+    (theta, a0, a1, b0, b1) order, it keeps those equal to that column's least
+    value, and takes the first left in index order.
     """
     tab = _candidate_tables()
     n = len(params)
@@ -307,29 +282,35 @@ def _canonicalize_many(params: np.ndarray, sector: bool = False
     np.subtract(images, PI, out=images, where=fold)
     theta = images[:, :4]
     if sector:
-        # NaN fails every comparison, so no candidate admits that theta image
+        # NaN marks a theta image outside the sector: no candidate admits it
         theta[(theta <= TOL_EQ) | (theta > PI / 4 + TOL_EQ)] = np.nan
     # each row's theta map with the least admissible image (NaN sorts last),
-    # or the list of all candidates where two maps give that image
-    full = len(tab.lists) - 1
+    # or all maps where two give that image
+    maps = theta.shape[1]
+    size = tab.cols.shape[1] // maps
     lowest = np.sort(theta, axis=1)
-    group = np.where(lowest[:, 0] >= lowest[:, 1], full, theta.argsort(axis=1)[:, 0])
+    group = np.where(lowest[:, 0] >= lowest[:, 1], maps, theta.argsort(axis=1)[:, 0])
 
-    def search(rows, first, entries):
+    def search(rows, first, width):
         im = images.take(rows, axis=0)
-        ranks = (im[:, None, :] < im[:, :, None]).sum(axis=2)
-        table = np.where(im[:, :, None] <= im[:, None, :] + TOL_EQ,
-                         ranks[:, :, None] * _IMAGES + ranks[:, None, :], np.inf)
-        key = (table.reshape(len(rows), -1).take(entries, axis=1) * _KEY_WEIGHTS).sum(axis=1)
-        win[rows] = np.where(key.min(axis=1) < np.inf, first + key.argmin(axis=1), -1)
+        t, *angles = (im.take(c, axis=1) for c in tab.cols[:, first:first + width])
+        a0, a1, b0, b1 = angles
+        # t == t fails where the theta image is NaN
+        keep = (t == t) & (a0 <= a1 + TOL_EQ) & (b0 <= b1 + TOL_EQ) & (a0 <= b0 + TOL_EQ)
+        # the candidates of one theta map share its theta image
+        for col in ([t] if width > size else []) + angles:
+            col = np.where(keep, col, np.inf)
+            keep &= col == col.min(axis=1, keepdims=True)
+        win[rows] = np.where(keep.any(axis=1), first + keep.argmax(axis=1), -1)
 
     # the search over all candidates runs last, so it also takes the rows
     # that their theta map's search left unmatched
-    for k in sorted(set(group.tolist()) | {full}):
-        rows = (group == k if k < full else win < 0).nonzero()[0]
-        step = max(1, CANONICALIZE_CHUNK * 256 // tab.lists[k][1].shape[1])
+    for k in sorted(set(group.tolist()) | {maps}):
+        rows = (group == k if k < maps else win < 0).nonzero()[0]
+        first, width = (k * size, size) if k < maps else (0, maps * size)
+        step = max(1, CANONICALIZE_CHUNK * size // width)
         for lo in range(0, len(rows), step):
-            search(rows[lo:lo + step], *tab.lists[k])
+            search(rows[lo:lo + step], first, width)
     every, cols = np.arange(n)[:, None], tab.cols[:, win].T
     out, folds = images[every, cols], fold[every, cols[:, 1:]]
     lost = win < 0  # win = -1 read the last candidate's columns

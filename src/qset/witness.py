@@ -24,7 +24,8 @@ Both |alpha_y| <= 1 exactly when both Delta_y = s t sin(atilde_0^s - b_y)
 sin(atilde_1^t - b_y) >= 0; the companion point is then, with ah = clip(alpha),
 L = (s, t, ah_0, ah_1, s ah_0, s ah_1, t ah_0, t ah_1): deterministic Alice times
 Bob with marginals ah, so valid, local and on the sector face by construction.
-The witness search checks only that L differs from P.
+L also differs from P: <A0> of L is s = +-1, while theta > TOL_EQ bounds
+|<A0>| of P by cos(2 nextafter(TOL_EQ, 1)) = 0.9999999999999998 < 1.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .behavior import Behavior
 from .errors import DegenerateDenominatorError, DegenerateThetaError, ExcludedSectorError
-from .realization import QubitRealization, born_jacobian, born_point
+from .realization import QubitRealization, born_jacobian
 from .steering import modified_angles
 from .tolerances import TOL_EQ
 
@@ -191,8 +192,8 @@ def find_witness(r: QubitRealization) -> FlatnessWitness | None:
     Sectors are tried in the fixed order (+,+), (+,-), (-,-); a sector is
     admissible when both alpha_y lie in [-1, 1] (equivalently both Delta_y
     are nonnegative), which happens exactly when the realization is not
-    strictly alternating.  L is the module docstring's closed form; born_point(r)
-    is built only for the L != P check, and only when |<A0>| of P is 1 to 1e-12.
+    strictly alternating.  L is the module docstring's closed form, which
+    differs from P because |<A0>| of P is below 1 in the sector range.
     """
     _require_sector_range(r)
     for sector in SECTOR_ORDER:
@@ -205,9 +206,6 @@ def find_witness(r: QubitRealization) -> FlatnessWitness | None:
         s, t = sector
         hat = np.clip(alphas, -1.0, 1.0)
         local_vec = np.concatenate(((s, t), hat, s * hat, t * hat))
-        if abs(abs(math.cos(2 * r.theta) * math.cos(r.a[0])) - 1.0) <= 1e-12 \
-                and np.array_equal(local_vec, born_point(r).vector):
-            continue  # companion coincides with P; not a witness
         return FlatnessWitness(sector, coeffs, alphas, Behavior.from_vector(local_vec),
                                _deltas(r, modified_angles(r), sector))
     return None

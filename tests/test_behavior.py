@@ -144,6 +144,21 @@ def test_behavior_json_roundtrip():
     assert np.array_equal(p.vector, q.vector)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Behavior.from_vector(np.zeros(7)), "behavior vector must have 8 components, got 7"),
+    (lambda: BellFunctional(coeffs=(1.0,) * 7), "BellFunctional needs 8 coefficients"),
+    (lambda: BellFunctional(coeffs=(0.0,) * 7 + (math.nan,)),
+     "BellFunctional coefficients must be finite"),
+    (lambda: BellFunctional(coeffs=CHSH.coeffs, offset=math.inf),
+     "BellFunctional coefficients must be finite"),
+    (lambda: mix([ZERO, ZERO], [1.0]), "behaviors and weights must have equal length"),
+], ids=["vector-length", "functional-length", "functional-nan", "functional-offset", "mix-lengths"])
+def test_constructors_reject_malformed_input(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_functional_vector_ordering():
     # coeffs order (bA0,bA1,bB0,bB1,b00,b10,b01,b11): b10 weights <A1B0>
     beta = BellFunctional(coeffs=(0, 0, 0, 0, 0, 1, 0, 0))

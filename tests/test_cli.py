@@ -84,6 +84,19 @@ def test_classify_json_details(tmp_path, capsys):
     assert doc["caveat"] == "membership in Q not certified"
 
 
+def test_classify_json_extremal_details(tmp_path, capsys):
+    from qset import classify
+
+    p = born_point(PI8_EDGE)
+    code, out, _ = run_cli(["classify", "--input", write_behavior(tmp_path, p), "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    det = classify(p).details
+    assert doc == {"verdict": "ExtremalNonExposed", "pattern": [1, -1, 1, 1],
+                   "alternation_margins": det["alternation_margins"].tolist(),
+                   "asin_residuals": det["asin_residuals"].tolist()}
+
+
 def test_classify_json_fails_necessary_caveat(tmp_path, capsys):
     path = write_behavior(tmp_path, fails_necessary_mixture())
     code, out, _ = run_cli(["classify", "--input", path, "--json"], capsys)
@@ -130,6 +143,16 @@ def test_witness_sector_json(capsys):
     doc = json.loads(out)
     assert doc["status"] == "non-exposed"
     assert doc["witness"]["sector"] == [1, 1]
+
+
+def test_witness_plain_output_is_the_witness_json(capsys):
+    code, plain, _ = run_cli(["witness", *realization_flags(PI8_EDGE)], capsys)
+    assert code == 0
+    code, full, _ = run_cli(["witness", *realization_flags(PI8_EDGE), "--json"], capsys)
+    assert code == 0
+    doc = json.loads(full)
+    assert doc["status"] == "non-exposed"
+    assert json.loads(plain) == doc["witness"]
 
 
 def test_witness_exposed_none(capsys):
@@ -200,6 +223,29 @@ def test_oracle_local_cli(tmp_path, capsys):
     assert len(doc["separating_functional"]) == 8
 
 
+def test_oracle_local_cli_on_a_local_point(tmp_path, capsys):
+    from qset import enumerate_vertices
+
+    vertices = np.array([v.behavior.vector for v in enumerate_vertices()])
+    p = Behavior.from_vector(0.3 * vertices[1] + 0.7 * vertices[6])
+    code, out, _ = run_cli(["oracle", "local", "--input", write_behavior(tmp_path, p)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["local"] is True and set(doc) == {"local", "weights"}
+    weights = np.array(doc["weights"])
+    assert weights.shape == (16,) and weights.min() >= 0
+    assert np.max(np.abs(weights @ vertices - p.vector)) <= 1e-9
+
+
+def test_steer_json_is_the_steered_table(capsys):
+    from qset.steering import steered_table
+
+    code, out, _ = run_cli(["steer", *realization_flags(PI8_EDGE)], capsys)
+    assert code == 0
+    table = steered_table(PI8_EDGE)
+    assert json.loads(out) == {"atilde": table.atilde.tolist(), "correlators": table.c.tolist()}
+
+
 def test_oracle_decompose_cli(tmp_path, capsys):
     path = write_behavior(tmp_path, Behavior.from_vector(np.zeros(8)))
     code, out, _ = run_cli(
@@ -252,6 +298,18 @@ def test_non_finite_float_flags_are_usage_errors(capsys, args, flag):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"{flag} must be finite" in err or f"{flag} bounds must be finite" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["eval", "--theta", "abc", *WITNESS_FLAGS], "theta must be a number, got 'abc'"),
+    (["oracle", "bell-max", "--offset", "1,5"], "offset must be a number, got '1,5'"),
+], ids=["eval-theta", "bell-max-offset"])
+def test_non_number_float_flags_are_usage_errors(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_oracle_bell_max_offset_applies_to_the_default_functional(capsys):
@@ -402,6 +460,24 @@ def test_scan_repeated_or_conflicting_parameter_is_a_usage_error(capsys, args, n
     assert code == 2
     assert out == ""
     assert f"parameter {name} " in err
+
+
+SCAN_FIXED = ["--a0", "0", "--a1", "1", "--b0", "0.5", "--b1", "2"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--range", "x=0:1:2", "--theta", "0.3", *SCAN_FIXED], "unknown scan parameter 'x'"),
+    (["--range", "theta=0:1:0", *SCAN_FIXED], "need steps >= 1 and min <= max"),
+    (["--range", "theta=1:0:2", *SCAN_FIXED], "need steps >= 1 and min <= max"),
+    (["--range", "theta=0:1:2", *SCAN_FIXED[:-2]], "parameters neither ranged nor fixed: ['b1']"),
+    (["--range", "theta=0:1:2", *SCAN_FIXED, "--columns", "theta,bogus"],
+     "unknown output columns: ['bogus']"),
+], ids=["unknown-parameter", "steps-0", "min-above-max", "missing-parameter", "unknown-column"])
+def test_scan_spec_errors_are_usage_errors(capsys, args, message):
+    code, out, err = run_cli(["scan", *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_second_main_call_builds_no_parser(monkeypatch, capsys):

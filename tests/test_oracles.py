@@ -430,6 +430,43 @@ def test_structured_seeds_raise_programming_errors(monkeypatch):
         _structured_seeds(NONALT)
 
 
+def test_structured_seeds_of_a_product_hint_change_nothing():
+    # a product-state hint has no image in the sector, so it seeds nothing and
+    # the search runs as without a hint
+    product = QubitRealization(0.0, (0.3, 1.2), (0.5, 2.0))
+    assert _structured_seeds(product) == []
+    p = Behavior.from_vector(np.zeros(8))
+    hinted = decomposition_search(p, trials=100, seed=7, hint=product)
+    plain = decomposition_search(p, trials=100, seed=7)
+    assert hinted.found and hinted.nfev > 0
+    assert hinted == plain
+    assert np.array_equal(hinted.p1.vector, plain.p1.vector)
+    assert np.array_equal(hinted.p2.vector, plain.p2.vector)
+
+
+def test_structured_seeds_skip_a_degenerate_sector():
+    from qset.errors import DegenerateDenominatorError
+    from qset.witness import SECTOR_ORDER, solve_sector
+
+    # the canonical hint has a = (0, 0) at theta = pi/4, where sector (1, -1)
+    # has D = cos(-pi/2) + cos(pi/2) cos(2 theta) = 6e-17; the other two
+    # sectors give 4 seeds each
+    hint = QubitRealization(PI / 4, (0.0, PI), (0.7, 2.0))
+    canon, _ = canonicalize(hint, sector=True)
+    assert canon.params() == (PI / 4, 0.0, 0.0, 0.7, 2.0)
+    admitted = []
+    for sector in SECTOR_ORDER:
+        try:
+            _, alphas, _ = solve_sector(canon, sector)
+        except DegenerateDenominatorError:
+            assert sector == (1, -1)
+            continue
+        assert np.max(np.abs(alphas)) <= 1
+        admitted.append(sector)
+    assert admitted == [(1, 1), (-1, -1)]
+    assert len(_structured_seeds(hint)) == 4 * len(admitted)
+
+
 def test_decomposition_rejects_invalid():
     with pytest.raises(InvalidBehaviorError):
         decomposition_search(Behavior.from_vector([0, 0, 0, 0, 1.5, 0, 0, 0]), trials=10)

@@ -324,6 +324,25 @@ def tie_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.column_stack([theta, angles])
 
 
+def search_sizes(params: np.ndarray, sector: bool) -> np.ndarray:
+    """Rows that ``_canonicalize_many`` searches over each theta map's 256
+    candidates (entries 0-3) and over all 1024 (entry 4).  A row goes to the
+    map with the least admissible theta image (map 0 when none is admissible),
+    or straight to all 1024 when two maps give that image; a row whose map
+    holds no admissible candidate, so not the oracle's winner, goes on to all
+    1024."""
+    maps = sorted({(et, kt) for et, kt, *_ in _GAUGE_MOVES})
+    thetas = np.column_stack([np.mod(et * params[:, 0] + kt * (PI / 2), PI) for et, kt in maps])
+    if sector:
+        thetas[(thetas <= TOL_EQ) | (thetas > PI / 4 + TOL_EQ)] = np.nan
+    lowest = np.sort(thetas, axis=1)
+    group = np.where(lowest[:, 0] >= lowest[:, 1], len(maps), np.argsort(thetas, axis=1)[:, 0])
+    win = brute_force_canonicalize(params, sector)[1]
+    sizes = np.bincount(group, minlength=len(maps) + 1)
+    sizes[len(maps)] += np.count_nonzero((group < len(maps)) & (win // 256 != group))
+    return sizes
+
+
 @pytest.mark.parametrize("sector", [True, False])
 def test_canonicalize_many_matches_brute_force_on_golden_grid_rows(sector, monkeypatch):
     params = golden_grid_canonicalize_rows(monkeypatch)
@@ -343,9 +362,18 @@ def test_canonicalize_many_matches_brute_force_on_seeded_rows(sector):
                                    4 * CANONICALIZE_CHUNK + 1])
 def test_canonicalize_many_matches_brute_force_across_batches(sector, batch):
     rng = np.random.default_rng(67)
-    params = np.vstack([rng.uniform(-7, 7, (60, 5)), tie_rows(rng, 60)])
+    params = np.vstack([rng.uniform(-7, 7, (60, 5)), tie_rows(rng, 60),
+                        rng.uniform(-7, 7, (120, 5)), tie_rows(rng, 120)])
     rng.shuffle(params)
     assert_canonicalized_bitwise(params, sector, batch)
+    # in calls of the largest batch, some theta map's search and the search
+    # over all candidates each take more rows than one chunk holds
+    largest = 4 * CANONICALIZE_CHUNK + 1
+    assert len(params) > largest
+    sizes = np.array([search_sizes(params[lo:lo + largest], sector)
+                      for lo in range(0, len(params), largest)])
+    assert sizes[:, :4].max() > CANONICALIZE_CHUNK
+    assert sizes[:, 4].max() > CANONICALIZE_CHUNK * 256 // 1024
 
 
 @pytest.mark.parametrize("sector", [True, False])
@@ -400,6 +428,17 @@ def test_sample_exhaustion():
     with pytest.raises(SamplingError):
         sample_realization(0, {"strictly-alternating"}, theta_range=(1e-7, 2e-7),
                            max_tries=25)
+
+
+@pytest.mark.parametrize("angles", [(math.nan, 0.0, 1.0, 0.5, 2.0),
+                                    (0.3, 0.0, math.inf, 0.5, 2.0),
+                                    (0.3, 0.0, 1.0, -math.inf, 2.0)],
+                         ids=["theta-nan", "a1-inf", "b0-minus-inf"])
+def test_realization_rejects_non_finite_angles(angles):
+    theta, a0, a1, b0, b1 = angles
+    with pytest.raises(ValueError) as exc:
+        QubitRealization(theta, (a0, a1), (b0, b1))
+    assert str(exc.value) == "realization angles must be finite"
 
 
 def test_realization_json_roundtrip():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qset import (
+    DegenerateDenominatorError,
     DegenerateThetaError,
     ExcludedSectorError,
     QubitRealization,
@@ -22,6 +23,7 @@ from qset.behavior import _fine_local, invalid_rows
 from qset.tolerances import TOL_EQ
 from qset.witness import (
     SECTOR_ORDER,
+    _sector_solution,
     behavior_jacobian,
     flatness_deviation,
     sector_denominator,
@@ -33,8 +35,10 @@ PI = math.pi
 SQ2 = math.sqrt(2.0)
 
 R16 = QubitRealization(PI / 16, (0.0, PI / 2), (PI / 4, 3 * PI / 4))
-#: cos(2 theta) cos(a0) rounds to within 1e-12 of 1, so find_witness compares L with P.
+#: |<A0>| = cos(2 theta) cos(a0) of P rounds to within 1e-12 of 1.
 R_TINY = QubitRealization(2e-8, (0.0, 1.0), (0.5, 2.0))
+#: The least theta of the sector range; <A0> of P is as close to 1 as it gets.
+R_EDGE = QubitRealization(math.nextafter(TOL_EQ, 1), (0.0, 1.0), (0.5, 2.0))
 
 
 def central_difference_rows(r: QubitRealization, h: float = 1e-6) -> np.ndarray:
@@ -263,19 +267,20 @@ def test_find_witness_builds_neither_point_nor_basis(monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in ("born_point", "tangent_basis"):
-        monkeypatch.setattr(witness, name, counted(witness, name))
+    # witness imports no born_point: L differs from P by construction
+    import qset.realization as realization
+    monkeypatch.setattr(witness, "born_point", counted(realization, "born_point"), raising=False)
+    monkeypatch.setattr(witness, "tangent_basis", counted(witness, "tangent_basis"))
     # L is valid and local by construction, so neither check runs on it
     for name in ("invalid_rows", "_fine_local"):
         wrapper = counted(behavior, name)
         monkeypatch.setattr(behavior, name, wrapper)
         monkeypatch.setattr(witness, name, wrapper, raising=False)
-    # TSIRELSON tries all three sectors; R16 and PI8_EDGE stop at a witness.
-    # Only at R_TINY, where |<A0>| of P is 1 to 1e-12, is P built for L != P.
-    for r, points in ((TSIRELSON, 0), (R16, 0), (PI8_EDGE, 0), (R_TINY, 1)):
+    # TSIRELSON tries all three sectors; the others stop at a witness
+    for r in (TSIRELSON, R16, PI8_EDGE, R_TINY, R_EDGE):
         calls.update(dict.fromkeys(calls, 0))
         wit = witness.find_witness(r)
-        assert calls == {"born_point": points, "tangent_basis": 0,
+        assert calls == {"born_point": 0, "tangent_basis": 0,
                          "invalid_rows": 0, "_fine_local": 0}
         if wit is not None:
             coeffs, alphas, _ = solve_sector(r, wit.sector)
@@ -337,7 +342,32 @@ def test_find_witness_matches_tangent_route_oracle():
     draws = (sample_realization(rng, {"canonical"}, theta_range=(1e-4, PI / 4))
              for _ in range(10_000))
     assert sum(matches_tangent_route(r) for r in draws) == 9322
-    assert matches_tangent_route(R_TINY)  # the L != P guard builds P here
+    assert matches_tangent_route(R_TINY)
+
+
+#: theta = pi/4 and a = (0, pi): sector (1, 1) has D = cos(-pi/2) = 6e-17,
+#: below the 1e-12 cut.
+R_DEGENERATE = QubitRealization(PI / 4, (0.0, PI), (0.7, 2.0))
+
+
+def test_find_witness_skips_a_degenerate_sector():
+    d = sector_denominator(R_DEGENERATE, (1, 1))
+    assert abs(d) < 1e-16
+    with pytest.raises(DegenerateDenominatorError) as exc:
+        _sector_solution(R_DEGENERATE, (1, 1))
+    assert str(exc.value) == f"sector denominator D_st = {d!r}"
+    wit = find_witness(R_DEGENERATE)
+    assert wit.sector == (1, -1)
+    assert matches_tangent_route(R_DEGENERATE)
+
+
+def test_witness_differs_from_p_at_the_least_sector_theta():
+    # <A0> of L is s = +-1 exactly, and theta > TOL_EQ keeps |<A0>| of P below 1
+    p_vec = born_point(R_EDGE).vector
+    assert p_vec[0] == math.cos(2 * R_EDGE.theta) == 0.9999999999999998
+    wit = find_witness(R_EDGE)
+    assert wit is not None and not np.array_equal(wit.local_point.vector, p_vec)
+    assert matches_tangent_route(R_EDGE)
 
 
 def test_witness_invariants_and_flatness():
