@@ -81,11 +81,15 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(doc, output: str | None) -> None:
+    _emit(json.dumps(doc, indent=2) + "\n", output)
+
+
 def cmd_eval(args) -> int:
     r = _realization_from_args(args)
     p = born_point(r)
     if args.json:
-        _emit(json.dumps(p.to_json_dict(), indent=2) + "\n", args.output)
+        _emit_json(p.to_json_dict(), args.output)
     else:
         v = p.vector
         lines = [
@@ -105,7 +109,7 @@ def cmd_steer(args) -> int:
         "atilde": [[float(x) for x in row] for row in table.atilde],
         "correlators": [[[float(v) for v in row] for row in block] for block in table.c],
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit_json(doc, args.output)
     return 0
 
 
@@ -114,16 +118,10 @@ def cmd_classify(args) -> int:
     result = classify(p)
     if args.json:
         doc = {"verdict": result.verdict.value}
-        det = result.details
-        if "pattern" in det:
-            doc["pattern"] = list(det["pattern"])
-        if "alternation_margins" in det:
-            doc["alternation_margins"] = [float(x) for x in det["alternation_margins"]]
-        if "asin_residuals" in det:
-            doc["asin_residuals"] = [float(x) for x in det["asin_residuals"]]
-        if "caveat" in det:
-            doc["caveat"] = det["caveat"]
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        for key in ("pattern", "alternation_margins", "asin_residuals", "caveat"):
+            if key in result.details:
+                doc[key] = np.asarray(result.details[key]).tolist()
+        _emit_json(doc, args.output)
     else:
         _emit(result.verdict.value + "\n", args.output)
     return 0
@@ -132,7 +130,7 @@ def cmd_classify(args) -> int:
 def cmd_selftest(args) -> int:
     p = _read_behavior(args.input)
     cert = selftest_certificate(p)
-    _emit(json.dumps(cert.to_json_dict(), indent=2) + "\n", args.output)
+    _emit_json(cert.to_json_dict(), args.output)
     return 0
 
 
@@ -140,26 +138,20 @@ def cmd_witness(args) -> int:
     r = _realization_from_args(args)
     canon, _ = canonicalize(r, sector=True)
     wit = find_witness(canon)
-    if wit is None:
-        doc = {"witness": None, "status": "exposed"}
-    else:
-        doc = {
-            "witness": {
-                "sector": list(wit.sector),
-                "coefficients": [float(c) for c in wit.coeffs],
-                "alphas": [float(a) for a in wit.alphas],
-                "deltas": [float(d) for d in wit.deltas],
-                "local_point": wit.local_point.to_json_dict(),
-            },
-            "status": "non-exposed",
-        }
+    doc = None if wit is None else {
+        "sector": list(wit.sector),
+        "coefficients": [float(c) for c in wit.coeffs],
+        "alphas": [float(a) for a in wit.alphas],
+        "deltas": [float(d) for d in wit.deltas],
+        "local_point": wit.local_point.to_json_dict(),
+    }
     if args.json:
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit_json({"witness": doc, "status": "exposed" if wit is None else "non-exposed"},
+                   args.output)
+    elif wit is None:
+        _emit("exposed/none\n", args.output)
     else:
-        if wit is None:
-            _emit("exposed/none\n", args.output)
-        else:
-            _emit(json.dumps(doc["witness"], indent=2) + "\n", args.output)
+        _emit_json(doc, args.output)
     return 0
 
 
@@ -289,8 +281,7 @@ def _functional_from_args(args) -> BellFunctional:
 def cmd_oracle_bell_max(args) -> int:
     beta = _functional_from_args(args)
     value, arg = bell_max_q2(beta)
-    doc = {"value": value, "argmax": arg.to_json_dict()}
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit_json({"value": value, "argmax": arg.to_json_dict()}, args.output)
     return 0
 
 
@@ -302,7 +293,7 @@ def cmd_oracle_local(args) -> int:
     else:
         doc = {"local": False,
                "separating_functional": [float(c) for c in payload.coeffs]}
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit_json(doc, args.output)
     return 0
 
 
@@ -348,7 +339,7 @@ def cmd_oracle_decompose(args) -> int:
     if res.found:
         doc["p1"] = res.p1.to_json_dict()
         doc["p2"] = res.p2.to_json_dict()
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit_json(doc, args.output)
     return 0
 
 
@@ -366,15 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Quantum correlation set toolkit (CHSH scenario)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=False):
+    def common(p, needs_input=False, json_flag=False):
         p.add_argument("--output", default=None, help="output file (default stdout)")
-        p.add_argument("--json", action="store_true", help="JSON output")
+        if json_flag:
+            p.add_argument("--json", action="store_true", help="JSON output")
         if needs_input:
             p.add_argument("--input", default="-", help="behavior JSON file ('-' = stdin)")
 
     p_eval = sub.add_parser("eval", help="behavior of a realization")
     _add_realization_flags(p_eval)
-    common(p_eval)
+    common(p_eval, json_flag=True)
     p_eval.set_defaults(func=cmd_eval)
 
     p_steer = sub.add_parser("steer", help="modified angles and steered correlators")
@@ -383,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_steer.set_defaults(func=cmd_steer)
 
     p_cls = sub.add_parser("classify", help="extremality verdict for a behavior")
-    common(p_cls, needs_input=True)
+    common(p_cls, needs_input=True, json_flag=True)
     p_cls.set_defaults(func=cmd_classify)
 
     p_st = sub.add_parser("selftest", help="reconstruct the self-tested realization")
@@ -392,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wit = sub.add_parser("witness", help="non-exposedness witness for a realization")
     _add_realization_flags(p_wit)
-    common(p_wit)
+    common(p_wit, json_flag=True)
     p_wit.set_defaults(func=cmd_witness)
 
     p_scan = sub.add_parser("scan", help="classify over a parameter grid (CSV)")

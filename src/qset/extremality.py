@@ -282,7 +282,8 @@ _CODE = {v: k for k, v in enumerate(VERDICTS)}
 
 class Failure(enum.IntEnum):
     """Why a behavior whose criterion holds ends Indeterminate: the
-    reconstruction of its relabeled image stopped, or its result does not
+    reconstruction of its relabeled image stopped (codes 1 to 4, from the
+    error its ``Reconstructions.errors`` keeps), or its result does not
     alternate.  These are the only sources of Indeterminate."""
 
     NONE = 0
@@ -290,18 +291,15 @@ class Failure(enum.IntEnum):
     INCONSISTENT_GAUGE = 2
     NO_THETA_BRANCH = 3
     DEGENERATE_THETA = 4
-    NON_CANONICAL = 5
     NOT_ALTERNATING = 6
 
 
-#: Failure of each error that stops a reconstruction; ValueError is the
-#: alternation check's rejection of a non-canonical realization.
+#: Failure of each error that stops a reconstruction.
 _FAILURE_OF = {
     NotSelfTestingError: Failure.NOT_SELF_TESTING,
     InconsistentGaugeError: Failure.INCONSISTENT_GAUGE,
     NoThetaBranchError: Failure.NO_THETA_BRANCH,
     DegenerateThetaError: Failure.DEGENERATE_THETA,
-    ValueError: Failure.NON_CANONICAL,
 }
 
 #: Caveat of the verdicts that do not certify membership in Q.
@@ -379,16 +377,16 @@ class BatchClassification:
     the arrays the stages write.
 
     ``verdict`` indexes VERDICTS, or is -1 where ``classify`` raises for the
-    row; ``errors`` maps each such row to its exception, and each
-    Indeterminate row to the error that stopped its reconstruction.
+    row; ``errors`` maps each such row, and only those, to its exception.
     ``failure`` is the Failure code of Indeterminate rows (0 elsewhere).
     ``residuals`` are the self-test residuals of the input rows and
     ``steered`` their steered correlators (Alice's side), NaN where a row is
     invalid, local or not steerable.  ``reconstructions`` holds stage 4,
     once: the ``selftest.Reconstructions`` of the rows whose criterion holds,
     in row order, each of the row's image under the relabeling of its
-    ``pattern``, with its alternation margins (None until ``_decide`` runs,
-    and where there are no such rows).  The other arrays hold the details of
+    ``pattern``, with its alternation margins and the error that stopped
+    it, if any (None until ``_decide`` runs, and where there are no such
+    rows).  The other arrays hold the details of
     ``classification(i)``; they are NaN (-1 for ``pattern``) where a row has
     none.  ``classify_many`` runs every stage.  The batch of one ``classify``
     keeps stops after the sums, which is all the scalar checks and a
@@ -435,19 +433,18 @@ class BatchClassification:
             })
         k = int(self.pattern[i])
         details: dict = {"pattern": SIGN_PATTERNS[k], "relabeling": _reference_relabelings()[0][k]}
-        failure = Failure(self.failure[i])
-        if failure not in (Failure.NONE, Failure.NOT_ALTERNATING):
-            details["error"] = repr(self.errors[i])
-            return Classification(verdict, details)
         rec = self.reconstructions
         j = int(np.searchsorted((self.pattern >= 0).nonzero()[0], i))  # row i's entry in rec
+        if j in rec.errors:
+            details["error"] = repr(rec.errors[j])
+            return Classification(verdict, details)
         details.update({
             "realization": rec.realization(j),
             "alternation_margins": rec.margins[j].copy(),
             "asin_residuals": rec.residuals[j].copy(),
             "roundtrip_error": float(rec.roundtrip[j]),
         })
-        if failure is Failure.NOT_ALTERNATING:
+        if self.failure[i] == Failure.NOT_ALTERNATING:
             details["error"] = "criterion holds but reconstruction is not alternating"
         return Classification(verdict, details)
 
@@ -529,8 +526,10 @@ def _sums(out: BatchClassification, rows: np.ndarray, c: np.ndarray,
 
 def _reconstruct(out: BatchClassification, rows: np.ndarray) -> None:
     """Stage 4 on the rows whose criterion holds: relabel onto the reference
-    placement, reconstruct, and decide by the alternation margins of the
-    result.
+    placement, reconstruct, and decide every row in one pass by the
+    alternation margins ``reconstruct_rows`` keeps.  A row whose
+    reconstruction stopped has NaN margins, so it is Indeterminate, and its
+    Failure code comes from its error, which stays in the reconstructions.
 
     Reference-pattern rows keep their residuals: their relabeling is the
     identity, so their relabeled steered table c_ref is the kept one.  Other
@@ -548,25 +547,15 @@ def _reconstruct(out: BatchClassification, rows: np.ndarray) -> None:
     other = (pats != _REFERENCE).nonzero()[0]
     if other.size:
         residuals[other] = _asin_sums(np.arcsin(c_ref[other]))[:, :, 2] - math.pi
-    rebuilt = out.reconstructions = reconstruct_rows(v_ref, c_ref, residuals)
-    stopped = dict(rebuilt.errors)
-    reached = np.ones(len(rows), bool)
-    reached[list(stopped)] = False
-    done = reached.nonzero()[0]
-    margins, rejected = alternation_margins(rebuilt.canonical[done])
-    rebuilt.margins[done] = margins
-    strict, alternating = _alternating(margins)
+    rec = out.reconstructions = reconstruct_rows(v_ref, c_ref, residuals)
+    strict, alternating = _alternating(rec.margins)
     verdict = np.where(strict, _CODE[Verdict.EXTREMAL_EXPOSED],
                        np.where(alternating, _CODE[Verdict.EXTREMAL_NON_EXPOSED],
                                 _CODE[Verdict.INDETERMINATE]))
-    out.verdict[rows[done]] = verdict
-    out.failure[rows[done[verdict == _CODE[Verdict.INDETERMINATE]]]] = Failure.NOT_ALTERNATING
-    stopped.update((int(done[k]), exc) for k, exc in rejected.items())
-    for k, exc in stopped.items():
-        i = int(rows[k])
-        out.verdict[i] = _CODE[Verdict.INDETERMINATE]
-        out.failure[i] = _FAILURE_OF[type(exc)]
-        out.errors[i] = exc
+    out.verdict[rows] = verdict
+    out.failure[rows[verdict == _CODE[Verdict.INDETERMINATE]]] = Failure.NOT_ALTERNATING
+    for k, exc in rec.errors.items():
+        out.failure[rows[k]] = _FAILURE_OF[type(exc)]
 
 
 def _decide(out: BatchClassification) -> BatchClassification:

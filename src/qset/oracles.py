@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import Behavior, BellFunctional, _require_valid
-from .errors import QsetError
+from .errors import DegenerateThetaError
 from .realization import (QubitRealization, born_jacobian, born_vector, apply_relabeling,
                           canonicalize)
 from .symmetry import inverse
@@ -580,23 +580,16 @@ def _structured_seeds(hint: QubitRealization) -> list[np.ndarray]:
     companion point with the hint behavior at a few weights (part 2 starts at
     the hint itself), plus the role-swapped variant.  Strictly alternating
     hints have no admissible sector and contribute no seeds."""
-    from .witness import SECTOR_ORDER, solve_sector
+    from .witness import _admitted_sectors
 
     seeds: list[np.ndarray] = []
     try:
         canon, g = canonicalize(hint, sector=True)
-    except QsetError:
+    except DegenerateThetaError:
         return seeds
     ginv = inverse(g)
     r_self = apply_relabeling(ginv, canon).params()
-    for sector in SECTOR_ORDER:
-        try:
-            _, alphas, _ = solve_sector(canon, sector)
-        except QsetError:
-            continue
-        if np.max(np.abs(alphas)) > 1.0 + 1e-8:
-            continue
-        s, t = sector
+    for (s, t), _, alphas in _admitted_sectors(canon):
         al = np.clip(alphas, -1.0, 1.0)
         local_real = QubitRealization(
             theta=0.0,

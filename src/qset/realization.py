@@ -250,7 +250,7 @@ def _candidate_tables() -> _Candidates:
 CANONICALIZE_CHUNK = 32
 
 
-def _canonicalize_many(params: np.ndarray, sector: bool = False
+def _canonicalize_many(params: np.ndarray, sector: bool
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``canonicalize`` over the rows of an (N, 5) array of finite
     (theta, a0, a1, b0, b1).
@@ -365,14 +365,14 @@ _CONSTRAINTS = {"canonical", "fully-alternating", "strictly-alternating", "non-a
 
 
 def sample_realization(seed, constraints=frozenset({"canonical"}),
-                       theta_range: tuple[float, float] | None = None,
-                       max_tries: int = 20000) -> QubitRealization:
+                       theta_range: tuple[float, float] | None = None) -> QubitRealization:
     """Seeded uniform sampling of realizations under the given constraints.
 
     ``constraints`` is a subset of {canonical, fully-alternating,
     strictly-alternating, non-alternating}; the alternation constraints imply
     the canonical range and default to theta in (0, pi/4].  ``seed`` may be an
-    int or a numpy Generator.
+    int or a numpy Generator.  Raises SamplingError after 20000 draws that
+    all miss.
     """
     cons = frozenset(constraints)
     unknown = cons - _CONSTRAINTS
@@ -389,7 +389,7 @@ def sample_realization(seed, constraints=frozenset({"canonical"}),
     if theta_range is None:
         theta_range = (0.0, PI / 4) if (alternating or "non-alternating" in cons) else (0.0, PI)
 
-    for _ in range(max_tries):
+    for _ in range(20000):
         theta = rng.uniform(*theta_range)
         if alternating:
             if abs(math.sin(2 * theta)) < 1e-9:
@@ -417,4 +417,4 @@ def sample_realization(seed, constraints=frozenset({"canonical"}),
             if full_alternation_check(r, strict=False)[0]:
                 continue
         return r
-    raise SamplingError(f"no sample satisfying {sorted(cons)} after {max_tries} tries")
+    raise SamplingError(f"no sample satisfying {sorted(cons)} after 20000 tries")

@@ -29,7 +29,7 @@ from .errors import (
     NotSelfTestingError,
     QsetError,
 )
-from .extremality import _REFERENCE, _decide, _steered_batch
+from .extremality import _REFERENCE, _decide, _steered_batch, alternation_margins
 from .realization import QubitRealization, _canonical_witness, _canonicalize_many, born_vector
 from .symmetry import SymmetryElement
 from .tolerances import TOL_EQ, TOL_RECON
@@ -125,7 +125,9 @@ def _gauge_placement(c) -> tuple[list[list[float]], float, float]:
 def _solve_gauge(c) -> tuple[tuple[float, ...], tuple]:
     """Unreduced realization parameters (theta, a0, a1, b0, b1) behind one
     steered table (nested lists), and the gauge data
-    (w, bgauge, gauge_residual, theta, delta) of the trace."""
+    (w, bgauge, gauge_residual, theta, delta) of the trace.  theta is at
+    most pi/4 (acos(h)/2 < pi/4 for h >= 1e-9, pi/4 below), so only theta = 0
+    (h = 1) or NaN raises NoThetaBranchError for lying outside (0, pi/4]."""
     w, bgauge, gauge_residual = _gauge_placement(c)
     (wp0, wp1), (wm0, wm1) = w  # w[alpha][x] for alpha = +1, then -1
     # (w_+x + w_-x)/2 and (w_-x - w_+x)/2 per input x
@@ -152,7 +154,7 @@ def _solve_gauge(c) -> tuple[tuple[float, ...], tuple]:
     else:
         theta = math.acos(h) / 2.0
         delta = math.atan2(v, u)
-    if not (0.0 < theta <= math.pi / 4 + 1e-12):
+    if not theta > 0.0:
         raise NoThetaBranchError(f"theta branch {theta!r} outside (0, pi/4]")
 
     # steered-frame angles of alpha = +1: atilde = w - delta
@@ -168,9 +170,10 @@ class Reconstructions:
 
     ``canonical`` holds the canonical parameters (k, 5), NaN where the row
     stopped; ``errors`` maps each such row to its error (NotSelfTestingError,
-    InconsistentGaugeError, NoThetaBranchError or DegenerateThetaError).
-    ``margins`` are the (k, 8) alternation margins of ``canonical``, which
-    ``extremality`` writes where it decides by them (NaN elsewhere).
+    InconsistentGaugeError, NoThetaBranchError or DegenerateThetaError), the
+    only record of it.  ``margins`` are the (k, 8) alternation margins of
+    ``canonical``, NaN where the row stopped.  ``reconstruct_rows`` alone
+    writes them all.
     """
 
     def __init__(self, residuals: np.ndarray):
@@ -220,8 +223,14 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, residuals: np.ndarray) -> Rec
     NotSelfTestingError.  The gauge solve runs per row in ``math`` (libm):
     numpy's vectorized acos/atan2 round differently in the last bit, and on
     the a0 = b0 face that bit decides between the extremal verdicts and
-    Indeterminate.  The round trip and ``canonicalize`` then run over the
-    rows that reached them.
+    Indeterminate.  The round trip, ``canonicalize`` and the alternation
+    margins then run over the rows that reached them.
+
+    ``alternation_margins`` never rejects a row canonicalized into the
+    sector: its theta is in (TOL_EQ, pi/4 + TOL_EQ], so |sin 2 theta| is
+    about 2e-8 or more, its angles are in [0, pi], and its orderings pass
+    the same comparisons to TOL_EQ.  A rejection is a bug and raises
+    RuntimeError naming the rows; it never makes a row Indeterminate.
     """
     rec = Reconstructions(residuals)
     errors = rec.errors
@@ -248,6 +257,11 @@ def reconstruct_rows(v: np.ndarray, c: np.ndarray, residuals: np.ndarray) -> Rec
     for i in fit[rec.win[fit] < 0].tolist():
         errors[i] = DegenerateThetaError(
             f"no image of theta={float(raw[i, 0])!r} lies in the requested sector")
+    done = fit[rec.win[fit] >= 0]
+    rec.margins[done], rejected = alternation_margins(rec.canonical[done])
+    if rejected:
+        raise RuntimeError(f"alternation_margins rejects canonical rows "
+                           f"{done[list(rejected)].tolist()}: {list(rejected.values())!r}")
     return rec
 
 

@@ -15,7 +15,7 @@ TOL_EQ 1e-8        behavior.validate, invalid_rows   invalid: a component past [
                    extremality._alternating          margins >= -TOL_EQ; exposed: inner > TOL_EQ
                    alternation_margins, witness,     canonical range and image ties widened by
                    is_canonical, _canonicalize_many  it; sector theta in (TOL_EQ, pi/4 + TOL_EQ]
-                   witness.find_witness              a sector's |alpha_y| <= 1 + TOL_EQ
+                   witness._admitted_sectors         a sector's |alpha_y| <= 1 + TOL_EQ
                    _gauge_placement, _solve_gauge    gauge residual, degenerate pair collapse
 TOL_CLAMP 1e-9     steered_many, masanes_check       correlator past [-1, 1] by more: error
 TOL_RECON 1e-6     selftest.reconstruct_rows         round trip beyond it: InconsistentGaugeError
@@ -28,11 +28,11 @@ FOUND_SEPARATION                                     1e-10 and separation >= 1e-
                    steering.modified_angles
 1e-9               realization.sample_realization    |sin 2 theta| < 1e-9: draw again
 1e-11              selftest._solve_gauge             |det| = |sin(s1 - s0)| < 1e-11: degenerate
-1e-9, 1e-7, 1e-12  _gauge_placement, _solve_gauge    skip bgauge with sin < 1e-9; no theta past
-                                                     |cos 2 theta| = 1 + 1e-7 or pi/4 + 1e-12;
+1e-9, 1e-7         _gauge_placement, _solve_gauge    skip bgauge with sin < 1e-9; no theta past
+                                                     |cos 2 theta| = 1 + 1e-7;
                                                      theta = pi/4 below |cos 2 theta| = 1e-9
-1e-12, 1e-10       witness._sector_solution,         |D_st| < 1e-12: degenerate; |<A0>| = 1 to
-                   find_witness, _orthonormalize     1e-12: compare L with P; pivot 1e-10
+1e-12, 1e-10       witness._sector_solution,         |D_st| < 1e-12: degenerate;
+                   _orthonormalize                   pivot 1e-10
 =================  ================================  ===========================================
 """
 

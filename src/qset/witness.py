@@ -196,6 +196,19 @@ def find_witness(r: QubitRealization) -> FlatnessWitness | None:
     differs from P because |<A0>| of P is below 1 in the sector range.
     """
     _require_sector_range(r)
+    for sector, coeffs, alphas in _admitted_sectors(r):
+        s, t = sector
+        hat = np.clip(alphas, -1.0, 1.0)
+        local_vec = np.concatenate(((s, t), hat, s * hat, t * hat))
+        return FlatnessWitness(sector, coeffs, alphas, Behavior.from_vector(local_vec),
+                               _deltas(r, modified_angles(r), sector))
+    return None
+
+
+def _admitted_sectors(r: QubitRealization):
+    """(sector, coeffs, alphas) of each sector, in SECTOR_ORDER order, whose
+    companion point is local: both |alpha_y| <= 1 + TOL_EQ.  r must be in the
+    sector range; a sector whose denominator vanishes is skipped."""
     for sector in SECTOR_ORDER:
         try:
             coeffs, alphas, _ = _sector_solution(r, sector)
@@ -203,12 +216,7 @@ def find_witness(r: QubitRealization) -> FlatnessWitness | None:
             continue
         if max(abs(alphas[0]), abs(alphas[1])) > 1.0 + TOL_EQ:
             continue
-        s, t = sector
-        hat = np.clip(alphas, -1.0, 1.0)
-        local_vec = np.concatenate(((s, t), hat, s * hat, t * hat))
-        return FlatnessWitness(sector, coeffs, alphas, Behavior.from_vector(local_vec),
-                               _deltas(r, modified_angles(r), sector))
-    return None
+        yield sector, coeffs, alphas
 
 
 def _orthonormalize(rows: np.ndarray, against: list[np.ndarray]) -> list[np.ndarray]:

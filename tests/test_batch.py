@@ -14,6 +14,7 @@ from qset import (Behavior, Failure, Verdict, born_point, classify, classify_man
                   enumerate_vertices, group_elements, necessary_conditions_check,
                   sample_realization, selftest_certificate)
 from qset.cli import ScanSpec, main
+from qset.errors import InconsistentGaugeError, NoThetaBranchError
 from qset.extremality import (VERDICTS, _reference_relabelings, _reference_steered,
                                alternation_margins)
 from qset.realization import born_vector
@@ -151,6 +152,53 @@ def test_programming_error_in_a_stage_raises(monkeypatch):
     monkeypatch.setattr(qset.selftest, "_gauge_placement", broken)
     with pytest.raises(TypeError, match="broken stage"):
         classify(born_point(TSIRELSON))
+
+
+@pytest.mark.parametrize("error, failure", [(InconsistentGaugeError, Failure.INCONSISTENT_GAUGE),
+                                            (NoThetaBranchError, Failure.NO_THETA_BRANCH)],
+                         ids=["inconsistent-gauge", "no-theta-branch"])
+def test_a_stopped_reconstruction_is_kept_once(monkeypatch, error, failure):
+    # the second gauge solve of the batch stops: its row is Indeterminate, its
+    # error lives only in the reconstructions, and ``errors`` keeps the rows
+    # where classify raises
+    solve, calls = qset.selftest._solve_gauge, []
+
+    def stop_second(c):
+        calls.append(c)
+        if len(calls) == 2:
+            raise error("injected")
+        return solve(c)
+
+    monkeypatch.setattr(qset.selftest, "_solve_gauge", stop_second)
+    batch = classify_many(mixed_batch())
+    rows = (batch.pattern >= 0).nonzero()[0]
+    rec = batch.reconstructions
+    (j,) = [j for j, exc in rec.errors.items() if str(exc) == "injected"]
+    i = int(rows[j])
+    assert type(rec.errors[j]) is error
+    assert VERDICTS[batch.verdict[i]] is Verdict.INDETERMINATE
+    assert batch.failure[i] == failure
+    res = batch.classification(i)
+    assert res.verdict is Verdict.INDETERMINATE
+    assert res.details["error"] == repr(rec.errors[j])
+    assert "realization" not in res.details
+    assert i not in batch.errors
+    assert sorted(batch.errors) == (batch.verdict < 0).nonzero()[0].tolist()
+
+
+def test_a_rejected_canonical_row_raises(monkeypatch):
+    # alternation_margins never rejects a row canonicalized into the sector;
+    # if it did, that is a bug, never an Indeterminate verdict
+    margins = qset.selftest.alternation_margins
+
+    def reject_first(params):
+        m, _ = margins(params)
+        m[0] = np.nan
+        return m, {0: ValueError("rejected")}
+
+    monkeypatch.setattr(qset.selftest, "alternation_margins", reject_first)
+    with pytest.raises(RuntimeError, match=r"^alternation_margins rejects canonical rows \[0\]"):
+        classify_many(born_point(TSIRELSON).vector[None])
 
 
 def test_necessary_details_equal_the_standalone_check_bitwise():

@@ -214,6 +214,19 @@ def test_oracle_bell_max_takes_no_search_flags(capsys, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["steer", *realization_flags(PI8_EDGE)], ["selftest"],
+                                     ["oracle", "bell-max"], ["oracle", "local"],
+                                     ["oracle", "decompose"]],
+                         ids=["steer", "selftest", "bell-max", "local", "decompose"])
+def test_json_flag_only_where_a_command_reads_it(capsys, command):
+    # these commands always print JSON; the parser refuses the flag before
+    # any input is read
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def test_oracle_local_cli(tmp_path, capsys):
     path = write_behavior(tmp_path, born_point(TSIRELSON))
     code, out, _ = run_cli(["oracle", "local", "--input", path], capsys)

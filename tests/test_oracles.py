@@ -424,8 +424,10 @@ def test_structured_seeds_raise_programming_errors(monkeypatch):
     def broken(*args):
         raise RuntimeError("bug")
 
+    # the seeds take their sectors from the witness's sector generator, which
+    # skips only a vanishing denominator
     assert _structured_seeds(NONALT)
-    monkeypatch.setattr("qset.witness.solve_sector", broken)
+    monkeypatch.setattr("qset.witness._sector_solution", broken)
     with pytest.raises(RuntimeError):
         _structured_seeds(NONALT)
 

@@ -18,7 +18,8 @@ from qset import (
     sample_realization,
 )
 import qset.selftest
-from qset.cli import main
+from qset.cli import ScanSpec, _parse_range, main
+from qset.extremality import alternation_margins, classify_many
 from qset.realization import (CANONICALIZE_CHUNK, _GAUGE_MOVES, _canonicalize_many,
                               apply_relabeling, born_jacobian, born_vector)
 from qset.symmetry import group_elements, signed_permutation
@@ -303,13 +304,36 @@ def golden_grid_canonicalize_rows(monkeypatch) -> np.ndarray:
     """The rows the 10,000-row golden scan grid sends to ``_canonicalize_many``."""
     seen = []
 
-    def record(params, sector=False):
+    def record(params, sector):
         seen.append(params.copy())
         return _canonicalize_many(params, sector)
 
     monkeypatch.setattr(qset.selftest, "_canonicalize_many", record)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(GRIDS["grid"]) == 0
+    return np.concatenate(seen)
+
+
+def relabeled_golden_grid_canonicalize_rows(monkeypatch, stride: int) -> np.ndarray:
+    """The rows ``classify_many`` sends to ``_canonicalize_many`` from all 128
+    relabelings of every stride-th row of the golden scan grid."""
+    argv, ranges, fixed = GRIDS["grid"], {}, {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag == "--range":
+            name, lo, hi, steps = _parse_range(value)
+            ranges[name] = (lo, hi, steps)
+        else:
+            fixed[flag[2:]] = float(value)
+    v = born_vector(*ScanSpec(ranges, fixed).grid_points()[::stride].T)
+    perms, signs = (np.array(rows) for rows in zip(*map(signed_permutation, group_elements())))
+    seen = []
+
+    def record(params, sector):
+        seen.append(params.copy())
+        return _canonicalize_many(params, sector)
+
+    monkeypatch.setattr(qset.selftest, "_canonicalize_many", record)
+    classify_many((v[:, perms] * signs).reshape(-1, 8))
     return np.concatenate(seen)
 
 
@@ -392,6 +416,28 @@ def test_canonicalize_many_large_batch_matches_its_slices(sector):
     assert (got[1] < 0).any() == sector
 
 
+def test_alternation_margins_accept_every_row_canonicalized_into_the_sector(monkeypatch):
+    # a row canonicalized into the sector has theta in (TOL_EQ, pi/4 + TOL_EQ],
+    # so |sin 2 theta| >= 2e-8, angles in [0, pi] and the orderings that
+    # alternation_margins tests: reconstruct_rows never sees one rejected
+    rng = np.random.default_rng(79)
+    special = np.array([0.0, -0.0, TOL_EQ, np.nextafter(TOL_EQ, 1), PI / 8, PI / 4,
+                        PI / 4 + TOL_EQ, PI / 2, PI - 4e-16, PI, 3 * PI / 2, 2 * PI])
+    near = rng.choice(special, (20000, 5)) + rng.uniform(-TOL_EQ, TOL_EQ, (20000, 5))
+    half = np.where(rng.random((20000, 5)) < 0.5, rng.choice(special, (20000, 5)),
+                    rng.uniform(-10, 10, (20000, 5)))
+    params = np.vstack([golden_grid_canonicalize_rows(monkeypatch),
+                        relabeled_golden_grid_canonicalize_rows(monkeypatch, 10),
+                        rng.uniform(-10, 10, (20000, 5)), tie_rows(rng, 20000),
+                        rng.choice(special, (20000, 5)), half, near])
+    canon, win, _ = _canonicalize_many(params, sector=True)
+    kept = canon[win >= 0]
+    assert len(kept) > 60000
+    margins, errors = alternation_margins(kept)
+    assert errors == {}
+    assert not np.isnan(margins).any()
+
+
 def test_sample_determinism():
     r1 = sample_realization(123, {"canonical"})
     r2 = sample_realization(123, {"canonical"})
@@ -425,9 +471,8 @@ def test_sample_conflicting_constraints():
 
 
 def test_sample_exhaustion():
-    with pytest.raises(SamplingError):
-        sample_realization(0, {"strictly-alternating"}, theta_range=(1e-7, 2e-7),
-                           max_tries=25)
+    with pytest.raises(SamplingError, match=r"after 20000 tries$"):
+        sample_realization(0, {"strictly-alternating"}, theta_range=(1e-7, 2e-7))
 
 
 @pytest.mark.parametrize("angles", [(math.nan, 0.0, 1.0, 0.5, 2.0),
