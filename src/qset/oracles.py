@@ -318,9 +318,11 @@ FOUND_SEPARATION = 1e-3
 class DecompositionResult:
     """Outcome of ``decomposition_search``.
 
-    ``residual`` and ``separation`` describe one candidate split: the found
-    one; else the polished start with the lowest mixture residual; else,
-    when no start was polished, the stochastic phase's best-scoring row.
+    A search polishes at most two batches of starts, each once: the hint's
+    structured seeds, then the stochastic phase's best rows.  ``residual``
+    and ``separation`` describe one candidate split: the found one; else the
+    polished start with the lowest mixture residual; else, when no start was
+    polished, the stochastic phase's best-scoring row.
     """
 
     found: bool             # residual <= FOUND_RESIDUAL and separation >= FOUND_SEPARATION
@@ -329,7 +331,7 @@ class DecompositionResult:
     lam: float              # mixture weight of p1, always 1/2: p = lam p1 + (1 - lam) p2
     residual: float         # max-norm mixture residual |(p1 + p2)/2 - p|
     separation: float       # max-norm |p1 - p2|
-    nfev: int               # residual evaluations summed over all polishes
+    nfev: int               # residual evaluations summed over the polishes
     capped: int             # polishes stopped by the evaluation ceiling
 
 
@@ -356,26 +358,24 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.maximum(a[..., 0], a[..., 1])
 
 
-def _decomp_objective(x: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Stochastic-phase score of parameter rows (..., 22), in the dtype of ``x``:
-    squared mixture residual plus a penalty on parts closer than 0.01."""
-    p1, p2 = _parts_from_params(x)
-    err = 0.5 * (p1 + p2) - target.astype(x.dtype, copy=False)
-    res2 = np.einsum("...i,...i->...", err, err)
-    hinge = np.maximum(0.0, 0.01 - _row_max(np.abs(p1 - p2)))
-    return res2 + 25.0 * hinge ** 2
-
-
 def _residual_sep(q: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polish residual (..., 9) of parameter rows (..., 22), and the parts'
-    separation (max norm of p1 - p2) of each row.
+    separation (max norm of p1 - p2) of each row, in the dtype of ``q``.
 
     The residual holds the 8 mixture deviations from ``target`` plus a guard
     that grows as the parts come closer than 0.01 in max norm."""
     p1, p2 = _parts_from_params(q)
     sep = _row_max(np.abs(p1 - p2))
     guard = 5.0 * np.maximum(0.0, 0.01 - sep)
-    return np.concatenate([0.5 * (p1 + p2) - target, guard[..., None]], axis=-1), sep
+    err = 0.5 * (p1 + p2) - target.astype(q.dtype, copy=False)
+    return np.concatenate([err, guard[..., None]], axis=-1), sep
+
+
+def _score(x: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Stochastic-phase score of parameter rows (..., 22), in the dtype of
+    ``x``: the squared norm of their polish residual."""
+    r = _residual_sep(x, target)[0]
+    return np.einsum("...i,...i->...", r, r)
 
 
 def _residual_jac(q: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -598,16 +598,9 @@ def _structured_seeds(hint: QubitRealization) -> list[np.ndarray]:
         )
         r_local = apply_relabeling(ginv, local_real).params()
         for mu in (0.1, 0.4):
-            for flipped in (False, True):
-                seed = np.empty(22)
-                first, second = (r_local, r_self) if not flipped else (r_self, r_local)
-                seed[0:5] = first
-                seed[5:10] = r_self
-                seed[10:15] = second
-                seed[15:20] = r_self
-                seed[20] = math.log(mu / (1 - mu)) if not flipped else 0.0
-                seed[21] = 0.0 if not flipped else math.log(mu / (1 - mu))
-                seeds.append(seed)
+            logit = math.log(mu / (1 - mu))
+            seeds.append(np.r_[r_local, r_self, r_self, r_self, logit, 0.0])
+            seeds.append(np.r_[r_self, r_self, r_local, r_self, 0.0, logit])
     return seeds
 
 
@@ -622,13 +615,14 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
 
     Multistart stochastic descent over two 2-component mixtures of pure-qubit
     behaviors, followed by a trust-region Levenberg-Marquardt polish of the
-    most promising starts.  The descent keeps its parameters and proposals
-    in float64 but scores the proposals in float32; the final rows are scored
+    most promising starts.  A row's score is the squared norm of the
+    polish residual.  The descent keeps its parameters and proposals in
+    float64 but scores the proposals in float32; the final rows are scored
     once more in float64, and that score alone ranks them for the polish.  A
     hint realization of ``p`` adds starts seeded along its flat-witness
-    directions (one family per admissible sector), polished together with a
-    couple of basin-hopping retries; the first of them to reach a split wins.
-    Absence of a decomposition is evidence, not proof.
+    directions (one family per admissible sector), polished once as one
+    batch before the stochastic phase, which runs only when none of them
+    reaches a split.  Absence of a decomposition is evidence, not proof.
 
     Raises ValueError unless ``trials >= 1``.
     """
@@ -640,48 +634,41 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
     best = None     # (mixture residual, separation, parameter row)
     nfev = capped = 0
 
-    def polish(starts: np.ndarray, retries: int) -> bool:
-        """Polish the rows of ``starts`` together; True once one is found."""
+    def polish(starts: np.ndarray) -> bool:
+        """Polish the rows of ``starts`` together; True if one is found."""
         nonlocal best, nfev, capped
-        q = starts
-        for _ in range(retries):
-            if not len(q):
-                break
-            x, mixres, sep, n, c = _polish(q, target)
-            nfev += int(n.sum())
-            capped += int(c.sum())
-            found = _found(mixres, sep)
-            # the first found row, else the lowest residual (widest split on ties)
-            i = int(np.argmax(found)) if found.any() else int(np.lexsort((-sep, mixres))[0])
-            if found[i] or best is None or (mixres[i], -sep[i]) < (best[0], -best[1]):
-                best = (float(mixres[i]), float(sep[i]), x[i])
-            if found[i]:
-                return True
-            # a row left above 1e-2 sits in a hopeless basin; retries will not rescue it
-            x = x[mixres <= 1e-2]
-            q = x + rng.normal(0.0, 0.15, size=x.shape)
-        return False
+        if not len(starts):
+            return False
+        x, mixres, sep, n, c = _polish(starts, target)
+        nfev += int(n.sum())
+        capped += int(c.sum())
+        found = _found(mixres, sep)
+        # the first found row, else the lowest residual (widest split on ties)
+        i = int(np.argmax(found)) if found.any() else int(np.lexsort((-sep, mixres))[0])
+        if found[i] or best is None or (mixres[i], -sep[i]) < (best[0], -best[1]):
+            best = (float(mixres[i]), float(sep[i]), x[i])
+        return bool(found[i])
 
     seeds = _structured_seeds(hint) if hint is not None else []
-    if not polish(np.array(seeds), retries=2):
+    if not polish(np.array(seeds)):
         x = np.empty((trials, 22))
         x[:, 0:20] = rng.uniform(0.0, math.pi, size=(trials, 20))
         x[:, [0, 5, 10, 15]] = rng.uniform(0.0, math.pi / 2, size=(trials, 4))
         x[:, 20:22] = rng.normal(0.0, 1.0, size=(trials, 2))
         # float32 scores only decide which proposals a row accepts
-        f = _decomp_objective(x.astype(np.float32), target)
+        f = _score(x.astype(np.float32), target)
         scale = 0.4
         decay = (0.004 / scale) ** (1.0 / max(_GENERATIONS, 1))
         for _ in range(_GENERATIONS):
             prop = x + rng.normal(0.0, scale, size=x.shape)
-            fp = _decomp_objective(prop.astype(np.float32), target)
+            fp = _score(prop.astype(np.float32), target)
             better = fp < f
             x[better] = prop[better]
             f[better] = fp[better]
             scale *= decay
-        f = _decomp_objective(x, target)
+        f = _score(x, target)
         top = np.argsort(f)[:_POLISH_TOP]
-        polish(x[top[f[top] <= 1e-3]], retries=1)
+        polish(x[top[f[top] <= 1e-3]])
         if best is None:
             i = int(np.argmin(f))
             r, sep = _residual_sep(x[i], target)

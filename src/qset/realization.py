@@ -263,8 +263,11 @@ def _canonicalize_many(params: np.ndarray, sector: bool
     theta leads the lexicographic order and depends on the theta map alone,
     so a row whose least admissible theta image comes from a single theta
     map is searched over that map's 256 candidates only.  A row where two
-    theta maps give that image bit for bit (theta = 0, pi/4, ...) and a row
-    whose 256 candidates admit none are searched over all 1024.
+    theta maps give that image bit for bit (theta = 0, pi/4, ...) is
+    searched over all 1024.  The map with the least admissible theta image
+    always admits a candidate (input swaps and the party swap can order any
+    four folded angles), so a row ends at -1 only when no theta image is
+    admissible; that row is searched over map 0's candidates.
 
     A search keeps the admissible candidates (theta in the sector, and
     a0 <= a1, b0 <= b1, a0 <= b0, each to TOL_EQ).  Then, column by column in
@@ -303,10 +306,8 @@ def _canonicalize_many(params: np.ndarray, sector: bool
             keep &= col == col.min(axis=1, keepdims=True)
         win[rows] = np.where(keep.any(axis=1), first + keep.argmax(axis=1), -1)
 
-    # the search over all candidates runs last, so it also takes the rows
-    # that their theta map's search left unmatched
-    for k in sorted(set(group.tolist()) | {maps}):
-        rows = (group == k if k < maps else win < 0).nonzero()[0]
+    for k in set(group.tolist()):
+        rows = (group == k).nonzero()[0]
         first, width = (k * size, size) if k < maps else (0, maps * size)
         step = max(1, CANONICALIZE_CHUNK * size // width)
         for lo in range(0, len(rows), step):

@@ -30,7 +30,6 @@ from qset.oracles import (
     POLISH_MAX_NFEV,
     _LP_MATRIX,
     _boundary_step,
-    _decomp_objective,
     _found,
     _local_model,
     _mixres,
@@ -38,8 +37,10 @@ from qset.oracles import (
     _newton,
     _phase1_float,
     _polish,
+    _POLISH_TOP,
     _residual_sep,
     _residual_jac,
+    _score,
     _structured_seeds,
     _STARTS,
     _SWEEPS,
@@ -360,6 +361,24 @@ def test_polish_on_a_flat_face_stalls_before_the_ceiling():
     assert res.capped == 0
 
 
+def test_hinted_search_polishes_its_seeds_once(monkeypatch):
+    polished = record_polish(monkeypatch)
+    assert decomposition_search(born_point(NONALT), trials=300, seed=1, hint=NONALT).found
+    assert len(polished) == 1
+    assert np.array_equal(polished[0], np.array(_structured_seeds(NONALT)))
+
+
+def test_unsplit_seeds_are_polished_in_one_call(monkeypatch):
+    # PI8_EDGE is extremal: its seeds polish once, together, and the
+    # stochastic phase adds at most its best rows as one more batch
+    polished = record_polish(monkeypatch)
+    res = decomposition_search(born_point(PI8_EDGE), trials=300, seed=1, hint=PI8_EDGE)
+    assert not res.found
+    assert np.array_equal(polished[0], np.array(_structured_seeds(PI8_EDGE)))
+    assert len(polished) <= 2
+    assert all(len(q) <= _POLISH_TOP for q in polished[1:])
+
+
 def test_decomposition_uniform():
     res = decomposition_search(Behavior.from_vector(np.zeros(8)), trials=300, seed=1)
     assert res.found
@@ -406,8 +425,10 @@ def test_decomposition_found_from_few_structured_seeds(r, seed):
     assert validate(res.p1) == [] and validate(res.p2) == []
 
 
-#: NonExtremalInQ point, so it has a split, where every polish of the search
-#: below stalls with a mixture residual of 3e-6 to 3e-5, above FOUND_RESIDUAL.
+#: NonExtremalInQ point, so it has a split, where the search below polishes
+#: its four structured seeds once and each stalls with a mixture residual of
+#: 7e-5 to 3e-4, above FOUND_RESIDUAL; no stochastic row scores low enough to
+#: be polished.
 STALLED = QubitRealization(0.7129755967104685, (0.19869815370787125, 1.2369449756687652),
                            (0.22427465756369028, 2.141822289884015))
 
@@ -504,17 +525,53 @@ def test_decomposition_rejects_bad_arguments(kwargs):
 
 
 def record_objective(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Patch ``_decomp_objective`` to record every batch it scores as
-    (parameter rows, scores)."""
+    """Patch the stochastic score ``_score`` to record every batch it scores
+    as (parameter rows, scores)."""
     calls = []
 
     def recording(x, target):
-        f = _decomp_objective(x, target)
+        f = _score(x, target)
         calls.append((x.copy(), f))
         return f
 
-    monkeypatch.setattr("qset.oracles._decomp_objective", recording)
+    monkeypatch.setattr("qset.oracles._score", recording)
     return calls
+
+
+def record_polish(monkeypatch) -> list[np.ndarray]:
+    """Patch ``_polish`` to record the starts of every batch it polishes."""
+    calls = []
+
+    def recording(q, target):
+        calls.append(q.copy())
+        return _polish(q, target)
+
+    monkeypatch.setattr("qset.oracles._polish", recording)
+    return calls
+
+
+def test_stochastic_score_is_the_squared_polish_residual():
+    # the last five rows put part 2 just off part 1, so the separation guard
+    # (the residual's ninth entry) is active there
+    rng = np.random.default_rng(76)
+    target = born_point(NONALT).vector
+    q = np.concatenate([rng.uniform(0.0, PI, (5, 22)), np.zeros((5, 22))])
+    q[5:, 0:10] = rng.uniform(0.0, PI, (5, 10))
+    q[5:, 10:20] = q[5:, 0:10] + rng.normal(0.0, 1e-3, (5, 10))
+    q[5:, 20:22] = 0.3
+    for dtype in (np.float32, np.float64):
+        x = q.astype(dtype)
+        r, sep = _residual_sep(x, target)
+        assert r.dtype == sep.dtype == dtype
+        f = _score(x, target)
+        assert f.dtype == dtype
+        assert np.array_equal(f, np.einsum("si,si->s", r, r))
+        assert np.array_equal(r[:, 8] > 0.0, np.arange(10) >= 5)
+        assert np.all(sep[5:] < 0.01)
+        # rounding aside, the same score as the float64 residual's squared norm
+        r64 = _residual_sep(x.astype(np.float64), target)[0]
+        assert np.allclose(f, np.sum(r64 * r64, axis=-1), rtol=10 * np.finfo(dtype).eps,
+                           atol=0.0)
 
 
 @pytest.mark.parametrize("generations", [0, 7, 120])
@@ -556,12 +613,12 @@ def float64_stochastic_phase(target, trials, seed, generations=120):
     x[:, 0:20] = rng.uniform(0.0, PI, size=(trials, 20))
     x[:, [0, 5, 10, 15]] = rng.uniform(0.0, PI / 2, size=(trials, 4))
     x[:, 20:22] = rng.normal(0.0, 1.0, size=(trials, 2))
-    f = _decomp_objective(x, target)
+    f = _score(x, target)
     scale = 0.4
     decay = (0.004 / scale) ** (1.0 / max(generations, 1))
     for _ in range(generations):
         prop = x + rng.normal(0.0, scale, size=x.shape)
-        fp = _decomp_objective(prop, target)
+        fp = _score(prop, target)
         better = fp < f
         x[better] = prop[better]
         f[better] = fp[better]
@@ -574,13 +631,7 @@ def test_float32_screening_matches_float64_reference(monkeypatch):
     # loop; over 120 other seeded behaviors 4 of 24,000 rows did, and no
     # top-3 selection changed
     rng = np.random.default_rng(75)
-    polished = []
-
-    def recording_polish(q, target):
-        polished.append(q.copy())
-        return _polish(q, target)
-
-    monkeypatch.setattr("qset.oracles._polish", recording_polish)
+    polished = record_polish(monkeypatch)
     calls = record_objective(monkeypatch)
     diverged = n_polished = 0
     for k in range(10):
@@ -590,7 +641,7 @@ def test_float32_screening_matches_float64_reference(monkeypatch):
         decomposition_search(Behavior.from_vector(target), trials=200, seed=k)
         x, f = calls[-1]
         x_ref, _ = float64_stochastic_phase(target, 200, k)
-        f_ref = _decomp_objective(x_ref, target)
+        f_ref = _score(x_ref, target)
         top = np.argsort(f_ref)[:3]
         assert np.array_equal(np.argsort(f)[:3], top)
         starts = x_ref[top[f_ref[top] <= 1e-3]]

@@ -352,19 +352,14 @@ def search_sizes(params: np.ndarray, sector: bool) -> np.ndarray:
     """Rows that ``_canonicalize_many`` searches over each theta map's 256
     candidates (entries 0-3) and over all 1024 (entry 4).  A row goes to the
     map with the least admissible theta image (map 0 when none is admissible),
-    or straight to all 1024 when two maps give that image; a row whose map
-    holds no admissible candidate, so not the oracle's winner, goes on to all
-    1024."""
+    or to all 1024 when two maps give that image."""
     maps = sorted({(et, kt) for et, kt, *_ in _GAUGE_MOVES})
     thetas = np.column_stack([np.mod(et * params[:, 0] + kt * (PI / 2), PI) for et, kt in maps])
     if sector:
         thetas[(thetas <= TOL_EQ) | (thetas > PI / 4 + TOL_EQ)] = np.nan
     lowest = np.sort(thetas, axis=1)
     group = np.where(lowest[:, 0] >= lowest[:, 1], len(maps), np.argsort(thetas, axis=1)[:, 0])
-    win = brute_force_canonicalize(params, sector)[1]
-    sizes = np.bincount(group, minlength=len(maps) + 1)
-    sizes[len(maps)] += np.count_nonzero((group < len(maps)) & (win // 256 != group))
-    return sizes
+    return np.bincount(group, minlength=len(maps) + 1)
 
 
 @pytest.mark.parametrize("sector", [True, False])
