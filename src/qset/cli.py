@@ -327,7 +327,11 @@ def _finite_float(name: str):
 
 def cmd_oracle_decompose(args) -> int:
     p = _read_behavior(args.input)
-    res = decomposition_search(p, trials=args.trials, seed=args.seed)
+    hint = None
+    if args.hint is not None:
+        theta, a0, a1, b0, b1 = args.hint
+        hint = QubitRealization(theta=theta, a=(a0, a1), b=(b0, b1))
+    res = decomposition_search(p, trials=args.trials, seed=args.seed, hint=hint)
     doc = {
         "found": res.found,
         "lambda": res.lam,
@@ -415,6 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_de = or_sub.add_parser("decompose", help="convex-decomposition search")
     p_de.add_argument("--trials", type=_int_at_least("trials", 1), default=400)
     p_de.add_argument("--seed", type=_int_at_least("seed", 0), default=0)
+    p_de.add_argument("--hint", type=_finite_float("hint"), nargs=5, default=None,
+                      metavar=("THETA", "A0", "A1", "B0", "B1"),
+                      help="a realization of the behavior: adds starts along its flat directions")
     common(p_de, needs_input=True)
     p_de.set_defaults(func=cmd_oracle_decompose)
 

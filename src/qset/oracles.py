@@ -17,8 +17,7 @@ import numpy as np
 
 from .behavior import Behavior, BellFunctional, _require_valid
 from .errors import DegenerateThetaError
-from .realization import (QubitRealization, born_jacobian, born_vector, apply_relabeling,
-                          canonicalize)
+from .realization import QubitRealization, _born, apply_relabeling, canonicalize
 from .symmetry import inverse
 
 __all__ = [
@@ -335,19 +334,28 @@ class DecompositionResult:
     capped: int             # polishes stopped by the evaluation ceiling
 
 
-def _parts_from_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split trial parameter rows into the two part behaviors.
+def _split(q: np.ndarray, dtype=None) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter-major copies of parameter rows ``q`` (S, 22) or one row
+    (22,), cast to ``dtype`` (default: the dtype of ``q``): the angles
+    (5, 4, ...) of the four pure-qubit terms (theta, a0, a1, b0, b1 by
+    term) and the weights (2, ...) of each part's first term.  Part 1 mixes
+    terms 0 and 1, part 2 terms 2 and 3."""
+    angles = np.array(q[..., :20].reshape(q.shape[:-1] + (4, 5)).T, dtype, order="C")
+    logits = np.array(q[..., 20:22].T, dtype, order="C")
+    return angles, 1.0 / (1.0 + np.exp(-logits))
+
+
+def _parts(terms: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The two part behaviors (8, 2, ...) from the behaviors (8, 4, ...) and
+    weights (2, ...) of ``_split``'s terms.
 
     Each part is a 2-component mixture of pure-qubit behaviors; the overall
     mixture weight is fixed at 1/2, which is no loss of generality for the
     existence of a proper decomposition."""
-    reals = x[..., :20].reshape(*x.shape[:-1], 4, 5)
-    comps = born_vector(reals[..., 0], reals[..., 1], reals[..., 2],
-                        reals[..., 3], reals[..., 4])
-    w = 1.0 / (1.0 + np.exp(-x[..., 20:22]))
-    p1 = w[..., 0:1] * comps[..., 0, :] + (1 - w[..., 0:1]) * comps[..., 1, :]
-    p2 = w[..., 1:2] * comps[..., 2, :] + (1 - w[..., 1:2]) * comps[..., 3, :]
-    return p1, p2
+    terms = terms.reshape((8, 2, 2) + w.shape[1:])
+    p = w * terms[:, :, 0]
+    p += (1 - w) * terms[:, :, 1]
+    return p
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -358,55 +366,65 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.maximum(a[..., 0], a[..., 1])
 
 
-def _residual_sep(q: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polish residual (..., 9) of parameter rows (..., 22), and the parts'
-    separation (max norm of p1 - p2) of each row, in the dtype of ``q``.
+def _residual_sep(q: np.ndarray, target: np.ndarray, dtype=None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Polish residual (S, 9) of parameter rows (S, 22), and the parts'
+    separation (max norm of p1 - p2) of each row, computed in ``dtype``
+    (default: the dtype of ``q``); a row (22,) gives a residual (9,) and a
+    scalar separation.
 
     The residual holds the 8 mixture deviations from ``target`` plus a guard
     that grows as the parts come closer than 0.01 in max norm."""
-    p1, p2 = _parts_from_params(q)
-    sep = _row_max(np.abs(p1 - p2))
-    guard = 5.0 * np.maximum(0.0, 0.01 - sep)
-    err = 0.5 * (p1 + p2) - target.astype(q.dtype, copy=False)
-    return np.concatenate([err, guard[..., None]], axis=-1), sep
+    angles, w = _split(q, dtype)
+    p = _parts(_born(angles), w)
+    sep = np.maximum.reduce(np.abs(p[:, 0] - p[:, 1]), axis=0)
+    r = np.empty(q.shape[:-1] + (9,), w.dtype)
+    r[..., :8] = (0.5 * (p[:, 0] + p[:, 1])).T - target.astype(w.dtype, copy=False)
+    r[..., 8] = 5.0 * np.maximum(0.0, 0.01 - sep)
+    return r, sep
 
 
-def _score(x: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Stochastic-phase score of parameter rows (..., 22), in the dtype of
-    ``x``: the squared norm of their polish residual."""
-    r = _residual_sep(x, target)[0]
+def _score(x: np.ndarray, target: np.ndarray, dtype=None) -> np.ndarray:
+    """Stochastic-phase score of parameter rows (S, 22), computed in
+    ``dtype`` (default: the dtype of ``x``): the squared norm of their
+    polish residual."""
+    r = _residual_sep(x, target, dtype)[0]
     return np.einsum("...i,...i->...", r, r)
 
 
 def _residual_jac(q: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Closed-form Jacobian (..., 9, 22) of the residual of ``_residual_sep``.
+    """Closed-form Jacobian (S, 9, 22), or (9, 22) for one row, of the
+    residual of ``_residual_sep`` at float64 rows ``q``.
 
     The guard row is a subgradient: the derivative of -|p1_i - p2_i| at the
     component i of largest separation while the guard is active, else zero."""
-    lead = q.shape[:-1]
-    reals = q[..., :20].reshape(*lead, 4, 5)
-    params = [reals[..., k] for k in range(5)]
-    comps = born_vector(*params)            # (..., 4, 8)
-    dcomps = born_jacobian(*params)         # (..., 4, 8, 5)
-    w = 1.0 / (1.0 + np.exp(-q[..., 20:22]))
-    dw = w * (1.0 - w)
-    # d p1 / dq and d p2 / dq, each (..., 8, 22)
-    j1 = np.zeros(lead + (8, 22))
-    j1[..., 0:5] = w[..., 0, None, None] * dcomps[..., 0, :, :]
-    j1[..., 5:10] = (1 - w[..., 0, None, None]) * dcomps[..., 1, :, :]
-    j1[..., 20] = dw[..., 0:1] * (comps[..., 0, :] - comps[..., 1, :])
-    j2 = np.zeros(lead + (8, 22))
-    j2[..., 10:15] = w[..., 1, None, None] * dcomps[..., 2, :, :]
-    j2[..., 15:20] = (1 - w[..., 1, None, None]) * dcomps[..., 3, :, :]
-    j2[..., 21] = dw[..., 1:2] * (comps[..., 2, :] - comps[..., 3, :])
-    jac = np.zeros(lead + (9, 22))
-    jac[..., :8, :] = 0.5 * (j1 + j2)
-    diff = (w[..., 0:1] * comps[..., 0, :] + (1 - w[..., 0:1]) * comps[..., 1, :]) \
-        - (w[..., 1:2] * comps[..., 2, :] + (1 - w[..., 1:2]) * comps[..., 3, :])
-    i = np.argmax(np.abs(diff), axis=-1)[..., None]
-    di = np.take_along_axis(diff, i, axis=-1)                              # (..., 1)
-    dj = np.take_along_axis(j1 - j2, i[..., None], axis=-2)[..., 0, :]    # (..., 22)
-    jac[..., 8, :] = np.where(np.abs(di) < 0.01, -5.0 * np.sign(di) * dj, 0.0)
+    angles, w = _split(q)
+    lead = w.shape[1:]
+    terms, dterms = _born(angles, jacobian=True)      # (8, 4, ...), (8, 5, 4, ...)
+    # v (8, 22, ...): the derivative of p1 or p2, whichever depends on the
+    # column; term k's angles are columns 5k to 5k + 4, part j's weight
+    # logit is column 20 + j, and term k's weight in its part is wk[k]
+    wk = np.empty((2, 2) + lead)
+    wk[:, 0] = w
+    wk[:, 1] = 1 - w
+    v = np.empty((8, 22) + lead)
+    np.multiply(dterms, wk.reshape((4,) + lead),
+                out=v[:, :20].reshape((8, 4, 5) + lead).swapaxes(1, 2))
+    np.subtract(terms[:, 0::2], terms[:, 1::2], out=v[:, 20:])
+    v[:, 20:] *= w * (1.0 - w)
+    jac = np.empty(lead + (9, 22))
+    # d(p1 + p2) = v + 0.0: the other part's derivative there is 0.0, and
+    # adding it turns -0.0 into 0.0
+    jac[..., :8, :] = (0.5 * (v + 0.0)).T.swapaxes(-1, -2)
+    # d(p1 - p2): part 2's columns are 0.0 - v
+    p = _parts(terms, w)
+    diff = p[:, 0] - p[:, 1]
+    i = np.argmax(np.abs(diff), axis=0)[None]
+    di = np.take_along_axis(diff, i, axis=0)[0]
+    dj = np.take_along_axis(v, i[:, None], axis=0)[0]          # (22, ...)
+    dj[10:20] = 0.0 - dj[10:20]
+    dj[21] = 0.0 - dj[21]
+    jac[..., 8, :] = np.where(np.abs(di) < 0.01, -5.0 * np.sign(di) * dj, 0.0).T
     return jac
 
 
@@ -656,12 +674,16 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
         x[:, [0, 5, 10, 15]] = rng.uniform(0.0, math.pi / 2, size=(trials, 4))
         x[:, 20:22] = rng.normal(0.0, 1.0, size=(trials, 2))
         # float32 scores only decide which proposals a row accepts
-        f = _score(x.astype(np.float32), target)
+        f = _score(x, target, np.float32)
         scale = 0.4
         decay = (0.004 / scale) ** (1.0 / max(_GENERATIONS, 1))
+        prop = np.empty_like(x)
         for _ in range(_GENERATIONS):
-            prop = x + rng.normal(0.0, scale, size=x.shape)
-            fp = _score(prop.astype(np.float32), target)
+            # x + rng.normal(0.0, scale, x.shape) bit for bit: x is never -0.0
+            rng.standard_normal(out=prop)
+            prop *= scale
+            prop += x
+            fp = _score(prop, target, np.float32)
             better = fp < f
             x[better] = prop[better]
             f[better] = fp[better]
@@ -676,7 +698,11 @@ def decomposition_search(p: Behavior, trials: int = 400, seed: int = 0,
 
     mixres, sep, row = best
     found = bool(_found(mixres, sep))
-    p1, p2 = map(Behavior.from_vector, _parts_from_params(row)) if found else (None, None)
+    if found:
+        angles, w = _split(row)
+        p1, p2 = map(Behavior.from_vector, _parts(_born(angles), w).T)
+    else:
+        p1 = p2 = None
     return DecompositionResult(
         found=found,
         p1=p1,

@@ -83,35 +83,11 @@ class QubitRealization:
 def born_vector(theta, a0, a1, b0, b1):
     """Behavior components as arrays; broadcasts over array-valued parameters.
 
-    Returns an array with the 8 behavior components stacked along the last axis.
-    The result is float32 when every parameter is float32 (arrays or numpy
-    scalars); any other input (float64 arrays, Python floats or ints, a mix
-    of float32 with anything else) is computed and returned in float64.
+    Returns a float64 array with the 8 behavior components stacked along the
+    last axis, whatever the dtype of the parameters.
     """
-    # theta is tested alone first, so scalar and float64 calls pay one test
-    single = getattr(theta, "dtype", None) == np.float32 \
-        and all(getattr(v, "dtype", None) == np.float32 for v in (a0, a1, b0, b1))
-    dtype = np.float32 if single else float
-    theta, a0, a1, b0, b1 = np.broadcast_arrays(
-        np.asarray(theta, dtype), np.asarray(a0, dtype), np.asarray(a1, dtype),
-        np.asarray(b0, dtype), np.asarray(b1, dtype))
-    c2 = np.cos(2 * theta)
-    s2 = np.sin(2 * theta)
-    ca0, ca1, cb0, cb1 = np.cos(a0), np.cos(a1), np.cos(b0), np.cos(b1)
-    sa0, sa1, sb0, sb1 = np.sin(a0), np.sin(a1), np.sin(b0), np.sin(b1)
-    comps = [
-        c2 * ca0, c2 * ca1, c2 * cb0, c2 * cb1,
-        ca0 * cb0 + s2 * sa0 * sb0,
-        ca0 * cb1 + s2 * sa0 * sb1,
-        ca1 * cb0 + s2 * sa1 * sb0,
-        ca1 * cb1 + s2 * sa1 * sb1,
-    ]
-    return np.stack(comps, axis=-1)
-
-
-#: Angle multipliers of (theta, a0, a1, b0, b1) inside the trig terms.
-_JAC_FREQ = np.array([2.0, 1.0, 1.0, 1.0, 1.0])
-_EYE4 = np.eye(4)
+    comps = _born(_param_major(theta, a0, a1, b0, b1))
+    return np.ascontiguousarray(comps.transpose(*range(1, comps.ndim), 0))
 
 
 def born_jacobian(theta, a0, a1, b0, b1):
@@ -120,30 +96,58 @@ def born_jacobian(theta, a0, a1, b0, b1):
     Returns an array of shape (..., 8, 5): behavior component along the
     second-to-last axis, parameter (theta, a0, a1, b0, b1) along the last.
     """
-    params = (theta, a0, a1, b0, b1)
-    shape = np.broadcast(*params).shape
-    q = np.empty(shape + (5,))
+    jac = _born(_param_major(theta, a0, a1, b0, b1), jacobian=True)[1]
+    return np.ascontiguousarray(jac.transpose(*range(2, jac.ndim), 0, 1))
+
+
+def _param_major(*params) -> np.ndarray:
+    """The broadcast parameters stacked along a new first axis, in float64."""
+    q = np.empty((5,) + np.broadcast(*params).shape)
     for k, v in enumerate(params):
-        q[..., k] = v
-    q *= _JAC_FREQ
-    c, s = np.cos(q), np.sin(q)
-    # 2x2 correlator blocks: Alice's angle x along rows, Bob's angle y along columns
-    c2, s2 = c[..., :1, None], s[..., :1, None]
-    ca, sa = c[..., 1:3, None], s[..., 1:3, None]
-    cb, sb = c[..., None, 3:], s[..., None, 3:]
-    jac = np.zeros(shape + (8, 5))
+        q[k] = v
+    return q
+
+
+#: Marginal k of ``_born`` depends on angle k alone.
+_EYE4 = np.eye(4)
+
+
+def _born(q: np.ndarray, jacobian: bool = False):
+    """Born map of parameter-major rows ``q`` (5, ...) of (theta, a0, a1,
+    b0, b1), in the dtype of ``q``; ``q`` is overwritten by the sines.
+
+    Returns the 8 behavior components along a new first axis (8, ...), and
+    with ``jacobian`` also their partial derivatives (8, 5, ...).  One
+    cosine and one sine over ``q`` serve both."""
+    q[0] *= 2
+    c = np.cos(q)
+    s = np.sin(q, out=q)
+    lead = q.shape[1:]
+    # 2x2 correlator blocks: Alice's angle x along axis 0, Bob's angle y along axis 1
+    c2, s2 = c[0], s[0]
+    ca, sa = c[1:3, None], s[1:3, None]
+    cb, sb = c[None, 3:], s[None, 3:]
+    s2sa = s2 * sa
+    comps = np.empty((8,) + lead, q.dtype)
+    np.multiply(c2, c[1:], out=comps[:4])
+    corr = comps[4:].reshape((2, 2) + lead)
+    np.multiply(ca, cb, out=corr)
+    corr += s2sa * sb
+    if not jacobian:
+        return comps
+    jac = np.zeros((8, 5) + lead, q.dtype)
     # marginals c2 cos(angle): each depends on theta and on its own angle
-    jac[..., :4, 0] = -2 * s[..., :1] * c[..., 1:]
-    jac[..., :4, 1:] = -c2 * s[..., None, 1:] * _EYE4
+    jac[:4, 0] = -2 * s2 * c[1:]
+    jac[:4, 1:] = -c2 * s[1:] * _EYE4.reshape((4, 4) + (1,) * len(lead))
     # correlators ca_x cb_y + s2 sa_x sb_y
-    jac[..., 4:, 0] = (2 * c2 * sa * sb).reshape(shape + (4,))
+    jac[4:, 0] = (2 * c2 * sa * sb).reshape((4,) + lead)
     d_a = s2 * ca * sb - sa * cb
-    jac[..., 4:6, 1] = d_a[..., 0, :]
-    jac[..., 6:8, 2] = d_a[..., 1, :]
-    d_b = s2 * sa * cb - ca * sb
-    jac[..., 4::2, 3] = d_b[..., :, 0]
-    jac[..., 5::2, 4] = d_b[..., :, 1]
-    return jac
+    jac[4:6, 1] = d_a[0]
+    jac[6:8, 2] = d_a[1]
+    d_b = s2sa * cb - ca * sb
+    jac[4::2, 3] = d_b[:, 0]
+    jac[5::2, 4] = d_b[:, 1]
+    return comps, jac
 
 
 def born_point(r: QubitRealization) -> Behavior:

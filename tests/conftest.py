@@ -123,3 +123,51 @@ def qset_env() -> dict[str, str]:
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + os.pathsep + rest if rest else src
     return env
+
+
+def reference_born_vector(theta, a0, a1, b0, b1):
+    """``born_vector`` as it was before the parameter-major kernel: ten trig
+    calls on the broadcast parameters, float32 when every one is float32."""
+    single = getattr(theta, "dtype", None) == np.float32 \
+        and all(getattr(v, "dtype", None) == np.float32 for v in (a0, a1, b0, b1))
+    dtype = np.float32 if single else float
+    theta, a0, a1, b0, b1 = np.broadcast_arrays(
+        np.asarray(theta, dtype), np.asarray(a0, dtype), np.asarray(a1, dtype),
+        np.asarray(b0, dtype), np.asarray(b1, dtype))
+    c2 = np.cos(2 * theta)
+    s2 = np.sin(2 * theta)
+    ca0, ca1, cb0, cb1 = np.cos(a0), np.cos(a1), np.cos(b0), np.cos(b1)
+    sa0, sa1, sb0, sb1 = np.sin(a0), np.sin(a1), np.sin(b0), np.sin(b1)
+    comps = [
+        c2 * ca0, c2 * ca1, c2 * cb0, c2 * cb1,
+        ca0 * cb0 + s2 * sa0 * sb0,
+        ca0 * cb1 + s2 * sa0 * sb1,
+        ca1 * cb0 + s2 * sa1 * sb0,
+        ca1 * cb1 + s2 * sa1 * sb1,
+    ]
+    return np.stack(comps, axis=-1)
+
+
+def reference_born_jacobian(theta, a0, a1, b0, b1):
+    """``born_jacobian`` as it was before the parameter-major kernel: (..., 8, 5)."""
+    params = (theta, a0, a1, b0, b1)
+    shape = np.broadcast(*params).shape
+    q = np.empty(shape + (5,))
+    for k, v in enumerate(params):
+        q[..., k] = v
+    q *= np.array([2.0, 1.0, 1.0, 1.0, 1.0])
+    c, s = np.cos(q), np.sin(q)
+    c2, s2 = c[..., :1, None], s[..., :1, None]
+    ca, sa = c[..., 1:3, None], s[..., 1:3, None]
+    cb, sb = c[..., None, 3:], s[..., None, 3:]
+    jac = np.zeros(shape + (8, 5))
+    jac[..., :4, 0] = -2 * s[..., :1] * c[..., 1:]
+    jac[..., :4, 1:] = -c2 * s[..., None, 1:] * np.eye(4)
+    jac[..., 4:, 0] = (2 * c2 * sa * sb).reshape(shape + (4,))
+    d_a = s2 * ca * sb - sa * cb
+    jac[..., 4:6, 1] = d_a[..., 0, :]
+    jac[..., 6:8, 2] = d_a[..., 1, :]
+    d_b = s2 * sa * cb - ca * sb
+    jac[..., 4::2, 3] = d_b[..., :, 0]
+    jac[..., 5::2, 4] = d_b[..., :, 1]
+    return jac

@@ -270,6 +270,34 @@ def test_oracle_decompose_cli(tmp_path, capsys):
     assert doc["lambda"] == 0.5
 
 
+def test_oracle_decompose_hint_finds_the_non_alternating_split(tmp_path, capsys):
+    # without the hint, seed 0 misses NONALT's split
+    path = write_behavior(tmp_path, born_point(NONALT))
+    args = ["oracle", "decompose", "--input", path, "--seed", "0"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and json.loads(out)["found"] is False
+    code, out, _ = run_cli([*args, "--hint", *map(repr, NONALT.params())], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["found"] is True and doc["residual"] <= 1e-10 and doc["separation"] >= 1e-3
+    mix = 0.5 * (Behavior.from_json_dict(doc["p1"]).vector + Behavior.from_json_dict(doc["p2"]).vector)
+    assert np.max(np.abs(mix - born_point(NONALT).vector)) <= 1e-10
+
+
+@pytest.mark.parametrize("hint, message", [
+    (["0.3", "0", "1", "2", "nan"], "hint must be finite"),
+    (["0.3", "0", "1", "2", "x"], "hint must be a number, got 'x'"),
+    (["0.3", "0", "1", "2"], "expected 5 arguments"),
+], ids=["nan", "not-a-number", "four-values"])
+def test_oracle_decompose_bad_hint_is_a_usage_error(tmp_path, capsys, hint, message):
+    path = write_behavior(tmp_path, born_point(NONALT))
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "decompose", "--input", path, "--hint", *hint])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("trials", ["0", "-1", "many"])
 def test_oracle_decompose_trials_below_one_is_a_usage_error(tmp_path, capsys, trials):
     path = write_behavior(tmp_path, born_point(TSIRELSON))

@@ -37,6 +37,7 @@ from qset.oracles import (
     _newton,
     _phase1_float,
     _polish,
+    _GENERATIONS,
     _POLISH_TOP,
     _residual_sep,
     _residual_jac,
@@ -48,7 +49,8 @@ from qset.oracles import (
 )
 from qset.realization import born_vector, sample_realization
 
-from conftest import NONALT, PI8_EDGE, TSIRELSON, random_valid_behavior
+from conftest import (NONALT, PI8_EDGE, TSIRELSON, random_valid_behavior, reference_born_jacobian,
+                      reference_born_vector)
 
 PI = math.pi
 SQ2 = math.sqrt(2.0)
@@ -526,11 +528,11 @@ def test_decomposition_rejects_bad_arguments(kwargs):
 
 def record_objective(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
     """Patch the stochastic score ``_score`` to record every batch it scores
-    as (parameter rows, scores)."""
+    as (parameter rows, scores); the scores are in the compute dtype."""
     calls = []
 
-    def recording(x, target):
-        f = _score(x, target)
+    def recording(x, target, dtype=None):
+        f = _score(x, target, dtype)
         calls.append((x.copy(), f))
         return f
 
@@ -574,14 +576,118 @@ def test_stochastic_score_is_the_squared_polish_residual():
                            atol=0.0)
 
 
+def reference_parts(q):
+    """The part behaviors (p1, p2), each (..., 8), of parameter rows as they
+    were composed before the parameter-major kernel: ``born_vector`` on the
+    (..., 4, 5) reshape of the angles."""
+    reals = q[..., :20].reshape(*q.shape[:-1], 4, 5)
+    comps = reference_born_vector(*(reals[..., k] for k in range(5)))
+    w = 1.0 / (1.0 + np.exp(-q[..., 20:22]))
+    p1 = w[..., 0:1] * comps[..., 0, :] + (1 - w[..., 0:1]) * comps[..., 1, :]
+    p2 = w[..., 1:2] * comps[..., 2, :] + (1 - w[..., 1:2]) * comps[..., 3, :]
+    return p1, p2
+
+
+def reference_residual_sep(q, target):
+    p1, p2 = reference_parts(q)
+    sep = np.max(np.abs(p1 - p2), axis=-1)
+    guard = 5.0 * np.maximum(0.0, 0.01 - sep)
+    err = 0.5 * (p1 + p2) - target.astype(q.dtype, copy=False)
+    return np.concatenate([err, guard[..., None]], axis=-1), sep
+
+
+def reference_residual_jac(q, target):
+    lead = q.shape[:-1]
+    reals = q[..., :20].reshape(*lead, 4, 5)
+    params = [reals[..., k] for k in range(5)]
+    comps = reference_born_vector(*params)
+    dcomps = reference_born_jacobian(*params)
+    w = 1.0 / (1.0 + np.exp(-q[..., 20:22]))
+    dw = w * (1.0 - w)
+    j1 = np.zeros(lead + (8, 22))
+    j1[..., 0:5] = w[..., 0, None, None] * dcomps[..., 0, :, :]
+    j1[..., 5:10] = (1 - w[..., 0, None, None]) * dcomps[..., 1, :, :]
+    j1[..., 20] = dw[..., 0:1] * (comps[..., 0, :] - comps[..., 1, :])
+    j2 = np.zeros(lead + (8, 22))
+    j2[..., 10:15] = w[..., 1, None, None] * dcomps[..., 2, :, :]
+    j2[..., 15:20] = (1 - w[..., 1, None, None]) * dcomps[..., 3, :, :]
+    j2[..., 21] = dw[..., 1:2] * (comps[..., 2, :] - comps[..., 3, :])
+    jac = np.zeros(lead + (9, 22))
+    jac[..., :8, :] = 0.5 * (j1 + j2)
+    p1, p2 = reference_parts(q)
+    diff = p1 - p2
+    i = np.argmax(np.abs(diff), axis=-1)[..., None]
+    di = np.take_along_axis(diff, i, axis=-1)
+    dj = np.take_along_axis(j1 - j2, i[..., None], axis=-2)[..., 0, :]
+    jac[..., 8, :] = np.where(np.abs(di) < 0.01, -5.0 * np.sign(di) * dj, 0.0)
+    return jac
+
+
+@pytest.mark.parametrize("size", [1, 3, 8, 1000, None], ids=["S1", "S3", "S8", "S1000", "row"])
+def test_polish_kernels_match_the_earlier_composition_bit_for_bit(size):
+    # the first half of the rows put part 2 just off part 1 (guard active);
+    # angles range over several periods, some exactly 0 or pi
+    rng = np.random.default_rng(77)
+    n = size or 1
+    q = np.concatenate([rng.uniform(-4 * PI, 4 * PI, (n, 20)), rng.normal(0.0, 2.0, (n, 2))],
+                       axis=1)
+    q[n // 3:, 3] = 0.0
+    q[n // 3:, 9] = PI
+    half = (n + 1) // 2
+    q[:half, 10:20] = q[:half, 0:10] + rng.normal(0.0, 1e-3, (half, 10))
+    q[:half, 21] = q[:half, 20]
+    target = random_valid_behavior(rng).vector
+    if size is None:
+        q = q[0]
+    for dtype in (np.float32, np.float64):
+        x = q.astype(dtype)
+        r, sep = _residual_sep(x, target)
+        r_ref, sep_ref = reference_residual_sep(x, target)
+        assert r.dtype == r_ref.dtype and r.tobytes() == r_ref.tobytes()
+        assert np.asarray(sep).tobytes() == np.asarray(sep_ref).tobytes()
+        f_ref = np.einsum("...i,...i->...", r_ref, r_ref)
+        assert _score(x, target).tobytes() == f_ref.tobytes()
+        # casting float64 rows in the score's own copy rounds as astype does
+        assert _residual_sep(q, target, dtype)[0].tobytes() == r_ref.tobytes()
+        assert _score(q, target, dtype).tobytes() == f_ref.tobytes()
+        assert np.any(r[..., 8] > 0.0)
+    # the polish, its only caller, runs in float64
+    jac, jac_ref = _residual_jac(q, target), reference_residual_jac(q, target)
+    assert jac.shape == jac_ref.shape and jac.tobytes() == jac_ref.tobytes()
+    assert np.any(jac[..., 8, :])
+
+
+def test_in_place_draws_equal_the_normal_proposals():
+    # the 120 scales of a phase, from a start row set with exact zeros in it
+    trials = 200
+    rng = np.random.default_rng(5)
+    x = np.empty((trials, 22))
+    x[:, 0:20] = rng.uniform(0.0, PI, size=(trials, 20))
+    x[:, 20:22] = rng.normal(0.0, 1.0, size=(trials, 2))
+    x[::7, :3] = 0.0
+    draws, reference = np.random.default_rng(9), np.random.default_rng(9)
+    prop = np.empty_like(x)
+    scale = 0.4
+    decay = (0.004 / scale) ** (1.0 / _GENERATIONS)
+    for _ in range(_GENERATIONS):
+        draws.standard_normal(out=prop)
+        prop *= scale
+        prop += x
+        want = x + reference.normal(0.0, scale, size=x.shape)
+        assert prop.tobytes() == want.tobytes()
+        x[::3] = prop[::3]
+        scale *= decay
+
+
 @pytest.mark.parametrize("generations", [0, 7, 120])
 def test_stochastic_phase_scores_in_float32_and_ranks_once_in_float64(monkeypatch, generations):
     calls = record_objective(monkeypatch)
     monkeypatch.setattr("qset.oracles._GENERATIONS", generations)
     decomposition_search(born_point(TSIRELSON), trials=50, seed=3)
-    dtypes = [x.dtype for x, _ in calls]
+    dtypes = [f.dtype for _, f in calls]
     assert dtypes == [np.float32] * (generations + 1) + [np.float64]
-    assert all(f.dtype == x.dtype for x, f in calls)
+    # the rows stay float64; the score casts them in its own copy
+    assert all(x.dtype == np.float64 for x, _ in calls)
 
 
 def test_search_found_from_structured_seeds_scores_nothing(monkeypatch):

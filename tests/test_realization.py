@@ -25,7 +25,8 @@ from qset.realization import (CANONICALIZE_CHUNK, _GAUGE_MOVES, _canonicalize_ma
 from qset.symmetry import group_elements, signed_permutation
 from qset.tolerances import TOL_EQ
 
-from conftest import PI8_EDGE, born_point_matrix
+from conftest import (PI8_EDGE, born_point_matrix, reference_born_jacobian,
+                      reference_born_vector)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "data"))
 from make_golden import GRIDS  # noqa: E402
@@ -96,19 +97,38 @@ def test_born_vector_bit_identical_to_expanded_form():
     assert np.array_equal(born_vector(theta, a0, a1, b0, b1), expected)
 
 
-def test_born_vector_stays_float32_only_for_all_float32_inputs():
+def test_born_vector_returns_float64_for_every_input():
     rng = np.random.default_rng(12)
     params = rng.uniform(-2 * PI, 2 * PI, (5, 100))
     reference = born_vector(*params)
     single = born_vector(*params.astype(np.float32))
-    assert single.dtype == np.float32
+    assert single.dtype == np.float64
     assert np.max(np.abs(single - reference)) < 1e-5
-    assert born_vector(*(np.float32(v) for v in params[:, 0])).dtype == np.float32
+    # float32 angles are widened exactly before the map
+    assert np.array_equal(single, born_vector(*params.astype(np.float32).astype(np.float64)))
+    assert born_vector(*(np.float32(v) for v in params[:, 0])).dtype == np.float64
     # float64 arrays, Python floats, ints and any mix with float32 give float64
     mixed = [params.astype(np.float32)[0], *params[1:]]
     for args in (params, params[:, 0].tolist(), (0, 1, 2, 3, 4), mixed,
                  [*params.astype(np.float32)[:4], 0.5]):
         assert born_vector(*args).dtype == np.float64
+
+
+def test_born_vector_and_jacobian_match_their_earlier_bodies_bit_for_bit():
+    # seeded arrays of several shapes, broadcast mixes and Python floats
+    rng = np.random.default_rng(13)
+    cases = [tuple(rng.uniform(-2 * PI, 2 * PI, (5, 1000)))]
+    cases.append(tuple(rng.uniform(-50.0, 50.0, (5, 3, 7))))
+    row = rng.uniform(-PI, PI, (5, 1))
+    cases.append((0.4, row[1], row[2], 1.1, row[4]))
+    cases += [tuple(rng.uniform(-PI, PI, 5).tolist()) for _ in range(20)]
+    cases.append((0.0, 0.0, PI / 2, PI / 4, 3 * PI / 4))
+    cases.append((0, 1, 2, 3, 4))
+    for args in cases:
+        got, want = born_vector(*args), reference_born_vector(*args)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got, want = born_jacobian(*args), reference_born_jacobian(*args)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def born_jacobian_central_differences(params: np.ndarray, h: float = 1e-6) -> np.ndarray:
