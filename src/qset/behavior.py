@@ -70,14 +70,22 @@ class Behavior:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Behavior":
-        return Behavior(
-            marg_a=(float(d["margA"][0]), float(d["margA"][1])),
-            marg_b=(float(d["margB"][0]), float(d["margB"][1])),
-            corr=(
-                (float(d["corr"][0][0]), float(d["corr"][0][1])),
-                (float(d["corr"][1][0]), float(d["corr"][1][1])),
-            ),
-        )
+        """The behavior of {"margA": [a0, a1], "margB": [b0, b1], "corr": [[c00, c01],
+        [c10, c11]]}: KeyError for a missing key, ValueError for another shape or a
+        non-number; the values themselves are left to ``validate``."""
+        def pair(name: str, value) -> tuple[float, float]:
+            if isinstance(value, (list, tuple)) and len(value) == 2 and all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+                return float(value[0]), float(value[1])
+            raise ValueError(f"{name} must be 2 numbers, got {value!r}")
+
+        if not isinstance(d, dict):
+            raise ValueError(f"a behavior must be a JSON object, got {d!r}")
+        corr = d["corr"]
+        if not (isinstance(corr, (list, tuple)) and len(corr) == 2):
+            raise ValueError(f"corr must be 2x2, got {corr!r}")
+        return Behavior(pair("margA", d["margA"]), pair("margB", d["margB"]),
+                        (pair("corr[0]", corr[0]), pair("corr[1]", corr[1])))
 
 
 @dataclass(frozen=True)

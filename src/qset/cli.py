@@ -57,12 +57,15 @@ def _add_realization_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_behavior(path: str) -> Behavior:
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    return Behavior.from_json_dict(data)
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        return Behavior.from_json_dict(data)
+    except ValueError as exc:  # not UTF-8, not JSON, or not a behavior document
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -438,7 +441,7 @@ def main(argv=None) -> int:
     except QsetError as exc:
         print(f"precondition violated ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, KeyError, argparse.ArgumentTypeError) as exc:
+    except (OSError, KeyError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

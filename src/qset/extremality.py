@@ -181,8 +181,7 @@ def selftest_conditions_check(p: Behavior) -> tuple[bool, np.ndarray]:
     for all four (s, t).  Returns the verdict and the 4 signed residuals
     (value - pi) in (s,t) order (+,+), (+,-), (-,+), (-,-).
     Raises LocalInputError for local behaviors.  Reads the batch of one that
-    ``classify(p)`` keeps, which needs only its stages up to the sums: on its
-    own it reconstructs nothing.
+    ``classify(p)`` keeps.
     """
     batch = _steered_batch(p, "self-test conditions require a nonlocal behavior")
     res = batch.residuals[0].copy()
@@ -196,8 +195,7 @@ def extremality_criterion_check(p: Behavior) -> tuple[bool, SignPattern | None]:
     sum_xy eps_xy asin c[u_x, x, y] = pi for all four u in {+-1}^2.
     The +pi target suffices: the flipped pattern covers -pi.  The first such
     pattern in SIGN_PATTERNS order is returned.  Reads the batch of one that
-    ``classify(p)`` keeps, which needs only its stages up to the sums: on its
-    own it reconstructs nothing.
+    ``classify(p)`` keeps.
     """
     batch = _steered_batch(p, "extremality criterion applies to nonlocal behaviors")
     k = int(batch.pattern[0])
@@ -376,22 +374,19 @@ class BatchClassification:
     """Per-row outcome of ``classify_many``: the input rows ``vectors`` and
     the arrays the stages write.
 
-    ``verdict`` indexes VERDICTS, or is -1 where ``classify`` raises for the
-    row; ``errors`` maps each such row, and only those, to its exception.
-    ``failure`` is the Failure code of Indeterminate rows (0 elsewhere).
+    Every batch has run all four stages.  ``verdict`` indexes VERDICTS, or
+    is -1 where ``classify`` raises for the row; ``errors`` maps each such
+    row, and only those, to its exception.  ``failure`` is the Failure code
+    of Indeterminate rows (0 elsewhere).
     ``residuals`` are the self-test residuals of the input rows and
     ``steered`` their steered correlators (Alice's side), NaN where a row is
     invalid, local or not steerable.  ``reconstructions`` holds stage 4,
     once: the ``selftest.Reconstructions`` of the rows whose criterion holds,
     in row order, each of the row's image under the relabeling of its
     ``pattern``, with its alternation margins and the error that stopped
-    it, if any (None until ``_decide`` runs, and where there are no such
-    rows).  The other arrays hold the details of
-    ``classification(i)``; they are NaN (-1 for ``pattern``) where a row has
-    none.  ``classify_many`` runs every stage.  The batch of one ``classify``
-    keeps stops after the sums, which is all the scalar checks and a
-    certificate refused by its own residuals read; there the rows whose
-    criterion holds have verdict -1 until ``_decide`` runs the last stage.
+    it, if any (None where there are no such rows).  The other arrays hold
+    the details of ``classification(i)``; they are NaN (-1 for ``pattern``)
+    where a row has none.
     """
 
     def __init__(self, v: np.ndarray):
@@ -558,21 +553,14 @@ def _reconstruct(out: BatchClassification, rows: np.ndarray) -> None:
         out.failure[rows[k]] = _FAILURE_OF[type(exc)]
 
 
-def _decide(out: BatchClassification) -> BatchClassification:
-    """Run stage 4 (``_reconstruct``) unless it has run or no row's
-    criterion holds; returns the batch, whose verdicts are then final."""
-    if out.reconstructions is None:
-        rows = (out.pattern >= 0).nonzero()[0]
-        if rows.size:
-            _reconstruct(out, rows)
-    return out
-
-
 def _classify_rows(v: np.ndarray, invalid: np.ndarray) -> BatchClassification:
-    """Stages 1 to 3 of ``classify_many``, given the rows ``validate`` rejects."""
+    """The four stages of ``classify_many``, given the rows ``validate`` rejects."""
     out, rows = _screen(v, invalid)
     if rows.size:
         _sums(out, *_steer(out, rows))
+        rows = (out.pattern >= 0).nonzero()[0]
+        if rows.size:
+            _reconstruct(out, rows)
     return out
 
 
@@ -586,15 +574,14 @@ def classify_many(v) -> BatchClassification:
     self-test residuals and the criterion on Alice's side over 8 sign
     patterns x 4 sectors, and both sides' necessary conditions where the
     criterion fails; and where it holds, reconstruction of the relabeled
-    behavior, canonicalization and the alternation margins.  The batch
-    returned has run every stage, so its verdicts are final.  Row i gives
+    behavior, canonicalization and the alternation margins.  Row i gives
     what ``classify(Behavior.from_vector(v[i]))`` gives, through
     ``classification(i)``: ``classify`` is this call on a batch of one.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != 8:
         raise ValueError(f"behavior vectors must have shape (N, 8), got {v.shape}")
-    return _decide(_classify_rows(v, invalid_rows(v)))
+    return _classify_rows(v, invalid_rows(v))
 
 
 #: The last batch of one ``_classified`` built, keyed by its vector's bytes.
@@ -602,10 +589,10 @@ _kept: dict[bytes, BatchClassification] = {}
 
 
 def _classified(p: Behavior) -> BatchClassification:
-    """Stages 1 to 3 on the batch of one p, kept until another behavior's
-    batch replaces it; ``_decide`` completes it in place.  Distinct float64
-    bytes (0.0 and -0.0 included) never share a batch.  Only a new batch
-    ``validate``s p, raising as ``classify`` does: a kept one was valid."""
+    """The batch of one p, kept until another behavior's batch replaces it.
+    Distinct float64 bytes (0.0 and -0.0 included) never share a batch.  Only
+    a new batch ``validate``s p, raising as ``classify`` does: a kept one was
+    valid."""
     key = np.asarray(p.vector, dtype=float).tobytes()
     batch = _kept.get(key)
     if batch is None:
@@ -628,18 +615,14 @@ def _steered_batch(p: Behavior, local_message: str) -> BatchClassification:
 
 
 def classify(p: Behavior) -> Classification:
-    """Compose the certification pipeline into a verdict: the stages of
-    ``classify_many`` on a batch of one row, so both parties are steered in
-    one stacked pass.  The last batch of one is kept and shared with
-    ``selftest_conditions_check``, ``extremality_criterion_check``,
-    ``selftest_certificate`` and ``reconstruct_realization`` of the same
-    behavior, whichever comes first: it ``validate``s p once, when it is
-    built, the checks run it through the sums, and ``classify`` continues
-    from there with the reconstruction, once.
+    """Compose the certification pipeline into a verdict: ``classify_many``
+    on a batch of one row, kept and shared with ``selftest_conditions_check``,
+    ``extremality_criterion_check``, ``selftest_certificate`` and
+    ``reconstruct_realization`` of the same behavior, whichever comes first.
 
     Local / ExtremalExposed / ExtremalNonExposed / NonExtremalInQ /
     FailsNecessaryQ2Pure, with Indeterminate reserved for the reconstruction
     dead ends listed in Failure.  NonExtremalInQ and FailsNecessaryQ2Pure
     never assert Q-membership; their caveat records that.
     """
-    return _decide(_classified(p)).classification(0)
+    return _classified(p).classification(0)

@@ -1,11 +1,15 @@
-"""Independent brute-force ground truth.
+"""Brute-force ground truth for the analytical modules.
 
-Three falsifiers/cross-checks that share no code path with the analytical
-modules: local-polytope membership by a small feasibility simplex over the
-deterministic vertices, Bell maximization over the two-qubit family by a
-multistart exact block-coordinate ascent with a Newton finish, and a
-convex-decomposition search that tries to split a behavior into two
-distinct quantum parts.
+Three falsifiers/cross-checks: local-polytope membership by a small
+feasibility simplex over the deterministic vertices, Bell maximization over
+the two-qubit family by a multistart exact block-coordinate ascent with a
+Newton finish, and a convex-decomposition search that tries to split a
+behavior into two distinct quantum parts.  The LP and the Bell search share
+no code with the analytical modules, and a split counts as found only when
+the Born map (``realization._born``) of its parts reproduces the behavior.
+Only the search's hint seeds come from them (``canonicalize``,
+``apply_relabeling``, ``symmetry.inverse``, ``witness._admitted_sectors``):
+a fault there can hide a split, never make one.
 """
 
 from __future__ import annotations

@@ -406,7 +406,7 @@ def sample_realization(seed, constraints=frozenset({"canonical"}),
                 continue
             b0 = rng.uniform(lo, hi)
             b1 = rng.uniform(max(b0, at[0, 1], at[1, 1]), PI)
-            r = QubitRealization(theta, (a[0], a[1]), (b0, b1))
+            r = QubitRealization(theta, tuple(a.tolist()), (b0, b1))
             strict = "strictly-alternating" in cons
             if full_alternation_check(r, strict=strict)[0]:
                 return r
@@ -415,7 +415,7 @@ def sample_realization(seed, constraints=frozenset({"canonical"}),
         b = np.sort(rng.uniform(0.0, PI, 2))
         if a[0] > b[0]:
             continue
-        r = QubitRealization(theta, (a[0], a[1]), (b[0], b[1]))
+        r = QubitRealization(theta, tuple(a.tolist()), tuple(b.tolist()))
         if "non-alternating" in cons:
             if abs(math.sin(2 * theta)) < 1e-9:
                 continue

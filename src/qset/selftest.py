@@ -29,7 +29,7 @@ from .errors import (
     NotSelfTestingError,
     QsetError,
 )
-from .extremality import _REFERENCE, _decide, _steered_batch, alternation_margins
+from .extremality import _REFERENCE, _steered_batch, alternation_margins
 from .realization import QubitRealization, _canonical_witness, _canonicalize_many, born_vector
 from .symmetry import SymmetryElement
 from .tolerances import TOL_EQ, TOL_RECON
@@ -271,8 +271,8 @@ def _reconstruction(p: Behavior) -> Reconstructions:
 
     The row's own self-test residuals decide first: NotSelfTestingError when
     they fail, with nothing reconstructed.  Where the row's criterion holds
-    first with the reference placement, the batch's last stage reconstructs
-    p itself (the relabeling is the identity).  Otherwise
+    first with the reference placement, the batch's last stage has
+    reconstructed p itself (the relabeling is the identity).  Otherwise
     ``reconstruct_rows`` runs on p with the steered table and residuals the
     batch kept.  Raises what stops the reconstruction.
     """
@@ -281,7 +281,7 @@ def _reconstruction(p: Behavior) -> Reconstructions:
     if not np.abs(residuals).max() <= TOL_EQ:
         raise _not_self_testing(residuals[0])
     if batch.pattern[0] == _REFERENCE:
-        rec = _decide(batch).reconstructions
+        rec = batch.reconstructions
     else:
         rec = reconstruct_rows(np.asarray(p.vector, dtype=float)[None], batch.steered[:1],
                                residuals)
@@ -297,9 +297,7 @@ def reconstruct_realization(p: Behavior) -> tuple[QubitRealization, Reconstructi
     the returned realization is canonical and reproduces ``p`` up to the
     relabeling element recorded in the trace, componentwise to TOL_RECON.
     It reads the batch of one that ``classify(p)`` keeps: right after
-    ``classify(p)`` it is a lookup.  On its own it runs that batch through
-    the sums, then reconstructs p once, or not at all when p's own residuals
-    refuse it.
+    ``classify(p)`` it is a lookup.
     """
     rec = _reconstruction(p)
     return rec.realization(0), rec.trace(0)

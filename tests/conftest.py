@@ -47,6 +47,14 @@ STEERING_FAILS = np.array([
      -0.30360479240860844, 0.37096342753963557, 0.9917312220139138, -0.975234205578611]])
 
 
+def classification_bits(res) -> tuple:
+    """A Classification with its floats, arrays and realization as bytes."""
+    return res.verdict, {
+        k: np.asarray(v.params() if isinstance(v, QubitRealization) else v).tobytes()
+        if isinstance(v, (float, np.ndarray, QubitRealization)) else v
+        for k, v in res.details.items()}
+
+
 #: Pauli matrices of the measurement operators.
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])

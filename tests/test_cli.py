@@ -117,6 +117,36 @@ def test_classify_invalid_behavior_exit_1(tmp_path, capsys):
     assert "np.float64" not in err
 
 
+ZERO_MARGINALS = {"margB": [0, 0], "corr": [[0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"margA": [0], **ZERO_MARGINALS}, "margA must be 2 numbers, got [0]"),
+    ({"margA": ["x", 0], **ZERO_MARGINALS}, "margA must be 2 numbers, got ['x', 0]"),
+    ([1, 2], "a behavior must be a JSON object, got [1, 2]"),
+    ({"margA": None, **ZERO_MARGINALS}, "margA must be 2 numbers, got None"),
+], ids=["short", "string", "array", "null"])
+def test_malformed_behavior_document_is_a_usage_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    for command in (["classify"], ["selftest"], ["oracle", "local"],
+                    ["oracle", "decompose", "--trials", "1"]):
+        code, out, err = run_cli([*command, "--input", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    # the same document on stdin, in a fresh interpreter
+    proc = subprocess.run([sys.executable, "-m", "qset", "classify", "--input", "-"],
+                          input=json.dumps(doc), capture_output=True, text=True, env=qset_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_undecodable_behavior_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff{}")
+    code, out, err = run_cli(["classify", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_selftest_roundtrip_pipeline(tmp_path, capsys):
     path = write_behavior(tmp_path, born_point(PI8_EDGE))
     code, out, _ = run_cli(["selftest", "--input", path], capsys)

@@ -37,7 +37,8 @@ from qset.realization import born_vector
 from qset.tolerances import TOL_CLAMP, TOL_EQ
 from qset.symmetry import group_elements
 
-from conftest import NONALT, PI8_EDGE, PR_BOX, TSIRELSON, fails_necessary_mixture
+from conftest import (NONALT, PI8_EDGE, PR_BOX, TSIRELSON, classification_bits,
+                      fails_necessary_mixture)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "data"))
 from make_golden import path_of, read_golden  # noqa: E402
@@ -127,14 +128,6 @@ def test_error_messages_print_plain_floats():
                         "steered correlator exceeds [-1,1] by 0.8; input behavior invalid"]
 
 
-def classification_bits(res) -> tuple:
-    """A Classification with its floats, arrays and realization as bytes."""
-    return res.verdict, {
-        k: np.asarray(v.params() if isinstance(v, QubitRealization) else v).tobytes()
-        if isinstance(v, (float, np.ndarray, QubitRealization)) else v
-        for k, v in res.details.items()}
-
-
 def test_classify_steers_both_parties_in_one_pass(monkeypatch):
     calls = {"steered_many": 0, "_asin_sums": 0, "reconstruct_rows": 0}
     for module, name in ((qset.extremality, "steered_many"), (qset.extremality, "_asin_sums"),
@@ -164,13 +157,13 @@ def test_classify_steers_both_parties_in_one_pass(monkeypatch):
         cold = classification_bits(classify(p))
         qset.extremality._kept.clear()
         calls.update(dict.fromkeys(calls, 0))
-        # the checks read the batch through its sums and reconstruct nothing
+        # the first check builds the complete batch, one reconstruction
+        # included: a reference-pattern row keeps its residuals, and only
+        # another pattern's relabeled steered table needs new sums
         assert selftest_conditions_check(p)[0] is (sums == 1)
         assert extremality_criterion_check(p)[1].flat == pattern
-        assert calls == {"steered_many": 1, "_asin_sums": 1, "reconstruct_rows": 0}
-        # classify continues from the kept sums with one reconstruction: a
-        # reference-pattern row keeps its residuals, and only another
-        # pattern's relabeled steered table needs new sums
+        assert calls == {"steered_many": 1, "_asin_sums": sums, "reconstruct_rows": 1}
+        # classify then reads the kept batch
         assert classification_bits(classify(p)) == cold
         assert calls == {"steered_many": 1, "_asin_sums": sums, "reconstruct_rows": 1}
 

@@ -475,6 +475,20 @@ def test_sample_non_alternating():
         assert not ok
 
 
+@pytest.mark.parametrize("constraints", [set(), {"canonical"}, {"fully-alternating"},
+                                         {"strictly-alternating"}, {"non-alternating"}])
+def test_sample_fields_are_python_floats(constraints):
+    for seed in range(5):
+        r = sample_realization(seed, constraints)
+        # np.float64 subclasses float, so compare the types themselves
+        assert [type(x) for x in (r.theta, *r.a, *r.b)] == [float] * 5
+
+
+def test_sample_draw_prints_plain_floats():
+    r = sample_realization(0, {"strictly-alternating"}, theta_range=(0.5, 0.6))
+    assert repr(r.a) == "(0.12872212178963477, 0.8475599579967072)"
+
+
 def test_sample_unknown_constraint():
     with pytest.raises(ValueError):
         sample_realization(0, {"bogus"})

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -36,7 +37,8 @@ from qset.errors import (DegenerateThetaError, InconsistentGaugeError, InvalidBe
                          NoThetaBranchError)
 from qset.tolerances import TOL_EQ, TOL_RECON
 
-from conftest import NONALT, PI8_EDGE, PR_BOX, STEERING_FAILS, TSIRELSON
+from conftest import (NONALT, PI8_EDGE, PR_BOX, STEERING_FAILS, TSIRELSON,
+                      classification_bits)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "data"))
 from make_golden import path_of, read_golden  # noqa: E402
@@ -388,16 +390,50 @@ def test_certificate_after_classify_reads_the_kept_batch(monkeypatch):
     assert calls == {"reconstruct_rows": 2}
 
 
-def test_certificate_refused_by_its_own_residuals_reconstructs_nothing(monkeypatch):
+def test_certificate_refused_by_its_own_residuals_keeps_the_complete_batch(monkeypatch):
     q = apply_symmetry(SymmetryElement(input_swap_a=True), born_point(PI8_EDGE))
     calls = count_reconstructions(monkeypatch, "steered_many", "_asin_sums")
     with pytest.raises(NotSelfTestingError):
         selftest_certificate(q)
     assert int(qset.extremality._classified(q).pattern[0]) == 0
-    assert calls == {"reconstruct_rows": 0, "steered_many": 1, "_asin_sums": 1}
-    # classify then continues the kept batch: its pattern-0 image reconstructs
+    # building the batch reconstructs q's pattern-0 image; the refused
+    # certificate reconstructs nothing more
+    assert calls == {"reconstruct_rows": 1, "steered_many": 1, "_asin_sums": 2}
+    # classify then reads the kept batch
     assert classify(q).verdict is Verdict.EXTREMAL_NON_EXPOSED
     assert calls == {"reconstruct_rows": 1, "steered_many": 1, "_asin_sums": 2}
+
+
+#: The scalar views of the kept batch, each with a key of its result.
+SCALAR_VIEWS = {
+    "classify": lambda p: classification_bits(classify(p)),
+    "selftest_conditions_check": lambda p: bits(*selftest_conditions_check(p)),
+    "extremality_criterion_check": extremality_criterion_check,
+    "selftest_certificate": lambda p: certificate_key(selftest_certificate(p)),
+}
+
+
+def test_scalar_views_agree_in_every_order(monkeypatch):
+    a = 0.7071067811865476
+    pi8 = born_point(PI8_EDGE)
+    points = [born_point(TSIRELSON), pi8, born_point(NONALT),
+              apply_symmetry(SymmetryElement(input_swap_a=True), pi8),
+              Behavior.from_vector([0, 0, 0, 0, -a, -a, -a, a]), RESIDUAL_EDGE,
+              Behavior.from_vector(STEERING_FAILS[0])]
+    calls = count_reconstructions(monkeypatch, "steered_many", "_asin_sums")
+    for p in points:
+        first = None
+        for order in itertools.permutations(SCALAR_VIEWS):
+            _kept.clear()
+            calls.update(dict.fromkeys(calls, 0))
+            results = {}
+            for name in order:
+                results[name] = outcome(lambda: SCALAR_VIEWS[name](p))
+                # the kept batch is complete: -1 exactly on the rows where classify raises
+                (batch,) = _kept.values()
+                assert set((batch.verdict == -1).nonzero()[0].tolist()) == set(batch.errors)
+            first = first or (results, dict(calls))
+            assert (results, calls) == first, order
 
 
 def test_other_behavior_in_between_forces_recompute(monkeypatch):
