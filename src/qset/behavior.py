@@ -71,8 +71,8 @@ class Behavior:
     @staticmethod
     def from_json_dict(d: dict) -> "Behavior":
         """The behavior of {"margA": [a0, a1], "margB": [b0, b1], "corr": [[c00, c01],
-        [c10, c11]]}: KeyError for a missing key, ValueError for another shape or a
-        non-number; the values themselves are left to ``validate``."""
+        [c10, c11]]}: ValueError naming the first missing key, or for another shape
+        or a non-number; the values themselves are left to ``validate``."""
         def pair(name: str, value) -> tuple[float, float]:
             if isinstance(value, (list, tuple)) and len(value) == 2 and all(
                     isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
@@ -81,6 +81,9 @@ class Behavior:
 
         if not isinstance(d, dict):
             raise ValueError(f"a behavior must be a JSON object, got {d!r}")
+        for key in ("margA", "margB", "corr"):
+            if key not in d:
+                raise ValueError(f"behavior document is missing {key!r}")
         corr = d["corr"]
         if not (isinstance(corr, (list, tuple)) and len(corr) == 2):
             raise ValueError(f"corr must be 2x2, got {corr!r}")

@@ -441,7 +441,7 @@ def main(argv=None) -> int:
     except QsetError as exc:
         print(f"precondition violated ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
-    except (OSError, KeyError, argparse.ArgumentTypeError) as exc:
+    except (OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

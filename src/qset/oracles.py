@@ -192,26 +192,34 @@ def _sweeps(bv: np.ndarray, x: np.ndarray, count: int) -> tuple[np.ndarray, np.n
     K = ca^T E cb (E the correlator block), so Alice's angle a_x maximizes
     ca_x (c2 mA_x + (E cb)_x) + sa_x s2 (E sb)_x, Bob's likewise with E^T,
     and 2 theta maximizes c2 M + s2 S.  The sweeps stop early once no column
-    gains."""
+    gains.  Each party's term of M is formed once per change of its angles.
+
+    A sum over a party's two settings is ``np.add.reduce(t, 0)``, which is
+    ``t.sum(0)`` without its Python wrapper.  It is not t[0] + t[1]: the
+    reduction starts from +0.0, so two -0.0 terms give +0.0 where t[0] + t[1]
+    gives -0.0, and the sign of a zero decides an atan2 between 0 and pi."""
     m_a, m_b, e = bv[0:2, None], bv[2:4, None], bv[4:8].reshape(2, 2)
     phi = 2.0 * x[0]
     c2, s2 = np.cos(phi), np.sin(phi)
     b = x[3:5]
     cb, sb = np.cos(b), np.sin(b)
+    marg_b = np.add.reduce(m_b * cb, 0)
     val = None
     for _ in range(count):
         ecb, esb = e @ cb, e @ sb
         a = np.arctan2(s2 * esb, c2 * m_a + ecb)
         ca, sa = np.cos(a), np.sin(a)
-        phi = np.arctan2((sa * esb).sum(0), (m_a * ca).sum(0) + (m_b * cb).sum(0))
+        marg_a = np.add.reduce(m_a * ca, 0)
+        phi = np.arctan2(np.add.reduce(sa * esb, 0), marg_a + marg_b)
         c2, s2 = np.cos(phi), np.sin(phi)
         eca, esa = e.T @ ca, e.T @ sa
         b = np.arctan2(s2 * esa, c2 * m_b + eca)
         cb, sb = np.cos(b), np.sin(b)
-        marg, corr = (m_a * ca).sum(0) + (m_b * cb).sum(0), (sb * esa).sum(0)
+        marg_b = np.add.reduce(m_b * cb, 0)
+        marg, corr = marg_a + marg_b, np.add.reduce(sb * esa, 0)
         phi = np.arctan2(corr, marg)
         c2, s2 = np.cos(phi), np.sin(phi)
-        new = np.hypot(marg, corr) + (cb * eca).sum(0)
+        new = np.hypot(marg, corr) + np.add.reduce(cb * eca, 0)
         done = val is not None and not (new > val).any()
         val = new
         if done:
@@ -219,27 +227,34 @@ def _sweeps(bv: np.ndarray, x: np.ndarray, count: int) -> tuple[np.ndarray, np.n
     return np.vstack([0.5 * phi, a, b]), val
 
 
-def _local_model(bv: np.ndarray, rows: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value (R,), gradient (R, 5) and Hessian (R, 5, 5) of the functional at
-    ``rows`` (R, 5), in closed form.
-
-    Both parties are handled at once: for party k with angles (c, s) and the
-    partner's (c', s'), u = c2 m_k + E_k c' and v = s2 E_k s', with E_A = E
-    and E_B = E^T, so the value along one angle is c u + s v + const."""
+def _model_value(bv: np.ndarray, pair: np.ndarray, rows: np.ndarray
+                 ) -> tuple[np.ndarray, tuple]:
+    """Value (R,) of the functional at ``rows`` (R, 5), and the terms
+    (each with R last) from which ``_model_derivatives`` extends it.
+    ``pair`` is ``_correlator_pair(bv)``."""
     r = len(rows)
     c2, s2 = np.cos(2.0 * rows[:, 0]), np.sin(2.0 * rows[:, 0])
     c, s = np.cos(rows[:, 1:].T), np.sin(rows[:, 1:].T)
     cs, ss = c.reshape(2, 2, r), s.reshape(2, 2, r)  # (party, setting, R)
-    e = bv[4:8].reshape(2, 2)
-    pair = np.stack([e, e.T])
-    m = bv[0:4].reshape(2, 2, 1)
     ec, es = pair @ cs[::-1], pair @ ss[::-1]
-    u, v = c2 * m + ec, s2 * es
     marg = bv[0:4] @ c
-    corr = (ss[0] * es[0]).sum(0)
+    corr = np.add.reduce(ss[0] * es[0], 0)
     tilt = c2 * marg + s2 * corr
-    val = tilt + (cs[0] * ec[0]).sum(0)
+    return tilt + np.add.reduce(cs[0] * ec[0], 0), (c2, s2, cs, ss, ec, es, marg, corr, tilt)
+
+
+def _model_derivatives(bv: np.ndarray, terms: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient (R, 5) and Hessian (R, 5, 5) of the functional from the
+    terms of ``_model_value`` (or any selection of their last axis).
+
+    Both parties are handled at once: for party k with angles (c, s) and the
+    partner's (c', s'), u = c2 m_k + E_k c' and v = s2 E_k s', with E_A = E
+    and E_B = E^T, so the value along one angle is c u + s v + const."""
+    c2, s2, cs, ss, ec, es, marg, corr, tilt = terms
+    r = len(c2)
+    e = bv[4:8].reshape(2, 2)
+    m = bv[0:4].reshape(2, 2, 1)
+    u, v = c2 * m + ec, s2 * es
     grad = np.empty((5, r))
     grad[0] = 2.0 * (c2 * corr - s2 * marg)
     grad[1:] = (cs * v - ss * u).reshape(4, r)
@@ -252,7 +267,22 @@ def _local_model(bv: np.ndarray, rows: np.ndarray
     cross = e[:, :, None] * (ss[0][:, None] * ss[1][None] + s2 * (cs[0][:, None] * cs[1][None]))
     hess[1:3, 3:5] = cross
     hess[3:5, 1:3] = cross.transpose(1, 0, 2)
-    return val, grad.T, hess.transpose(2, 0, 1)
+    return grad.T, hess.transpose(2, 0, 1)
+
+
+def _correlator_pair(bv: np.ndarray) -> np.ndarray:
+    """The correlator block E and its transpose, (2, 2, 2): E_A and E_B."""
+    e = bv[4:8].reshape(2, 2)
+    return np.array([e, e.T])
+
+
+def _local_model(bv: np.ndarray, rows: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value (R,), gradient (R, 5) and Hessian (R, 5, 5) of the functional at
+    ``rows`` (R, 5), in closed form: ``_model_value`` extended by
+    ``_model_derivatives``."""
+    val, terms = _model_value(bv, _correlator_pair(bv), rows)
+    return (val, *_model_derivatives(bv, terms))
 
 
 def _newton(bv: np.ndarray, rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,31 +293,37 @@ def _newton(bv: np.ndarray, rows: np.ndarray, count: int) -> tuple[np.ndarray, n
     the Hessian, so it ascends whatever the curvature's signs.  A step is
     kept only when it gains.  A step longer than the row's radius (at first
     _STEP_CAP) is scaled down to it, and a scaled step that gains nothing
-    halves the radius; a row stops when an unscaled step gains nothing."""
-    val, grad, hess = _local_model(bv, rows)
+    halves the radius; a row stops when an unscaled step gains nothing.
+
+    A trial point is scored by its value alone (``_model_value``); the
+    gradient and Hessian are built only for the rows where it gains, and the
+    loop ends once no row gains or was scaled."""
+    pair = _correlator_pair(bv)
+    val, terms = _model_value(bv, pair, rows)
+    grad, hess = _model_derivatives(bv, terms)
     rows = rows.copy()
     radius = np.full(len(rows), _STEP_CAP)
     floor = _EIG_FLOOR * float(np.abs(bv).sum()) + np.finfo(float).tiny
     active = np.arange(len(rows))
     for _ in range(count):
-        if not active.size:
-            break
         lam, vec = np.linalg.eigh(hess)
         step = vec @ ((grad[:, None, :] @ vec)[:, 0] / np.maximum(np.abs(lam), floor))[..., None]
         step = step[..., 0]
         length = np.abs(step).max(axis=1)
         scaled = length > radius[active]
         step[scaled] *= (radius[active][scaled] / length[scaled])[:, None]
-        new_val, new_grad, new_hess = _local_model(bv, rows[active] + step)
+        new_val, terms = _model_value(bv, pair, rows[active] + step)
         gain = new_val > val[active]
+        go = gain | scaled
+        if not go.any():
+            break
         keep = active[gain]
         rows[keep] += step[gain]
         val[keep] = new_val[gain]
         radius[active[~gain]] = 0.5 * np.minimum(length, radius[active])[~gain]
-        go = gain | scaled
-        active = active[go]
-        grad = np.where(gain[:, None], new_grad, grad)[go]
-        hess = np.where(gain[:, None, None], new_hess, hess)[go]
+        if keep.size:
+            grad[gain], hess[gain] = _model_derivatives(bv, tuple(t[..., gain] for t in terms))
+        active, grad, hess = active[go], grad[go], hess[go]
     return rows, val
 
 

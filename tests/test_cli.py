@@ -125,7 +125,10 @@ ZERO_MARGINALS = {"margB": [0, 0], "corr": [[0, 0], [0, 0]]}
     ({"margA": ["x", 0], **ZERO_MARGINALS}, "margA must be 2 numbers, got ['x', 0]"),
     ([1, 2], "a behavior must be a JSON object, got [1, 2]"),
     ({"margA": None, **ZERO_MARGINALS}, "margA must be 2 numbers, got None"),
-], ids=["short", "string", "array", "null"])
+    (ZERO_MARGINALS, "behavior document is missing 'margA'"),
+    ({"margA": [0, 0], "corr": [[0, 0], [0, 0]]}, "behavior document is missing 'margB'"),
+    ({"margA": [0, 0], "margB": [0, 0]}, "behavior document is missing 'corr'"),
+], ids=["short", "string", "array", "null", "no-margA", "no-margB", "no-corr"])
 def test_malformed_behavior_document_is_a_usage_error(tmp_path, capsys, doc, message):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))

@@ -33,6 +33,8 @@ from qset.oracles import (
     _found,
     _local_model,
     _mixres,
+    _model_derivatives,
+    _model_value,
     _NEWTON_STEPS,
     _newton,
     _phase1_float,
@@ -236,6 +238,39 @@ def test_local_model_matches_the_functional_and_its_differences():
             assert np.max(np.abs((up[0] - down[0]) / (2 * h) - grad[:, k])) < 1e-8
             assert np.max(np.abs((up[1] - down[1]) / (2 * h) - hess[:, :, k])) < 1e-8
         assert np.array_equal(hess, hess.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("beta, accepted", [
+    (CHSH, 0),
+    (BellFunctional(coeffs=(0.7, 0, 0, 0, 1, 1, 1, -1)), 2),
+    (BellFunctional.from_vector(seeded_functionals(90, 201)[200]), 3),
+], ids=["chsh", "tilted-0.7", "seeded-200"])
+def test_newton_builds_the_derivatives_once_per_accepted_step(monkeypatch, beta, accepted):
+    # a trial point is scored by its value alone: the gradient and Hessian
+    # are built at the start and again only where a step gains, and the
+    # finish ends at the first step that neither gains nor was capped
+    values, builds = [], []
+
+    def value(*args):
+        val, terms = _model_value(*args)
+        values.append(float(val[0]))
+        return val, terms
+
+    def derivatives(*args):
+        builds.append(len(args[-1][0]))
+        return _model_derivatives(*args)
+
+    monkeypatch.setattr("qset.oracles._model_value", value)
+    monkeypatch.setattr("qset.oracles._model_derivatives", derivatives)
+    result, _ = bell_max_q2(beta)
+    best, gains = values[0], 0
+    for trial in values[1:]:
+        if trial > best:
+            best, gains = trial, gains + 1
+    assert gains == accepted
+    assert builds == [1] * (1 + accepted)
+    assert result == best + beta.offset
+    assert len(values) == 2 + accepted
 
 
 def residual_central_differences(q: np.ndarray, target: np.ndarray, h: float = 1e-7):
