@@ -10,7 +10,6 @@ from .behavior import (
     BellFunctional,
     CHSH,
     bell_value,
-    chsh_all,
     is_local,
     probabilities,
     validate,
@@ -18,7 +17,6 @@ from .behavior import (
 from .errors import (
     QsetError,
     InvalidBehaviorError,
-    NullImageError,
     DegenerateThetaError,
     MarginalUnitError,
     CorrelatorRangeError,
@@ -66,10 +64,7 @@ from .selftest import (
 )
 from .steering import (
     SteeredCorrelators,
-    bob_modified_angles,
-    bob_steered_correlators,
     modified_angles,
-    steer_vector,
     steered_correlators,
     steered_table,
 )
@@ -81,7 +76,6 @@ from .symmetry import (
 )
 from .witness import (
     FlatnessWitness,
-    TangentBasis,
     delta_condition,
     find_witness,
     orthocomplement,

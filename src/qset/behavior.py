@@ -30,7 +30,6 @@ __all__ = [
     "probabilities",
     "validate",
     "bell_value",
-    "chsh_all",
     "chsh_values",
     "invalid_rows",
     "is_local",
@@ -73,22 +72,39 @@ class Behavior:
         """The behavior of {"margA": [a0, a1], "margB": [b0, b1], "corr": [[c00, c01],
         [c10, c11]]}: ValueError naming the first missing key, or for another shape
         or a non-number; the values themselves are left to ``validate``."""
-        def pair(name: str, value) -> tuple[float, float]:
-            if isinstance(value, (list, tuple)) and len(value) == 2 and all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
-                return float(value[0]), float(value[1])
-            raise ValueError(f"{name} must be 2 numbers, got {value!r}")
-
-        if not isinstance(d, dict):
-            raise ValueError(f"a behavior must be a JSON object, got {d!r}")
-        for key in ("margA", "margB", "corr"):
-            if key not in d:
-                raise ValueError(f"behavior document is missing {key!r}")
+        _require_keys(d, "behavior", ("margA", "margB", "corr"))
         corr = d["corr"]
         if not (isinstance(corr, (list, tuple)) and len(corr) == 2):
             raise ValueError(f"corr must be 2x2, got {corr!r}")
-        return Behavior(pair("margA", d["margA"]), pair("margB", d["margB"]),
-                        (pair("corr[0]", corr[0]), pair("corr[1]", corr[1])))
+        return Behavior(_pair("margA", d["margA"]), _pair("margB", d["margB"]),
+                        (_pair("corr[0]", corr[0]), _pair("corr[1]", corr[1])))
+
+
+def _require_keys(d, what: str, keys: tuple[str, ...]) -> None:
+    """ValueError unless d is a dict holding every key, naming the first missing."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {d!r}")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} document is missing {key!r}")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _to_float(x: int | float) -> float:
+    """float(x), but an int too large for a float is +-inf, as JSON's 1e400 is."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _pair(name: str, value) -> tuple[float, float]:
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
+        return _to_float(value[0]), _to_float(value[1])
+    raise ValueError(f"{name} must be 2 numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -214,11 +230,6 @@ def chsh_values(v: np.ndarray) -> np.ndarray:
     c = v[..., 4:, None]
     return _SIGNS[:, 0] * c[..., 0, :] + _SIGNS[:, 1] * c[..., 1, :] \
         + _SIGNS[:, 2] * c[..., 2, :] + _SIGNS[:, 3] * c[..., 3, :]
-
-
-def chsh_all(p: Behavior) -> np.ndarray:
-    """The 8 CHSH sign-variant values sum_xy e_xy <A_x B_y>, product(e) = -1."""
-    return chsh_values(p.vector)
 
 
 def is_local(p: Behavior) -> bool:

@@ -24,9 +24,10 @@ import numpy as np
 
 from .behavior import Behavior, BellFunctional, CHSH
 from .errors import InvalidBehaviorError, QsetError
-from .extremality import alternation_margins, classify, classify_many
+from .extremality import classify, classify_many
 from .oracles import bell_max_q2, decomposition_search, local_membership_lp
-from .realization import QubitRealization, born_point, born_vector, canonicalize
+from .realization import (QubitRealization, alternation_margins, born_point, born_vector,
+                          canonicalize)
 from .selftest import selftest_certificate
 from .steering import steered_table
 from .witness import find_witness
@@ -41,7 +42,7 @@ def _fmt(x: float) -> str:
 
 
 def _realization_from_args(args) -> QubitRealization:
-    conv = math.radians if getattr(args, "degrees", False) else float
+    conv = math.radians if args.degrees else float
     return QubitRealization(
         theta=conv(args.theta),
         a=(conv(args.a0), conv(args.a1)),

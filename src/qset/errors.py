@@ -21,10 +21,6 @@ class InvalidBehaviorError(QsetError, ValueError):
         super().__init__("; ".join(violations))
 
 
-class NullImageError(QsetError):
-    """Steering map hit its degenerate null-image case (product state only)."""
-
-
 class DegenerateThetaError(QsetError):
     """Entanglement angle is 0 mod pi/2 (or outside a required sector)."""
 

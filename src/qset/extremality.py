@@ -27,8 +27,8 @@ from .errors import (
     NoThetaBranchError,
     NotSelfTestingError,
 )
-from .realization import QubitRealization
-from .steering import _steered_c, modified_angles_raw, pi_interval, steered_many
+from .realization import QubitRealization, _alternating, alternation_margins
+from .steering import _steered_c, steered_many
 from .symmetry import SymmetryElement, signed_permutation
 from .tolerances import TOL_CLAMP, TOL_EQ
 
@@ -43,7 +43,6 @@ __all__ = [
     "selftest_conditions_check",
     "extremality_criterion_check",
     "full_alternation_check",
-    "alternation_margins",
     "classify",
     "classify_many",
     "pattern_to_reference_relabeling",
@@ -134,12 +133,6 @@ def _criterion_holds(sums: np.ndarray) -> np.ndarray:
     return ~(np.abs(val - math.pi) > TOL_EQ).any(axis=1)
 
 
-def _alternating(margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Strict and non-strict alternation of (N, 8) margins, one min per block."""
-    inner, outer = margins[:, :6].min(axis=1), margins[:, 6:].min(axis=1) >= -TOL_EQ
-    return outer & (inner > TOL_EQ), outer & (inner >= -TOL_EQ)
-
-
 def necessary_conditions_check(p: Behavior, side: str = "alice") -> tuple[bool, np.ndarray]:
     """Necessary condition for pure projective two-qubit realizations.
 
@@ -200,44 +193,6 @@ def extremality_criterion_check(p: Behavior) -> tuple[bool, SignPattern | None]:
     batch = _steered_batch(p, "extremality criterion applies to nonlocal behaviors")
     k = int(batch.pattern[0])
     return (False, None) if k < 0 else (True, _pattern(k))
-
-
-def alternation_margins(params) -> tuple[np.ndarray, dict[int, Exception]]:
-    """``full_alternation_check`` margins of realizations given as rows
-    (theta, a0, a1, b0, b1) of an (N, 5) array.
-
-    Returns the (N, 8) margins and the error ``full_alternation_check``
-    raises for each row it rejects (ValueError for a non-canonical row,
-    DegenerateThetaError for theta = 0 mod pi/2); those rows' margins are NaN.
-    The degenerate test is |sin 2 theta| < 1e-12 in ``math`` (libm): numpy's
-    sin only screens for the rows to test, with twice the bound.  Each block
-    is one subtraction written in place (``out=``), so no bit moves.
-    """
-    params = np.asarray(params, dtype=float)
-    theta, a0, a1, b0, b1 = params.T[:, :, None]  # (N, 1) columns
-    at = pi_interval(modified_angles_raw(theta, params[:, 1:3])).T  # [x, row, alpha]
-    margins = np.empty((len(params), 8))
-    np.subtract(b0, at[0], out=margins[:, 0:2])
-    np.subtract(at[1], b0, out=margins[:, 2:4])
-    np.subtract(b1, at[1], out=margins[:, 4:6])
-    margins[:, 6:7] = b0
-    np.subtract(math.pi, b1, out=margins[:, 7:8])
-    # ``QubitRealization.is_canonical``, its bounds grouped by np.minimum and
-    # np.maximum: exact, as rounding is monotone
-    canonical = ((-TOL_EQ <= np.minimum(theta, a0))
-                 & (np.maximum(np.maximum(theta, a1), b1) < math.pi + TOL_EQ)
-                 & (a0 <= np.minimum(b0, a1) + TOL_EQ) & (b0 <= b1 + TOL_EQ))[:, 0]
-    suspect = ~canonical | (np.abs(np.sin(2 * theta[:, 0])) < 2e-12)
-    errors: dict[int, Exception] = {}
-    for i in suspect.nonzero()[0].tolist():
-        t = float(params[i, 0])
-        if not canonical[i]:
-            errors[i] = ValueError("full_alternation_check requires a canonical realization")
-        elif abs(math.sin(2 * t)) < 1e-12:
-            errors[i] = DegenerateThetaError(f"theta={t!r} is 0 mod pi/2")
-    if errors:
-        margins[list(errors)] = np.nan
-    return margins, errors
 
 
 def full_alternation_check(r: QubitRealization, strict: bool) -> tuple[bool, np.ndarray]:

@@ -23,6 +23,7 @@ from .behavior import Behavior, BellFunctional, _require_valid
 from .errors import DegenerateThetaError
 from .realization import QubitRealization, _born, apply_relabeling, canonicalize
 from .symmetry import inverse
+from .witness import _admitted_sectors
 
 __all__ = [
     "DeterministicVertex",
@@ -274,15 +275,6 @@ def _correlator_pair(bv: np.ndarray) -> np.ndarray:
     """The correlator block E and its transpose, (2, 2, 2): E_A and E_B."""
     e = bv[4:8].reshape(2, 2)
     return np.array([e, e.T])
-
-
-def _local_model(bv: np.ndarray, rows: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value (R,), gradient (R, 5) and Hessian (R, 5, 5) of the functional at
-    ``rows`` (R, 5), in closed form: ``_model_value`` extended by
-    ``_model_derivatives``."""
-    val, terms = _model_value(bv, _correlator_pair(bv), rows)
-    return (val, *_model_derivatives(bv, terms))
 
 
 def _newton(bv: np.ndarray, rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -638,8 +630,6 @@ def _structured_seeds(hint: QubitRealization) -> list[np.ndarray]:
     companion point with the hint behavior at a few weights (part 2 starts at
     the hint itself), plus the role-swapped variant.  Strictly alternating
     hints have no admissible sector and contribute no seeds."""
-    from .witness import _admitted_sectors
-
     seeds: list[np.ndarray] = []
     try:
         canon, g = canonicalize(hint, sector=True)

@@ -1,4 +1,4 @@
-"""Canonical two-qubit realizations and Born-rule evaluation.
+"""Canonical two-qubit realizations, Born-rule evaluation, modified angles, alternation.
 
 A realization is the real family
 
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .behavior import Behavior
+from .behavior import Behavior, _is_number, _pair, _require_keys, _to_float
 from .errors import DegenerateThetaError, SamplingError
 from .symmetry import SymmetryElement, group_elements, signed_permutation
 from .tolerances import TOL_EQ
@@ -37,6 +37,8 @@ __all__ = [
     "born_jacobian",
     "canonicalize",
     "apply_relabeling",
+    "modified_angles_raw",
+    "alternation_margins",
     "sample_realization",
 ]
 
@@ -73,11 +75,12 @@ class QubitRealization:
 
     @staticmethod
     def from_json_dict(d: dict) -> "QubitRealization":
-        return QubitRealization(
-            theta=float(d["theta"]),
-            a=(float(d["a"][0]), float(d["a"][1])),
-            b=(float(d["b"][0]), float(d["b"][1])),
-        )
+        """{"theta": t, "a": [a0, a1], "b": [b0, b1]}, checked as ``Behavior.from_json_dict``."""
+        _require_keys(d, "realization", ("theta", "a", "b"))
+        theta = d["theta"]
+        if not _is_number(theta):
+            raise ValueError(f"theta must be a number, got {theta!r}")
+        return QubitRealization(_to_float(theta), _pair("a", d["a"]), _pair("b", d["b"]))
 
 
 def born_vector(theta, a0, a1, b0, b1):
@@ -153,6 +156,64 @@ def _born(q: np.ndarray, jacobian: bool = False):
 def born_point(r: QubitRealization) -> Behavior:
     """Behavior of a realization via the closed-form expressions."""
     return Behavior.from_vector(born_vector(r.theta, r.a[0], r.a[1], r.b[0], r.b[1]))
+
+
+def modified_angles_raw(theta, a):
+    """Modified angles for both outcome signs; array-friendly, no gating.
+
+    Returns an array of shape (2,) + shape(a): index 0 is alpha = +1,
+    index 1 is alpha = -1.
+    """
+    theta = np.asarray(theta, float)
+    half = np.asarray(a, float) / 2
+    sa, ca, st, ct = np.sin(half), np.cos(half), np.sin(theta), np.cos(theta)
+    plus = 2 * np.arctan2(sa * st, ca * ct)
+    minus = 2 * np.arctan2(sa * ct, ca * st)
+    return np.stack([plus, minus])
+
+
+def alternation_margins(params) -> tuple[np.ndarray, dict[int, Exception]]:
+    """``extremality.full_alternation_check`` margins of realizations given
+    as rows (theta, a0, a1, b0, b1) of an (N, 5) array.
+
+    Returns the (N, 8) margins and the error ``full_alternation_check``
+    raises for each row it rejects (ValueError for a non-canonical row,
+    DegenerateThetaError for theta = 0 mod pi/2); those rows' margins are NaN.
+    The degenerate test is |sin 2 theta| < 1e-12 in ``math`` (libm): numpy's
+    sin only screens for the rows to test, with twice the bound.  Each block
+    is one subtraction written in place (``out=``), so no bit moves.
+    """
+    params = np.asarray(params, dtype=float)
+    theta, a0, a1, b0, b1 = params.T[:, :, None]  # (N, 1) columns
+    at = np.mod(modified_angles_raw(theta, params[:, 1:3]), PI).T  # [x, row, alpha]
+    margins = np.empty((len(params), 8))
+    np.subtract(b0, at[0], out=margins[:, 0:2])
+    np.subtract(at[1], b0, out=margins[:, 2:4])
+    np.subtract(b1, at[1], out=margins[:, 4:6])
+    margins[:, 6:7] = b0
+    np.subtract(PI, b1, out=margins[:, 7:8])
+    # ``QubitRealization.is_canonical``, its bounds grouped by np.minimum and
+    # np.maximum: exact, as rounding is monotone
+    canonical = ((-TOL_EQ <= np.minimum(theta, a0))
+                 & (np.maximum(np.maximum(theta, a1), b1) < PI + TOL_EQ)
+                 & (a0 <= np.minimum(b0, a1) + TOL_EQ) & (b0 <= b1 + TOL_EQ))[:, 0]
+    suspect = ~canonical | (np.abs(np.sin(2 * theta[:, 0])) < 2e-12)
+    errors: dict[int, Exception] = {}
+    for i in suspect.nonzero()[0].tolist():
+        t = float(params[i, 0])
+        if not canonical[i]:
+            errors[i] = ValueError("full_alternation_check requires a canonical realization")
+        elif abs(math.sin(2 * t)) < 1e-12:
+            errors[i] = DegenerateThetaError(f"theta={t!r} is 0 mod pi/2")
+    if errors:
+        margins[list(errors)] = np.nan
+    return margins, errors
+
+
+def _alternating(margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strict and non-strict alternation of (N, 8) margins (a NaN row: neither)."""
+    inner, outer = margins[:, :6].min(axis=1), margins[:, 6:].min(axis=1) >= -TOL_EQ
+    return outer & (inner > TOL_EQ), outer & (inner >= -TOL_EQ)
 
 
 def apply_relabeling(g: SymmetryElement, r: QubitRealization) -> QubitRealization:
@@ -387,10 +448,6 @@ def sample_realization(seed, constraints=frozenset({"canonical"}),
     if alternating and "non-alternating" in cons:
         raise ValueError("alternating and non-alternating constraints conflict")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-    from .steering import modified_angles_raw
-    from .extremality import full_alternation_check
-
     if theta_range is None:
         theta_range = (0.0, PI / 4) if (alternating or "non-alternating" in cons) else (0.0, PI)
 
@@ -407,8 +464,8 @@ def sample_realization(seed, constraints=frozenset({"canonical"}),
             b0 = rng.uniform(lo, hi)
             b1 = rng.uniform(max(b0, at[0, 1], at[1, 1]), PI)
             r = QubitRealization(theta, tuple(a.tolist()), (b0, b1))
-            strict = "strictly-alternating" in cons
-            if full_alternation_check(r, strict=strict)[0]:
+            strict, alternates = _alternating(alternation_margins([r.params()])[0])
+            if (strict if "strictly-alternating" in cons else alternates)[0]:
                 return r
             continue
         a = np.sort(rng.uniform(0.0, PI, 2))
@@ -419,7 +476,7 @@ def sample_realization(seed, constraints=frozenset({"canonical"}),
         if "non-alternating" in cons:
             if abs(math.sin(2 * theta)) < 1e-9:
                 continue
-            if full_alternation_check(r, strict=False)[0]:
+            if _alternating(alternation_margins([r.params()])[0])[1][0]:
                 continue
         return r
     raise SamplingError(f"no sample satisfying {sorted(cons)} after 20000 tries")

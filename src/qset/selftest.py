@@ -29,8 +29,9 @@ from .errors import (
     NotSelfTestingError,
     QsetError,
 )
-from .extremality import _REFERENCE, _steered_batch, alternation_margins
-from .realization import QubitRealization, _canonical_witness, _canonicalize_many, born_vector
+from .extremality import _REFERENCE, _steered_batch
+from .realization import (QubitRealization, _canonical_witness, _canonicalize_many,
+                          alternation_margins, born_vector)
 from .symmetry import SymmetryElement
 from .tolerances import TOL_EQ, TOL_RECON
 

@@ -6,7 +6,8 @@ maximally-entangled statistics.  For a measurement at angle a in the
 
     atilde_x^alpha = 2 atan(tan(a_x/2) * tan(theta)^alpha),
 
-computed here in atan2 form to remove the infinite-tangent singularity:
+computed (``realization.modified_angles_raw``) in atan2 form to remove the
+infinite-tangent singularity:
 
     atilde^+ = 2 atan2(sin(a/2) sin(theta), cos(a/2) cos(theta))
     atilde^- = 2 atan2(sin(a/2) cos(theta), cos(a/2) sin(theta)).
@@ -23,69 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import Behavior
-from .errors import (
-    CorrelatorRangeError,
-    DegenerateThetaError,
-    MarginalUnitError,
-    NullImageError,
-    QsetError,
-)
-from .realization import QubitRealization, born_point
-from .symmetry import SymmetryElement, apply_symmetry
+from .errors import CorrelatorRangeError, DegenerateThetaError, MarginalUnitError, QsetError
+from .realization import QubitRealization, born_point, modified_angles_raw
 from .tolerances import TOL_CLAMP
 
 __all__ = [
     "SteeredCorrelators",
-    "steer_vector",
     "modified_angles",
-    "modified_angles_raw",
     "steered_correlators",
     "steered_many",
     "steered_table",
-    "pi_interval",
-    "swap_parties",
-    "swap_parties_realization",
-    "bob_modified_angles",
-    "bob_steered_correlators",
 ]
-
-
-def pi_interval(x):
-    """Representative [x]_pi of x mod pi in [0, pi)."""
-    return np.mod(x, math.pi)
-
-
-def steer_vector(theta, a):
-    """Image polar angle of the steering map T_theta, reduced to (-pi, pi].
-
-    Raises NullImageError in the degenerate case (theta in {0, pi/2} with
-    a = 2 theta +- pi), where the image is the null vector.
-    """
-    theta = np.asarray(theta, float)
-    a = np.asarray(a, float)
-    num = np.sin(a / 2) * np.sin(theta)
-    den = np.cos(a / 2) * np.cos(theta)
-    if np.any((np.abs(num) < 1e-15) & (np.abs(den) < 1e-15)):
-        raise NullImageError("steering image is the null vector (product state)")
-    out = 2 * np.arctan2(num, den)
-    # 2*atan2 can land in (-2pi, 2pi]; reduce to (-pi, pi]
-    out = np.where(out > math.pi, out - 2 * math.pi, out)
-    out = np.where(out <= -math.pi, out + 2 * math.pi, out)
-    return out if out.ndim else float(out)
-
-
-def modified_angles_raw(theta, a):
-    """Modified angles for both outcome signs; array-friendly, no gating.
-
-    Returns an array of shape (2,) + shape(a): index 0 is alpha = +1,
-    index 1 is alpha = -1.
-    """
-    theta = np.asarray(theta, float)
-    half = np.asarray(a, float) / 2
-    sa, ca, st, ct = np.sin(half), np.cos(half), np.sin(theta), np.cos(theta)
-    plus = 2 * np.arctan2(sa * st, ca * ct)
-    minus = 2 * np.arctan2(sa * ct, ca * st)
-    return np.stack([plus, minus])
 
 
 def modified_angles(r: QubitRealization) -> np.ndarray:
@@ -151,24 +100,3 @@ def steered_table(r: QubitRealization) -> SteeredCorrelators:
     """Both the steered correlators of born_point(r) and the modified angles."""
     at = modified_angles(r)
     return SteeredCorrelators(c=_steered_c(born_point(r).vector), atilde=at)
-
-
-# --- Alice/Bob exchange -----------------------------------------------------
-
-def swap_parties(p: Behavior) -> Behavior:
-    return apply_symmetry(SymmetryElement(party_swap=True), p)
-
-
-def swap_parties_realization(r: QubitRealization) -> QubitRealization:
-    return QubitRealization(theta=r.theta, a=r.b, b=r.a)
-
-
-def bob_modified_angles(r: QubitRealization) -> np.ndarray:
-    """Bob's modified angles btilde[beta][y] (steering applied on Bob's side)."""
-    return modified_angles(swap_parties_realization(r))
-
-
-def bob_steered_correlators(p: Behavior) -> SteeredCorrelators:
-    """Steered correlators with the roles of Alice and Bob exchanged:
-    c[beta][y][x] = (<A_x B_y> + beta <A_x>) / (1 + beta <B_y>)."""
-    return steered_correlators(swap_parties(p))

@@ -12,7 +12,7 @@ TOL_EQ 1e-8        behavior.validate, invalid_rows   invalid: a component past [
                    the self-test residual checks     residuals): |sum - pi| <= TOL_EQ
                    _sums, masanes_check,             necessary inequalities: slack >= -TOL_EQ;
                    necessary_conditions_check        Masanes: every |marginal| <= TOL_EQ
-                   extremality._alternating          margins >= -TOL_EQ; exposed: inner > TOL_EQ
+                   realization._alternating          margins >= -TOL_EQ; exposed: inner > TOL_EQ
                    alternation_margins, witness,     canonical range and image ties widened by
                    is_canonical, _canonicalize_many  it; sector theta in (TOL_EQ, pi/4 + TOL_EQ]
                    witness._admitted_sectors         a sector's |alpha_y| <= 1 + TOL_EQ
@@ -24,7 +24,7 @@ TOL_RECON 1e-6     selftest.reconstruct_rows         round trip beyond it: Incon
 _LP_TOL 1e-11      oracles._phase1_float             pivot: entering cost, leaving column entry
 FOUND_RESIDUAL,    oracles._found                    decomposition found: mixture residual <=
 FOUND_SEPARATION                                     1e-10 and separation >= 1e-3
-1e-12              alternation_margins,              |sin 2 theta| < 1e-12: DegenerateThetaError
+1e-12              realization.alternation_margins,  |sin 2 theta| < 1e-12: DegenerateThetaError
                    steering.modified_angles
 1e-9               realization.sample_realization    |sin 2 theta| < 1e-9: draw again
 1e-11              selftest._solve_gauge             |det| = |sin(s1 - s0)| < 1e-11: degenerate

@@ -42,10 +42,8 @@ from .steering import modified_angles
 from .tolerances import TOL_EQ
 
 __all__ = [
-    "TangentBasis",
     "FlatnessWitness",
     "tangent_basis",
-    "behavior_jacobian",
     "solve_sector",
     "delta_condition",
     "find_witness",
@@ -57,24 +55,11 @@ __all__ = [
 SECTOR_ORDER = ((1, 1), (1, -1), (-1, -1))
 
 
-@dataclass(frozen=True)
-class TangentBasis:
-    """Rows: T_psi_theta, T_01, T_10, dP/da0, dP/db0 in behavior coordinates."""
-
-    vecs: np.ndarray
-
-
 def _require_sector_range(r: QubitRealization) -> None:
     if not r.is_canonical():
         raise ValueError("realization must be canonical")
     if not (TOL_EQ < r.theta <= math.pi / 4 + TOL_EQ):
         raise DegenerateThetaError(f"theta={r.theta!r} outside (0, pi/4]")
-
-
-def behavior_jacobian(r: QubitRealization) -> np.ndarray:
-    """All five partial derivative rows of the behavior, ordered
-    (d/dtheta, d/da0, d/da1, d/db0, d/db1)."""
-    return born_jacobian(*r.params()).T
 
 
 def _state_rows(r: QubitRealization) -> np.ndarray:
@@ -104,11 +89,13 @@ def _state_rows(r: QubitRealization) -> np.ndarray:
     ])
 
 
-def tangent_basis(r: QubitRealization) -> TangentBasis:
-    """The 5 tangent rows pinning Bell functionals maximized at born_point(r)."""
+def tangent_basis(r: QubitRealization) -> np.ndarray:
+    """The 5 tangent rows pinning Bell functionals maximized at born_point(r),
+    as a (5, 8) array in behavior coordinates: T_psi_theta, T_01, T_10,
+    dP/da0, dP/db0."""
     _require_sector_range(r)
-    jac = behavior_jacobian(r)
-    return TangentBasis(vecs=np.vstack([_state_rows(r), jac[1], jac[3]]))
+    jac = born_jacobian(*r.params()).T  # (d/dtheta, d/da0, d/da1, d/db0, d/db1)
+    return np.vstack([_state_rows(r), jac[1], jac[3]])
 
 
 def _shifted_angles(r: QubitRealization, sector: tuple[int, int]) -> tuple[float, float]:
@@ -235,20 +222,20 @@ def _orthonormalize(rows: np.ndarray, against: list[np.ndarray]) -> list[np.ndar
         work -= np.outer(work @ q, q)
 
 
-def orthocomplement(basis: TangentBasis) -> tuple[np.ndarray, int]:
+def orthocomplement(basis: np.ndarray) -> tuple[np.ndarray, int]:
     """Orthonormal basis of the complement of the tangent space in R^8.
 
     Returns (complement rows, rank of the tangent basis).  Generic rank is 5,
     giving a 3-dimensional complement; rank deficiency is reported through
     the rank value and simply enlarges the complement.
     """
-    q_rows = _orthonormalize(basis.vecs, [])
+    q_rows = _orthonormalize(basis, [])
     rank = len(q_rows)
     comp = _orthonormalize(np.eye(8), q_rows)
     return np.array(comp[: 8 - rank]), rank
 
 
-def flatness_deviation(w: FlatnessWitness, p: Behavior, basis: TangentBasis) -> float:
+def flatness_deviation(w: FlatnessWitness, p: Behavior, basis: np.ndarray) -> float:
     """max |beta . (L - P)| over an orthocomplement basis of the tangent space."""
     comp, _ = orthocomplement(basis)
     diff = w.local_point.vector - p.vector

@@ -32,8 +32,7 @@ from qset import (
     extremality_criterion_check,
     validate,
 )
-from qset.realization import born_vector
-from qset.steering import modified_angles_raw
+from qset.realization import born_vector, modified_angles_raw
 from qset.tolerances import TOL_RECON
 from qset.witness import flatness_deviation
 

@@ -15,9 +15,8 @@ from qset import (Behavior, Failure, Verdict, born_point, classify, classify_man
                   sample_realization, selftest_certificate)
 from qset.cli import ScanSpec, main
 from qset.errors import InconsistentGaugeError, NoThetaBranchError
-from qset.extremality import (VERDICTS, _reference_relabelings, _reference_steered,
-                               alternation_margins)
-from qset.realization import born_vector
+from qset.extremality import VERDICTS, _reference_relabelings, _reference_steered
+from qset.realization import alternation_margins, born_vector
 from qset.steering import steered_many
 from qset.symmetry import signed_permutation
 

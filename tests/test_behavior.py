@@ -11,13 +11,12 @@ from qset import (
     InvalidBehaviorError,
     bell_value,
     born_point,
-    chsh_all,
     enumerate_vertices,
     is_local,
     probabilities,
     validate,
 )
-from qset.behavior import mix
+from qset.behavior import chsh_values, mix
 
 from conftest import PI8_EDGE, TSIRELSON, random_valid_behavior
 
@@ -108,9 +107,9 @@ def test_bell_value_linearity(lam, seed):
 
 def test_chsh_all_examples():
     pr = Behavior(marg_a=(0, 0), marg_b=(0, 0), corr=((1, 1), (1, -1)))
-    assert chsh_all(pr).max() == pytest.approx(4.0)
-    assert np.allclose(chsh_all(ZERO), 0.0)
-    assert chsh_all(born_point(TSIRELSON)).max() == pytest.approx(2 * SQ2)
+    assert chsh_values(pr.vector).max() == pytest.approx(4.0)
+    assert np.allclose(chsh_values(ZERO.vector), 0.0)
+    assert chsh_values(born_point(TSIRELSON).vector).max() == pytest.approx(2 * SQ2)
 
 
 def test_is_local_examples():

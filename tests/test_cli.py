@@ -117,6 +117,18 @@ def test_classify_invalid_behavior_exit_1(tmp_path, capsys):
     assert "np.float64" not in err
 
 
+@pytest.mark.parametrize("number", ["1" + "0" * 400, "-1" + "0" * 400, "1e400"],
+                         ids=["huge-int", "huge-negative-int", "huge-float"])
+def test_number_too_large_for_a_float_is_an_invalid_behavior(tmp_path, capsys, number):
+    # an integer too large for a float arrives as +-inf, as the literal 1e400 does
+    path = tmp_path / "huge.json"
+    path.write_text('{"margA": [%s, 0], "margB": [0, 0], "corr": [[0, 0], [0, 0]]}' % number)
+    for command in (["classify"], ["selftest"], ["oracle", "local"],
+                    ["oracle", "decompose", "--trials", "1"]):
+        code, out, err = run_cli([*command, "--input", str(path)], capsys)
+        assert (code, out, err) == (1, "", "invalid behavior: component <A0> is not finite\n")
+
+
 ZERO_MARGINALS = {"margB": [0, 0], "corr": [[0, 0], [0, 0]]}
 
 

@@ -31,9 +31,8 @@ from qset.behavior import _require_valid
 from qset.errors import CorrelatorRangeError, DegenerateThetaError
 from qset.steering import steered_many
 from qset.extremality import (_REFERENCE, SignPattern, _asin_sums, _criterion_holds,
-                              _necessary_slacks, alternation_margins,
-                              pattern_to_reference_relabeling)
-from qset.realization import born_vector
+                              _necessary_slacks, pattern_to_reference_relabeling)
+from qset.realization import alternation_margins, born_vector
 from qset.tolerances import TOL_CLAMP, TOL_EQ
 from qset.symmetry import group_elements
 

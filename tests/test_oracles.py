@@ -30,8 +30,8 @@ from qset.oracles import (
     POLISH_MAX_NFEV,
     _LP_MATRIX,
     _boundary_step,
+    _correlator_pair,
     _found,
-    _local_model,
     _mixres,
     _model_derivatives,
     _model_value,
@@ -223,18 +223,25 @@ def full_grid_value(beta_vec: np.ndarray, res: int = 16) -> tuple[float, np.ndar
     return float(val[idx]), np.array([ax[i] for i in idx])
 
 
+def local_model(bv: np.ndarray, rows: np.ndarray):
+    """Value, gradient and Hessian at ``rows``: ``_model_value`` extended by
+    ``_model_derivatives``."""
+    val, terms = _model_value(bv, _correlator_pair(bv), rows)
+    return (val, *_model_derivatives(bv, terms))
+
+
 def test_local_model_matches_the_functional_and_its_differences():
     rng = np.random.default_rng(71)
     h = 1e-5
     for _ in range(20):
         beta_vec = rng.normal(size=8)
         x = rng.uniform(-PI, PI, (3, 5))
-        val, grad, hess = _local_model(beta_vec, x)
+        val, grad, hess = local_model(beta_vec, x)
         assert np.max(np.abs(val - born_vector(*x.T) @ beta_vec)) < 1e-12
         for k in range(5):
             e = np.zeros(5)
             e[k] = h
-            up, down = _local_model(beta_vec, x + e), _local_model(beta_vec, x - e)
+            up, down = local_model(beta_vec, x + e), local_model(beta_vec, x - e)
             assert np.max(np.abs((up[0] - down[0]) / (2 * h) - grad[:, k])) < 1e-8
             assert np.max(np.abs((up[1] - down[1]) / (2 * h) - hess[:, :, k])) < 1e-8
         assert np.array_equal(hess, hess.transpose(0, 2, 1))

@@ -19,9 +19,9 @@ from qset import (
 )
 import qset.selftest
 from qset.cli import ScanSpec, _parse_range, main
-from qset.extremality import alternation_margins, classify_many
+from qset.extremality import classify_many
 from qset.realization import (CANONICALIZE_CHUNK, _GAUGE_MOVES, _canonicalize_many,
-                              apply_relabeling, born_jacobian, born_vector)
+                              alternation_margins, apply_relabeling, born_jacobian, born_vector)
 from qset.symmetry import group_elements, signed_permutation
 from qset.tolerances import TOL_EQ
 
@@ -518,3 +518,23 @@ def test_realization_rejects_non_finite_angles(angles):
 def test_realization_json_roundtrip():
     r = QubitRealization(0.3, (0.1, 1.2), (0.2, 2.2))
     assert QubitRealization.from_json_dict(r.to_json_dict()) == r
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"theta": 0.1, "a": [0], "b": [0, 1]}, "a must be 2 numbers, got [0]"),
+    ({"theta": 0.1, "a": [0, 1], "b": None}, "b must be 2 numbers, got None"),
+    ({"theta": 0.1, "b": [0, 1]}, "realization document is missing 'a'"),
+    ({"a": [0, 1]}, "realization document is missing 'theta'"),
+    ([0.1, [0, 1], [0, 1]], "a realization must be a JSON object, got [0.1, [0, 1], [0, 1]]"),
+    ({"theta": "0.1", "a": [0, 1], "b": [0, 1]}, "theta must be a number, got '0.1'"),
+    ({"theta": True, "a": [0, 1], "b": [0, 1]}, "theta must be a number, got True"),
+    ({"theta": 0.1, "a": [0, "1"], "b": [0, 1]}, "a must be 2 numbers, got [0, '1']"),
+    ({"theta": 0.1, "a": [0, 1], "b": [False, 1]}, "b must be 2 numbers, got [False, 1]"),
+    ({"theta": 10 ** 400, "a": [0, 1], "b": [0, 1]}, "realization angles must be finite"),
+    ({"theta": 0.1, "a": [0, float("nan")], "b": [0, 1]}, "realization angles must be finite"),
+], ids=["short", "null", "no-a", "no-theta-first", "array", "string", "bool", "string-angle",
+        "bool-angle", "huge-int", "nan"])
+def test_realization_json_rejects_malformed_documents(doc, message):
+    with pytest.raises(ValueError) as exc:
+        QubitRealization.from_json_dict(doc)
+    assert type(exc.value) is ValueError and str(exc.value) == message

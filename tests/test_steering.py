@@ -9,19 +9,18 @@ from qset import (
     CorrelatorRangeError,
     DegenerateThetaError,
     MarginalUnitError,
-    NullImageError,
     QubitRealization,
+    SymmetryElement,
+    apply_symmetry,
     born_point,
-    bob_modified_angles,
     full_alternation_check,
     modified_angles,
     sample_realization,
-    steer_vector,
     steered_correlators,
     steered_table,
 )
 from qset.behavior import Behavior
-from qset.steering import pi_interval, swap_parties_realization
+from qset.realization import modified_angles_raw
 
 from conftest import PI8_EDGE
 
@@ -37,22 +36,21 @@ def mp_modified_angle(theta, a, alpha):
         return float(val)
 
 
+def party_swapped(r: QubitRealization) -> QubitRealization:
+    """The realization with Alice's and Bob's angles exchanged."""
+    return QubitRealization(r.theta, r.b, r.a)
+
+
 def test_steer_vector_fixed_points():
-    assert steer_vector(PI / 4, 1.234) == pytest.approx(1.234, abs=1e-14)
-    assert steer_vector(0.3, 0.0) == 0.0
+    # the steering image of one angle: the alpha = +1 row of modified_angles_raw
+    assert modified_angles_raw(PI / 4, 1.234)[0] == pytest.approx(1.234, abs=1e-14)
+    assert modified_angles_raw(0.3, 0.0)[0] == 0.0
 
 
 def test_steer_vector_high_precision_value():
-    got = steer_vector(PI / 8, PI / 2)
+    got = modified_angles_raw(PI / 8, PI / 2)[0]
     assert got == pytest.approx(PI / 4, abs=1e-14)
     assert got == pytest.approx(mp_modified_angle(PI / 8, PI / 2, +1), abs=1e-14)
-
-
-def test_steer_vector_null_image():
-    with pytest.raises(NullImageError):
-        steer_vector(0.0, PI)
-    with pytest.raises(NullImageError):
-        steer_vector(PI / 2, 0.0)
 
 
 def test_modified_angles_pi8_edge():
@@ -131,7 +129,8 @@ def test_steered_correlators_range_error():
 
 @given(theta=st.floats(0.02, PI / 2 - 0.02), a=st.floats(-PI + 1e-6, PI - 1e-6))
 def test_involution(theta, a):
-    assert steer_vector(PI / 2 - theta, steer_vector(theta, a)) == pytest.approx(a, abs=1e-12)
+    image = modified_angles_raw(theta, a)[0]
+    assert modified_angles_raw(PI / 2 - theta, image)[0] == pytest.approx(a, abs=1e-12)
 
 
 def test_consistency_identity_random():
@@ -155,7 +154,7 @@ def test_monotonicity_mod_pi():
         a1, a2 = np.sort(rng.uniform(0, PI - 1e-9, 2))
         for ai in (0, 1):
             at = modified_angles(QubitRealization(theta, (a1, a2), (0.5, 1.0)))
-            assert pi_interval(at[ai, 0]) <= pi_interval(at[ai, 1]) + 1e-12
+            assert np.mod(at[ai, 0], PI) <= np.mod(at[ai, 1], PI) + 1e-12
 
 
 def test_double_application_opposite_signs():
@@ -170,7 +169,7 @@ def test_double_application_opposite_signs():
 
 def _bob_side_alternation(r: QubitRealization, strict: bool) -> bool:
     """0 <= a0 <= [btilde_0^s]_pi <= a1 <= [btilde_1^t]_pi < pi for all s,t."""
-    bt = pi_interval(bob_modified_angles(r))
+    bt = np.mod(modified_angles(party_swapped(r)), PI)
     eps = 1e-8
     inner = [bt[0, 0] - r.a[0], bt[1, 0] - r.a[0],
              r.a[1] - bt[0, 0], r.a[1] - bt[1, 0],
@@ -187,7 +186,7 @@ def test_alice_bob_alternation_equivalence_pi8_edge():
 
 def test_alice_bob_alternation_equivalence_maximal():
     r = QubitRealization(PI / 4, (0, PI / 2), (PI / 4, 3 * PI / 4))
-    assert np.allclose(bob_modified_angles(r), np.array([r.b, r.b]), atol=1e-14)
+    assert np.allclose(modified_angles(party_swapped(r)), np.array([r.b, r.b]), atol=1e-14)
     assert full_alternation_check(r, strict=True)[0]
     assert _bob_side_alternation(r, strict=True)
 
@@ -206,15 +205,16 @@ def test_alice_bob_alternation_equivalence_sweep():
 
 def test_swap_parties_realization_roundtrip():
     r = QubitRealization(0.4, (0.1, 1.0), (0.2, 2.0))
-    assert swap_parties_realization(swap_parties_realization(r)) == r
+    assert party_swapped(party_swapped(r)) == r
+    swap = SymmetryElement(party_swap=True)
+    assert np.allclose(born_point(party_swapped(r)).vector,
+                       apply_symmetry(swap, born_point(r)).vector, rtol=0, atol=1e-15)
 
 
 def test_bob_steered_correlators_definition():
-    from qset import bob_steered_correlators
-
     p = born_point(PI8_EDGE)
     v = p.vector
-    sc = bob_steered_correlators(p)
+    sc = steered_correlators(apply_symmetry(SymmetryElement(party_swap=True), p))
     for bi, beta in enumerate((1.0, -1.0)):
         for y in range(2):
             for x in range(2):
@@ -225,13 +225,3 @@ def test_bob_steered_correlators_definition():
 def test_steered_table_degenerate_theta():
     with pytest.raises(DegenerateThetaError):
         steered_table(QubitRealization(0.0, (0.1, 1.0), (0.2, 2.0)))
-
-
-def test_steer_vector_range_reduction():
-    # outputs stay in (-pi, pi] even for angles outside the principal range
-    for a in (3 * PI / 2, -3 * PI / 2, 2 * PI - 1e-3, 5.0):
-        v = steer_vector(0.4, a)
-        assert -PI < v <= PI
-        # same direction as the principal representative
-        a_wrapped = (a + PI) % (2 * PI) - PI
-        assert math.cos(v - steer_vector(0.4, a_wrapped)) == pytest.approx(1.0, abs=1e-12)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qset import Behavior, InvalidBehaviorError, born_point, chsh_all, validate
+from qset import Behavior, InvalidBehaviorError, born_point, validate
+from qset.behavior import chsh_values
 from qset.symmetry import (
     SymmetryElement,
     apply_symmetry,
@@ -94,11 +95,11 @@ def test_group_action_preserves_validity_and_chsh():
     rng = np.random.default_rng(5)
     for _ in range(20):
         p = random_valid_behavior(rng)
-        base = np.max(np.abs(chsh_all(p)))
+        base = np.max(np.abs(chsh_values(p.vector)))
         for g in group_elements()[::13]:
             q = apply_symmetry(g, p)
             assert validate(q) == []
-            assert np.max(np.abs(chsh_all(q))) == pytest.approx(base, abs=1e-12)
+            assert np.max(np.abs(chsh_values(q.vector))) == pytest.approx(base, abs=1e-12)
 
 
 def test_canonical_behavior_identity_on_minimal():

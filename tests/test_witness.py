@@ -20,11 +20,11 @@ from qset import (
     validate,
 )
 from qset.behavior import _fine_local, invalid_rows
+from qset.realization import born_jacobian
 from qset.tolerances import TOL_EQ
 from qset.witness import (
     SECTOR_ORDER,
     _sector_solution,
-    behavior_jacobian,
     flatness_deviation,
     sector_denominator,
 )
@@ -60,7 +60,7 @@ def solve_sector_system_lstsq(r: QubitRealization, sector):
     """Independent check: solve the six sector equations numerically."""
     s, t = sector
     p = born_point(r).vector
-    rows = tangent_basis(r).vecs
+    rows = tangent_basis(r)
     a_mat = np.zeros((6, 5))
     rhs = np.zeros(6)
     funcs = []
@@ -78,7 +78,7 @@ def solve_sector_system_lstsq(r: QubitRealization, sector):
 
 
 def test_derivative_row_a0_at_pi8_edge():
-    rows = tangent_basis(PI8_EDGE).vecs
+    rows = tangent_basis(PI8_EDGE)
     s2 = math.sin(2 * PI8_EDGE.theta)
     # a0 = 0 zeroes the marginal term; only the two corr slots in row x=0 survive
     expected = np.array([0, 0, 0, 0, s2 * math.sin(PI8_EDGE.b[0]), s2 * math.sin(PI8_EDGE.b[1]), 0, 0])
@@ -91,7 +91,7 @@ def test_derivative_rows_match_central_differences():
     rng = np.random.default_rng(31)
     for _ in range(25):
         r = sample_realization(rng, {"canonical"}, theta_range=(0.05, PI / 4))
-        jac = behavior_jacobian(r)
+        jac = born_jacobian(*r.params()).T
         fd = central_difference_rows(r)
         assert np.max(np.abs(jac - fd)) < 1e-7
 
@@ -100,14 +100,14 @@ def test_derivative_a0_has_no_bob_marginal_slots():
     rng = np.random.default_rng(32)
     for _ in range(20):
         r = sample_realization(rng, {"canonical"}, theta_range=(0.05, PI / 4))
-        row = tangent_basis(r).vecs[3]
+        row = tangent_basis(r)[3]
         assert row[1] == 0 and row[2] == 0 and row[3] == 0
         assert row[6] == 0 and row[7] == 0
 
 
 def test_state_row_t01_matrix_oracle():
     r = QubitRealization(PI / 4, (0.0, 0.0), (0.0, 0.0))
-    rows = tangent_basis(r).vecs
+    rows = tangent_basis(r)
     phi = np.array([math.cos(r.theta), 0, 0, math.sin(r.theta)])
     e01 = np.array([0.0, 1.0, 0.0, 0.0])
     eye = np.eye(2)
@@ -140,7 +140,7 @@ def test_state_rows_match_kronecker_oracle():
     worst = 0.0
     for _ in range(2000):
         r = sample_realization(rng, {"canonical"}, theta_range=(1e-4, PI / 4))
-        worst = max(worst, np.max(np.abs(tangent_basis(r).vecs[:3] - kron_state_rows(r))))
+        worst = max(worst, np.max(np.abs(tangent_basis(r)[:3] - kron_state_rows(r))))
     assert worst <= 1e-14
 
 
@@ -160,7 +160,7 @@ def test_solve_sector_substitution_residual():
         assert coeffs[4] == 0.0  # b-coefficient vanishes
         # alphas really are the companion's Bob marginals
         p = born_point(R16).vector
-        companion = p + coeffs @ tangent_basis(R16).vecs
+        companion = p + coeffs @ tangent_basis(R16)
         assert np.allclose(alphas, companion[2:4], atol=1e-14)
 
 
@@ -290,11 +290,11 @@ def test_find_witness_builds_neither_point_nor_basis(monkeypatch):
 
 def tangent_route_witness(r: QubitRealization):
     """Oracle for find_witness in behavior coordinates: the companion point
-    P + coeffs @ tangent_basis(r).vecs clipped to [-1, 1], with the coefficient
+    P + coeffs @ tangent_basis(r) clipped to [-1, 1], with the coefficient
     formulas of the module docstring, the same checks and the same sector order.
     Returns (sector, coeffs, alphas, local vector) or None."""
     p_vec = born_point(r).vector
-    vecs = tangent_basis(r).vecs
+    vecs = tangent_basis(r)
     th = r.theta
     for s, t in SECTOR_ORDER:
         a0s, a1t = r.a[0] + (1 - s) * math.pi / 2, r.a[1] + (1 - t) * math.pi / 2
@@ -390,7 +390,7 @@ def test_witness_invariants_and_flatness():
         corr = lvec[4:].reshape(2, 2)
         assert np.array_equal(corr, np.outer(lvec[:2], lvec[2:4]))
         # L = P + coeffs . basis up to the unit clip
-        assert np.max(np.abs(lvec - (p.vector + wit.coeffs @ basis.vecs))) < 1e-8
+        assert np.max(np.abs(lvec - (p.vector + wit.coeffs @ basis))) < 1e-8
         assert not np.array_equal(lvec, p.vector)
         assert flatness_deviation(wit, p, basis) <= 1e-8
 
@@ -400,7 +400,7 @@ def test_orthocomplement_generic():
     comp, rank = orthocomplement(basis)
     assert rank == 5
     assert comp.shape == (3, 8)
-    assert np.max(np.abs(comp @ basis.vecs.T)) < 1e-12
+    assert np.max(np.abs(comp @ basis.T)) < 1e-12
     assert np.allclose(comp @ comp.T, np.eye(3), atol=1e-12)
 
 
@@ -411,4 +411,4 @@ def test_orthocomplement_rank_deficient():
     comp, rank = orthocomplement(basis)
     assert rank < 5
     assert comp.shape[0] == 8 - rank
-    assert np.max(np.abs(comp @ basis.vecs.T)) < 1e-9
+    assert np.max(np.abs(comp @ basis.T)) < 1e-9
